@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/eco_storage_policy.h"
@@ -25,7 +27,9 @@ using namespace ecostore;  // NOLINT: example brevity
 namespace {
 
 /// A custom policy only needs name(), initial_period() and OnPeriodEnd();
-/// Start() and the event hooks are optional.
+/// Start() and the event hooks are optional. Per-period statistics are
+/// folded in as the I/O streams past, through a sink attached to the
+/// Application Monitor — the library retains no trace for the policy.
 class ReadRatioSplitterPolicy : public policies::StoragePolicy {
  public:
   std::string name() const override { return "read_ratio_splitter"; }
@@ -33,6 +37,10 @@ class ReadRatioSplitterPolicy : public policies::StoragePolicy {
 
   void Start(const storage::StorageSystem& system,
              policies::PolicyActuator* actuator) override {
+    counter_.Reset(system.virtualization().catalog().item_count());
+    if (!actuator->AttachLogicalIoSink(&counter_)) {
+      ECOSTORE_LOG(kError) << name() << ": runtime has no logical I/O sink";
+    }
     // Let everything spin down; no placement, no preload.
     for (int e = 0; e < system.num_enclosures(); ++e) {
       actuator->SetSpinDownAllowed(static_cast<EnclosureId>(e), true);
@@ -42,19 +50,16 @@ class ReadRatioSplitterPolicy : public policies::StoragePolicy {
   SimDuration OnPeriodEnd(const monitor::MonitorSnapshot& snapshot,
                           const storage::StorageSystem& system,
                           policies::PolicyActuator* actuator) override {
+    (void)snapshot;
     (void)system;
     determinations_++;
-    // Count reads/writes per item over the period.
-    std::unordered_map<DataItemId, std::pair<int64_t, int64_t>> counts;
-    for (const trace::LogicalIoRecord& rec :
-         snapshot.application->buffer().records()) {
-      auto& [reads, writes] = counts[rec.item];
-      (rec.is_read() ? reads : writes)++;
-    }
     std::unordered_set<DataItemId> write_heavy;
-    for (const auto& [item, rw] : counts) {
-      if (rw.second > rw.first) write_heavy.insert(item);
+    for (size_t i = 0; i < counter_.reads.size(); ++i) {
+      if (counter_.writes[i] > counter_.reads[i]) {
+        write_heavy.insert(static_cast<DataItemId>(i));
+      }
     }
+    counter_.Reset(counter_.reads.size());
     actuator->SetWriteDelayItems(write_heavy);
     return initial_period();
   }
@@ -64,6 +69,25 @@ class ReadRatioSplitterPolicy : public policies::StoragePolicy {
   }
 
  private:
+  /// Counts reads and writes per item over the current period.
+  struct ReadWriteCounter : monitor::LogicalIoSink {
+    std::vector<int64_t> reads;
+    std::vector<int64_t> writes;
+
+    void OnLogicalIo(const trace::LogicalIoRecord& rec) override {
+      if (rec.item < 0 || static_cast<size_t>(rec.item) >= reads.size()) {
+        return;
+      }
+      (rec.is_read() ? reads : writes)[static_cast<size_t>(rec.item)]++;
+    }
+
+    void Reset(size_t item_count) {
+      reads.assign(item_count, 0);
+      writes.assign(item_count, 0);
+    }
+  };
+
+  ReadWriteCounter counter_;
   int64_t determinations_ = 0;
 };
 

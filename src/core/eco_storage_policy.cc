@@ -13,11 +13,10 @@ void EcoStoragePolicy::Start(const storage::StorageSystem& system,
   actuator_ = actuator;
   function_ = std::make_unique<PowerManagementFunction>(config_, system);
   // Fleet-scale monitoring mode (DESIGN.md §13): feed the classifier from
-  // the monitor's logical I/O stream so period ends only finalise. When
-  // the runtime supports it, wants_logical_trace() then releases the
-  // per-period trace buffer. Runtimes without sink support (bare test
-  // actuators) fall back to replaying the captured trace — identical
-  // classifications either way.
+  // the monitor's logical I/O stream so period ends only finalise.
+  // Runtimes without sink support (bare test actuators) fall back to
+  // replaying the captured trace, which wants_logical_trace() then
+  // requests — identical classifications either way.
   streaming_ = actuator->AttachLogicalIoSink(function_->classifier());
   if (streaming_) {
     function_->classifier()->BeginPeriod(actuator->Now());

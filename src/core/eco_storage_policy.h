@@ -47,8 +47,8 @@ class EcoStoragePolicy : public policies::StoragePolicy {
     return placement_determinations_;
   }
 
-  /// With a streaming sink attached the captured trace is never read —
-  /// the engine may release the per-period buffer (DESIGN.md §13).
+  /// Only the no-sink fallback replays the captured trace; with a
+  /// streaming sink attached the engine retains none (DESIGN.md §13).
   bool wants_logical_trace() const override { return !streaming_; }
 
   /// Whether Start() attached the classifier to the monitor's I/O stream.

@@ -14,8 +14,9 @@ namespace ecostore::monitor {
 /// The logical mapping information (data item <-> volume) lives in the
 /// DataItemCatalog. Each record is forwarded to an optional streaming sink
 /// (DESIGN.md §13) and, when capture is enabled, appended to the per-period
-/// trace repository. Policies that ingest via the sink can disable capture
-/// so a fleet-scale period never materialises an unbounded trace buffer.
+/// trace repository. The replay engine enables capture only for a policy
+/// whose StoragePolicy::wants_logical_trace() is true, so a period never
+/// materialises an unbounded trace buffer otherwise.
 class ApplicationMonitor {
  public:
   /// Records one logical I/O. Records must arrive in time order.
@@ -34,8 +35,8 @@ class ApplicationMonitor {
   void SetSink(LogicalIoSink* sink) { sink_ = sink; }
   LogicalIoSink* sink() const { return sink_; }
 
-  /// Enables or disables trace-buffer capture. Default on; a policy that
-  /// streams via the sink turns it off through the replay engine.
+  /// Enables or disables trace-buffer capture. Default on for standalone
+  /// use; the replay engine sets it from StoragePolicy::wants_logical_trace().
   void SetCapture(bool capture) { capture_ = capture; }
   bool capture() const { return capture_; }
 

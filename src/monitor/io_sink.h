@@ -10,11 +10,12 @@ namespace ecostore::monitor {
 ///
 /// A sink receives every logical I/O in global time order, on the thread
 /// that drives the monitor (the serial replay loop, or the sharded
-/// coordinator's scatter phase — never a lane worker). A policy that
-/// attaches a sink via PolicyActuator::AttachLogicalIoSink() can fold its
-/// period analysis into ingest and then declare, through
-/// StoragePolicy::wants_logical_trace(), that the per-period trace buffer
-/// need not be retained — the fleet-scale monitoring mode.
+/// coordinator's scatter phase — never a lane worker). Policies attach one
+/// via PolicyActuator::AttachLogicalIoSink() and fold their period
+/// analysis into ingest: the proposed method's PatternClassifier, PDC's
+/// per-item access counter. This is how the library observes logical I/O;
+/// the per-period trace buffer is retained only for a policy that opts in
+/// through StoragePolicy::wants_logical_trace().
 class LogicalIoSink {
  public:
   virtual ~LogicalIoSink() = default;

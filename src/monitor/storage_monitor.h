@@ -1,47 +1,32 @@
 #ifndef ECOSTORE_MONITOR_STORAGE_MONITOR_H_
 #define ECOSTORE_MONITOR_STORAGE_MONITOR_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/sim_time.h"
 #include "common/types.h"
 #include "storage/storage_system.h"
-#include "trace/io_record.h"
-#include "trace/trace_buffer.h"
 
 namespace ecostore::monitor {
 
-/// A power state transition observed on an enclosure (paper §III-B,
-/// "power status of the storage device").
-struct PowerEvent {
-  EnclosureId enclosure = kInvalidEnclosure;
-  SimTime time = 0;
-  storage::PowerState state = storage::PowerState::kOn;
-};
-
-/// \brief The Storage Monitor (paper §III-B): captures physical I/O
-/// traces, power status events and per-enclosure counters below the
-/// block-virtualization layer.
+/// \brief The Storage Monitor (paper §III-B): per-enclosure power status
+/// counters below the block-virtualization layer.
+///
+/// It keeps no physical I/O trace: a policy that needs physical behaviour
+/// (DDR) accumulates it in StoragePolicy::OnPhysicalIo(), which the
+/// runtime calls for every physical I/O.
 class StorageMonitor : public storage::StorageObserver {
  public:
   explicit StorageMonitor(int num_enclosures)
       : power_on_counts_(static_cast<size_t>(num_enclosures), 0) {}
 
-  void OnPhysicalIo(const trace::PhysicalIoRecord& rec) override {
-    buffer_.Append(rec);
-  }
-
   void OnPowerStateChange(EnclosureId enclosure, SimTime at,
                           storage::PowerState state) override {
-    power_events_.push_back(PowerEvent{enclosure, at, state});
+    (void)at;
     if (state == storage::PowerState::kSpinningUp) {
       power_on_counts_[static_cast<size_t>(enclosure)]++;
     }
-  }
-
-  const trace::PhysicalTraceBuffer& buffer() const { return buffer_; }
-  const std::vector<PowerEvent>& power_events() const {
-    return power_events_;
   }
 
   /// Power-on count of an enclosure within the current period (used by the
@@ -53,15 +38,11 @@ class StorageMonitor : public storage::StorageObserver {
   SimTime period_start() const { return period_start_; }
 
   void ResetPeriod(SimTime now) {
-    buffer_.Clear();
-    power_events_.clear();
     std::fill(power_on_counts_.begin(), power_on_counts_.end(), 0);
     period_start_ = now;
   }
 
  private:
-  trace::PhysicalTraceBuffer buffer_;
-  std::vector<PowerEvent> power_events_;
   std::vector<int64_t> power_on_counts_;
   SimTime period_start_ = 0;
 };

@@ -11,6 +11,8 @@ void DdrPolicy::Start(const storage::StorageSystem& system,
   cold_.assign(n, false);
   window_iops_.assign(n, 0.0);
   window_migrated_.assign(n, 0);
+  window_ios_.assign(n, 0);
+  ending_ios_.assign(n, 0);
   // Spin-down permission follows the cold classification; everything
   // starts hot (no observations yet).
   for (int e = 0; e < system.num_enclosures(); ++e) {
@@ -19,9 +21,10 @@ void DdrPolicy::Start(const storage::StorageSystem& system,
 }
 
 void DdrPolicy::OnPhysicalIo(const trace::PhysicalIoRecord& rec) {
-  if (actuator_ == nullptr) return;
   auto e = static_cast<size_t>(rec.enclosure);
-  if (e >= cold_.size() || !cold_[e]) return;
+  if (e >= window_ios_.size()) return;
+  window_ios_[e]++;
+  if (actuator_ == nullptr || !cold_[e]) return;
   if (window_migrated_[e] >= options_.migration_cap_bytes) return;
 
   // An access hit a cold enclosure: move the touched blocks to the hot
@@ -46,18 +49,15 @@ SimDuration DdrPolicy::OnPeriodEnd(const monitor::MonitorSnapshot& snapshot,
                                    const storage::StorageSystem& system,
                                    PolicyActuator* actuator) {
   auto n = static_cast<size_t>(system.num_enclosures());
-  std::vector<int64_t> counts(n, 0);
-  for (const trace::PhysicalIoRecord& rec :
-       snapshot.storage->buffer().records()) {
-    if (rec.enclosure >= 0 && static_cast<size_t>(rec.enclosure) < n) {
-      counts[static_cast<size_t>(rec.enclosure)]++;
-    }
-  }
+  // Swap the window's counters out first: any I/O issued from here on
+  // belongs to the next window.
+  ending_ios_.swap(window_ios_);
+  std::fill(window_ios_.begin(), window_ios_.end(), 0);
   double seconds = ToSeconds(snapshot.period_length());
   if (seconds <= 0) seconds = ToSeconds(options_.window);
 
   for (size_t e = 0; e < n; ++e) {
-    window_iops_[e] = static_cast<double>(counts[e]) / seconds;
+    window_iops_[e] = static_cast<double>(ending_ios_[e]) / seconds;
     bool cold = window_iops_[e] < low_th();
     placement_determinations_++;
     if (cold != cold_[e]) {

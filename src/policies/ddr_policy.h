@@ -20,6 +20,9 @@ namespace ecostore::policies {
 /// so it cannot consolidate by access pattern; it makes a placement
 /// determination for every enclosure every window, which is why the paper
 /// reports ~10^5 determinations against the proposed method's handful.
+///
+/// The window's per-enclosure I/O counts are accumulated by the
+/// OnPhysicalIo() hook itself, so no physical trace is retained.
 class DdrPolicy : public StoragePolicy {
  public:
   struct Options {
@@ -58,6 +61,8 @@ class DdrPolicy : public StoragePolicy {
   std::vector<bool> cold_;              // last window's classification
   std::vector<double> window_iops_;     // last window's measured IOPS
   std::vector<int64_t> window_migrated_;  // per-enclosure cap tracking
+  std::vector<int64_t> window_ios_;     // current window's physical I/Os
+  std::vector<int64_t> ending_ios_;     // window_ios_ swapped out at its end
   int64_t placement_determinations_ = 0;
 };
 

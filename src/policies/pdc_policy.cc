@@ -4,11 +4,20 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/logging.h"
+
 namespace ecostore::policies {
 
 void PdcPolicy::Start(const storage::StorageSystem& system,
                       PolicyActuator* actuator) {
-  popularity_.assign(system.virtualization().catalog().item_count(), 0.0);
+  size_t n_items = system.virtualization().catalog().item_count();
+  popularity_.assign(n_items, 0.0);
+  counter_.Reset(n_items);
+  counting_ = actuator->AttachLogicalIoSink(&counter_);
+  if (!counting_) {
+    ECOSTORE_LOG(kError) << "pdc: the runtime cannot attach a logical I/O "
+                            "sink; PDC sees no accesses and will not plan";
+  }
   // PDC lets any enclosure spin down once its files stop being accessed.
   for (int e = 0; e < system.num_enclosures(); ++e) {
     actuator->SetSpinDownAllowed(static_cast<EnclosureId>(e), true);
@@ -18,25 +27,20 @@ void PdcPolicy::Start(const storage::StorageSystem& system,
 SimDuration PdcPolicy::OnPeriodEnd(const monitor::MonitorSnapshot& snapshot,
                                    const storage::StorageSystem& system,
                                    PolicyActuator* actuator) {
+  if (!counting_) return options_.epoch;
   const storage::BlockVirtualization& virt = system.virtualization();
   const storage::DataItemCatalog& catalog = virt.catalog();
   size_t n_items = catalog.item_count();
   int n_enc = system.num_enclosures();
   placement_determinations_++;
 
-  // Update smoothed popularity from the period's logical trace.
-  std::vector<int64_t> counts(n_items, 0);
-  for (const trace::LogicalIoRecord& rec :
-       snapshot.application->buffer().records()) {
-    if (rec.item >= 0 && static_cast<size_t>(rec.item) < n_items) {
-      counts[static_cast<size_t>(rec.item)]++;
-    }
-  }
+  // Update smoothed popularity from the epoch's access counts.
+  counter_.TakeCounts(&counts_);
   double period_seconds = ToSeconds(snapshot.period_length());
   if (period_seconds <= 0) period_seconds = 1.0;
   for (size_t i = 0; i < n_items; ++i) {
     popularity_[i] = options_.decay * popularity_[i] +
-                     static_cast<double>(counts[i]);
+                     static_cast<double>(counts_[i]);
   }
 
   // Rank items by popularity class, most popular first. Classes are
@@ -63,7 +67,7 @@ SimDuration PdcPolicy::OnPeriodEnd(const monitor::MonitorSnapshot& snapshot,
   for (size_t rank : order) {
     auto item = static_cast<DataItemId>(rank);
     int64_t size = catalog.item(item).size_bytes;
-    double iops = static_cast<double>(counts[rank]) / period_seconds;
+    double iops = static_cast<double>(counts_[rank]) / period_seconds;
     int target = -1;
     for (int e = 0; e < n_enc; ++e) {
       if (used[static_cast<size_t>(e)] + size <= space_budget &&

@@ -18,6 +18,10 @@ namespace ecostore::policies {
 /// enclosures then idle and spin down. PDC migrates any file whose
 /// assigned enclosure changed — which is most of them whenever popularity
 /// ranks churn, explaining the paper's multi-terabyte migration totals.
+///
+/// The per-epoch access counts are folded in during ingest by a small
+/// Application Monitor sink the policy attaches in Start(), so no logical
+/// trace is retained between epoch ends (DESIGN.md §13).
 class PdcPolicy : public StoragePolicy {
  public:
   struct Options {
@@ -49,7 +53,35 @@ class PdcPolicy : public StoragePolicy {
   }
 
  private:
+  /// Per-item logical access counts of the current epoch.
+  class AccessCounter : public monitor::LogicalIoSink {
+   public:
+    void OnLogicalIo(const trace::LogicalIoRecord& rec) override {
+      if (rec.item >= 0 && static_cast<size_t>(rec.item) < counts_.size()) {
+        counts_[static_cast<size_t>(rec.item)]++;
+      }
+    }
+
+    /// Starts counting `item_count` items from zero.
+    void Reset(size_t item_count) { counts_.assign(item_count, 0); }
+
+    /// Moves the epoch's counts into `*out` and restarts from zero,
+    /// reusing `*out`'s storage for the next epoch.
+    void TakeCounts(std::vector<int64_t>* out) {
+      out->swap(counts_);
+      counts_.assign(out->size(), 0);
+    }
+
+   private:
+    std::vector<int64_t> counts_;
+  };
+
   Options options_;
+  AccessCounter counter_;
+  /// False when the runtime cannot stream logical I/O; PDC then never
+  /// plans rather than planning on all-zero counts.
+  bool counting_ = false;
+  std::vector<int64_t> counts_;     // per item, the ending epoch
   std::vector<double> popularity_;  // per item
   int64_t placement_determinations_ = 0;
 };

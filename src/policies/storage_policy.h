@@ -131,12 +131,15 @@ class StoragePolicy {
   /// §VII-D CPU-cost metric).
   virtual int64_t placement_determinations() const { return 0; }
 
-  /// Whether the policy reads the per-period logical trace buffer from
-  /// the snapshot. Queried after Start(): a policy that attached a
-  /// logical I/O sink returns false and the replay engine stops retaining
-  /// the per-period trace — period memory then scales with activity, not
-  /// I/O volume (DESIGN.md §13).
-  virtual bool wants_logical_trace() const { return true; }
+  /// Whether the policy reads the per-period logical trace buffer
+  /// (snapshot.application->buffer()). Queried after Start(). The default
+  /// is false: the replay engine retains no per-I/O record, and a policy
+  /// that needs per-period aggregates folds them in during ingest through
+  /// a sink attached with PolicyActuator::AttachLogicalIoSink() (logical
+  /// I/O) or through OnPhysicalIo() (physical I/O), so period memory
+  /// scales with activity, not I/O volume (DESIGN.md §13). Override to
+  /// return true only if OnPeriodEnd() scans the buffer.
+  virtual bool wants_logical_trace() const { return false; }
 };
 
 }  // namespace ecostore::policies

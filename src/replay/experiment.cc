@@ -61,9 +61,9 @@ Result<ExperimentMetrics> Experiment::Run() {
   app_monitor_.ResetPeriod(0);
   storage_monitor_->ResetPeriod(0);
   policy_->Start(*system_, this);
-  // A policy that attached a streaming sink in Start() may also have
-  // declared the per-period trace buffer unnecessary — then the monitor
-  // stops retaining it and period memory scales with activity.
+  // Trace capture is opt-in: unless the policy reads the per-period
+  // buffer, the monitor retains no per-I/O record and period memory
+  // scales with activity, not I/O volume.
   app_monitor_.SetCapture(policy_->wants_logical_trace());
   SchedulePeriodEnd(policy_->initial_period());
 

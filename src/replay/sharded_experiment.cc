@@ -586,9 +586,6 @@ size_t ShardedExperiment::ReplayLaneHooks() {
     const Lane::Hook& h = taken[static_cast<size_t>(r.lane)][r.idx];
     switch (h.kind) {
       case Lane::Hook::Kind::kPhysicalIo:
-        // Serial observer order: the storage monitor is attached before
-        // the experiment, so it sees each record first.
-        storage_monitor_->OnPhysicalIo(h.rec);
         policy_->OnPhysicalIo(h.rec);
         break;
       case Lane::Hook::Kind::kIdleGap:

@@ -41,26 +41,6 @@ class LogicalTraceBuffer {
   std::vector<LogicalIoRecord> records_;
 };
 
-/// \brief Append-only buffer of physical I/O records for one monitoring
-/// period (the Storage Monitor's repository, paper §III-B).
-class PhysicalTraceBuffer {
- public:
-  void Append(const PhysicalIoRecord& rec) { records_.push_back(rec); }
-
-  /// Empties the buffer, keeping capacity (see LogicalTraceBuffer::Clear).
-  void Clear() { records_.clear(); }
-
-  /// Pre-grows the backing storage.
-  void Reserve(size_t n) { records_.reserve(n); }
-
-  const std::vector<PhysicalIoRecord>& records() const { return records_; }
-  size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
-
- private:
-  std::vector<PhysicalIoRecord> records_;
-};
-
 }  // namespace ecostore::trace
 
 #endif  // ECOSTORE_TRACE_TRACE_BUFFER_H_

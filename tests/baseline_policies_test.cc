@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/logging.h"
 #include "monitor/application_monitor.h"
 #include "monitor/storage_monitor.h"
 #include "policies/basic_policies.h"
@@ -13,7 +16,13 @@
 namespace ecostore::policies {
 namespace {
 
+/// Bare actuator. Given an Application Monitor it supports logical I/O
+/// sinks the way the replay engine does: by attaching them to the monitor.
 struct MockActuator : public PolicyActuator {
+  explicit MockActuator(monitor::ApplicationMonitor* app = nullptr)
+      : app_monitor(app) {}
+
+  monitor::ApplicationMonitor* app_monitor;
   SimTime now = 0;
   std::vector<std::pair<DataItemId, EnclosureId>> migrations;
   std::vector<std::tuple<EnclosureId, EnclosureId, int64_t>> block_moves;
@@ -37,6 +46,28 @@ struct MockActuator : public PolicyActuator {
     spin_down[static_cast<size_t>(enclosure)] = allowed;
   }
   void TriggerImmediatePeriodEnd() override {}
+  bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) override {
+    if (app_monitor == nullptr) return false;
+    app_monitor->SetSink(sink);
+    return true;
+  }
+};
+
+/// Collects the levels of the log lines emitted on this thread.
+class LevelSink : public LogSink {
+ public:
+  LevelSink() : previous_(Logger::SetThreadSink(this)) {}
+  ~LevelSink() override { Logger::SetThreadSink(previous_); }
+
+  void WriteLog(LogLevel level, SimTime, const char*, int,
+                const std::string&) override {
+    levels.push_back(level);
+  }
+
+  std::vector<LogLevel> levels;
+
+ private:
+  LogSink* previous_;
 };
 
 class BaselineFixture : public ::testing::Test {
@@ -76,14 +107,16 @@ class BaselineFixture : public ::testing::Test {
     }
   }
 
-  void PhysicalRead(SimTime t, EnclosureId enc, int count = 1) {
+  /// Delivers physical I/Os through the hook the replay engine calls.
+  static void PhysicalRead(StoragePolicy* policy, SimTime t, EnclosureId enc,
+                           int count = 1) {
     for (int i = 0; i < count; ++i) {
       trace::PhysicalIoRecord rec;
       rec.time = t;
       rec.enclosure = enc;
       rec.size = 4096;
       rec.type = IoType::kRead;
-      storage_monitor_.OnPhysicalIo(rec);
+      policy->OnPhysicalIo(rec);
     }
   }
 
@@ -113,7 +146,7 @@ TEST_F(BaselineFixture, FixedTimeoutAllowsSpinDownEverywhere) {
 
 TEST_F(BaselineFixture, PdcConcentratesPopularItems) {
   PdcPolicy policy{PdcPolicy::Options{}};
-  MockActuator actuator;
+  MockActuator actuator{&app_monitor_};
   policy.Start(*system_, &actuator);
   // Item on enclosure 2 is very popular; tail items quiet.
   LogicalRead(0, items_[2], 1000);
@@ -137,7 +170,7 @@ TEST_F(BaselineFixture, PdcSpreadsWhenLoadBudgetExceeded) {
   PdcPolicy::Options options;
   options.load_fraction = 0.001;  // budget ~0.9 IOPS per enclosure
   PdcPolicy policy{options};
-  MockActuator actuator;
+  MockActuator actuator{&app_monitor_};
   policy.Start(*system_, &actuator);
   for (auto item : items_) LogicalRead(0, item, 10000);
   actuator.now = 30 * kMinute;
@@ -145,6 +178,44 @@ TEST_F(BaselineFixture, PdcSpreadsWhenLoadBudgetExceeded) {
   // With no enclosure satisfying the budget, items fall back to the
   // emptiest enclosure: placement still defined for every item.
   SUCCEED();
+}
+
+TEST_F(BaselineFixture, PdcRanksByStreamedCounts) {
+  // Space for two 100 MiB items per enclosure, so the popularity order
+  // decides which items share enclosure 0.
+  PdcPolicy::Options options;
+  options.fill_fraction =
+      250.0 * kMiB /
+      static_cast<double>(system_->virtualization().capacity_bytes());
+  PdcPolicy policy{options};
+  MockActuator actuator{&app_monitor_};
+  policy.Start(*system_, &actuator);
+  // The last-indexed item is hot and the first barely touched. Without
+  // the counts every item ties and PDC would pack them in index order,
+  // leaving item 5 on enclosure 2.
+  LogicalRead(0, items_[5], 1000);
+  LogicalRead(0, items_[0], 1);
+  actuator.now = 30 * kMinute;
+  policy.OnPeriodEnd(Snapshot(0, 30 * kMinute), *system_, &actuator);
+  // Packing order 5, 0, 1, 2, 3, 4 onto enclosures 0, 0, 1, 1, 2, 2;
+  // item i starts on enclosure i % 3.
+  std::vector<std::pair<DataItemId, EnclosureId>> expected = {
+      {items_[2], 1}, {items_[3], 2}, {items_[4], 2}, {items_[5], 0}};
+  std::sort(actuator.migrations.begin(), actuator.migrations.end());
+  EXPECT_EQ(actuator.migrations, expected);
+}
+
+TEST_F(BaselineFixture, PdcWithoutSinkLogsErrorAndDoesNotPlan) {
+  PdcPolicy policy{PdcPolicy::Options{}};
+  MockActuator actuator;  // no logical I/O sink support
+  LevelSink log;
+  policy.Start(*system_, &actuator);
+  EXPECT_NE(std::find(log.levels.begin(), log.levels.end(), LogLevel::kError),
+            log.levels.end());
+  actuator.now = 30 * kMinute;
+  policy.OnPeriodEnd(Snapshot(0, 30 * kMinute), *system_, &actuator);
+  EXPECT_TRUE(actuator.migrations.empty());
+  EXPECT_EQ(policy.placement_determinations(), 0);
 }
 
 TEST_F(BaselineFixture, DdrClassifiesColdAndAllowsSpinDown) {
@@ -155,7 +226,7 @@ TEST_F(BaselineFixture, DdrClassifiesColdAndAllowsSpinDown) {
 
   // Enclosure 0 busy above LowTH (225 IOPS * 10 s window = 2250 I/Os);
   // enclosures 1 and 2 quiet.
-  PhysicalRead(0, 0, 3000);
+  PhysicalRead(&policy, 0, 0, 3000);
   actuator.now = 10 * kSecond;
   policy.OnPeriodEnd(Snapshot(0, 10 * kSecond), *system_, &actuator);
   ASSERT_EQ(actuator.spin_down.size(), 3u);
@@ -166,11 +237,33 @@ TEST_F(BaselineFixture, DdrClassifiesColdAndAllowsSpinDown) {
   EXPECT_EQ(policy.placement_determinations(), 3);
 }
 
+TEST_F(BaselineFixture, DdrCountsEachWindowSeparately) {
+  DdrPolicy policy{DdrPolicy::Options{}};
+  MockActuator actuator;
+  policy.Start(*system_, &actuator);
+  PhysicalRead(&policy, 0, 0, 3000);  // window 1: enclosure 0 hot
+  actuator.now = 10 * kSecond;
+  policy.OnPeriodEnd(Snapshot(0, 10 * kSecond), *system_, &actuator);
+  ASSERT_EQ(actuator.spin_down.size(), 3u);
+  EXPECT_FALSE(actuator.spin_down[0]);
+  EXPECT_TRUE(actuator.spin_down[1]);
+
+  // I/Os delivered after the window closed count toward the next one
+  // only: enclosure 1 turns hot and enclosure 0, idle since, turns cold.
+  PhysicalRead(&policy, 11 * kSecond, 1, 3000);
+  actuator.now = 20 * kSecond;
+  policy.OnPeriodEnd(Snapshot(10 * kSecond, 20 * kSecond), *system_,
+                     &actuator);
+  EXPECT_TRUE(actuator.spin_down[0]);
+  EXPECT_FALSE(actuator.spin_down[1]);
+  EXPECT_TRUE(actuator.spin_down[2]);
+}
+
 TEST_F(BaselineFixture, DdrMigratesBlocksOffColdEnclosures) {
   DdrPolicy policy{DdrPolicy::Options{}};
   MockActuator actuator;
   policy.Start(*system_, &actuator);
-  PhysicalRead(0, 0, 3000);  // enclosure 0 hot
+  PhysicalRead(&policy, 0, 0, 3000);  // enclosure 0 hot
   actuator.now = 10 * kSecond;
   policy.OnPeriodEnd(Snapshot(0, 10 * kSecond), *system_, &actuator);
 
@@ -194,7 +287,7 @@ TEST_F(BaselineFixture, DdrCapsPerWindowMigration) {
   DdrPolicy policy{options};
   MockActuator actuator;
   policy.Start(*system_, &actuator);
-  PhysicalRead(0, 0, 3000);
+  PhysicalRead(&policy, 0, 0, 3000);
   actuator.now = 10 * kSecond;
   policy.OnPeriodEnd(Snapshot(0, 10 * kSecond), *system_, &actuator);
   trace::PhysicalIoRecord rec;

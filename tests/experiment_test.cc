@@ -6,7 +6,9 @@
 #include "policies/basic_policies.h"
 #include "replay/experiment.h"
 #include "replay/metrics.h"
+#include "replay/suite.h"
 #include "workload/file_server_workload.h"
+#include "workload/oltp_workload.h"
 
 namespace ecostore::replay {
 namespace {
@@ -78,6 +80,65 @@ TEST(ExperimentTest, ExplicitDurationOverridesWorkload) {
   auto metrics = experiment.Run();
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics.value().duration, 1 * kMinute);
+}
+
+TEST(ExperimentTest, NoPolicyRetainsALogicalTraceByDefault) {
+  workload::OltpConfig oltp;
+  oltp.duration = 2 * kMinute;
+  auto workload = workload::OltpWorkload::Create(oltp);
+  ASSERT_TRUE(workload.ok());
+  std::vector<PolicyFactory> factories =
+      PaperPolicySet(core::PowerManagementConfig{});
+  factories.push_back(
+      [] { return std::make_unique<policies::FixedTimeoutPolicy>(); });
+  for (const PolicyFactory& factory : factories) {
+    std::unique_ptr<policies::StoragePolicy> policy = factory();
+    Experiment experiment(workload.value().get(), policy.get(),
+                          ExperimentConfig{});
+    auto metrics = experiment.Run();
+    ASSERT_TRUE(metrics.ok()) << policy->name();
+    EXPECT_GT(metrics.value().logical_ios, 0) << policy->name();
+    EXPECT_FALSE(experiment.application_monitor().capture())
+        << policy->name();
+    EXPECT_EQ(experiment.application_monitor().buffer().capacity(), 0u)
+        << policy->name();
+  }
+}
+
+/// Opts in to the per-period trace and tallies what each period end sees.
+class TraceReadingPolicy : public policies::NoPowerSavingPolicy {
+ public:
+  std::string name() const override { return "trace_reading"; }
+  SimDuration initial_period() const override { return 1 * kMinute; }
+  bool wants_logical_trace() const override { return true; }
+
+  SimDuration OnPeriodEnd(const monitor::MonitorSnapshot& snapshot,
+                          const storage::StorageSystem& system,
+                          policies::PolicyActuator* actuator) override {
+    (void)system;
+    (void)actuator;
+    records_seen += static_cast<int64_t>(
+        snapshot.application->buffer().records().size());
+    return initial_period();
+  }
+
+  int64_t records_seen = 0;
+};
+
+TEST(ExperimentTest, OptedInPolicyGetsTheLogicalTrace) {
+  auto workload = workload::FileServerWorkload::Create(TinyFsConfig());
+  ASSERT_TRUE(workload.ok());
+  TraceReadingPolicy policy;
+  Experiment experiment(workload.value().get(), &policy, ExperimentConfig{});
+  auto metrics = experiment.Run();
+  ASSERT_TRUE(metrics.ok());
+  const monitor::ApplicationMonitor& monitor =
+      experiment.application_monitor();
+  EXPECT_TRUE(monitor.capture());
+  EXPECT_GT(policy.records_seen, 0);
+  // Every logical I/O is in a period the policy saw or in the last one.
+  EXPECT_EQ(policy.records_seen + static_cast<int64_t>(monitor.buffer().size()),
+            metrics.value().logical_ios);
 }
 
 TEST(MetricsTest, IntervalCdfSumsGapsAboveThreshold) {

@@ -32,28 +32,17 @@ TEST(ApplicationMonitorTest, RecordsAndResets) {
   EXPECT_EQ(monitor.total_records(), 2);
 }
 
-TEST(StorageMonitorTest, TracksPhysicalIoAndPowerEvents) {
+TEST(StorageMonitorTest, CountsSpinUpsPerPeriod) {
   StorageMonitor monitor(3);
-  trace::PhysicalIoRecord rec;
-  rec.time = 5;
-  rec.enclosure = 1;
-  rec.size = 65536;
-  rec.type = IoType::kWrite;
-  monitor.OnPhysicalIo(rec);
-  EXPECT_EQ(monitor.buffer().size(), 1u);
-
   monitor.OnPowerStateChange(1, 10, storage::PowerState::kSpinningUp);
   monitor.OnPowerStateChange(1, 20, storage::PowerState::kOff);
   monitor.OnPowerStateChange(2, 30, storage::PowerState::kSpinningUp);
-  EXPECT_EQ(monitor.power_events().size(), 3u);
   // Power-on counts only count spin-ups, per enclosure.
   EXPECT_EQ(monitor.power_on_count(0), 0);
   EXPECT_EQ(monitor.power_on_count(1), 1);
   EXPECT_EQ(monitor.power_on_count(2), 1);
 
   monitor.ResetPeriod(100);
-  EXPECT_TRUE(monitor.buffer().empty());
-  EXPECT_TRUE(monitor.power_events().empty());
   EXPECT_EQ(monitor.power_on_count(1), 0);
   EXPECT_EQ(monitor.period_start(), 100);
 }
