@@ -30,10 +30,6 @@ int main(int argc, char** argv) {
   // --profile=<base> attaches the wall-clock phase profiler to the
   // instrumented capture run (requires --telemetry).
   const std::string profile_base = bench::ParseProfileFlag(argc, argv);
-  // --shards=S replays each policy run on the sharded intra-run engine
-  // (one experiment spread over S lanes); default 1 keeps the serial
-  // engine and the original shared-workload replay.
-  const int shards = bench::ParseShardsFlag(argc, argv);
   // --capture-only skips the four-policy figure suite and runs just the
   // instrumented capture: what the CI regression gate wants.
   const bool capture_only =
@@ -69,23 +65,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Result<std::vector<replay::ExperimentMetrics>> runs =
-      std::vector<replay::ExperimentMetrics>{};
-  if (shards <= 1) {
-    runs = replay::RunSuite(workload.value().get(),
-                            replay::PaperPolicySet(pm), config);
-  } else {
-    replay::WorkloadFactory clone =
-        [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto w = workload::FileServerWorkload::Create(wl_config);
-      if (!w.ok()) return w.status();
-      return std::unique_ptr<workload::Workload>(std::move(w).value());
-    };
-    replay::SuiteOptions options{1};
-    options.shards = shards;
-    runs = replay::ParallelRunSuite(clone, replay::PaperPolicySet(pm),
-                                    config, options);
-  }
+  Result<std::vector<replay::ExperimentMetrics>> runs = replay::RunSuite(
+      workload.value().get(), replay::PaperPolicySet(pm), config);
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +34,6 @@
 #include "core/placement_planner.h"
 #include "policies/basic_policies.h"
 #include "replay/experiment.h"
-#include "replay/sharded_experiment.h"
 #include "sim/simulator.h"
 #include "storage/disk_enclosure.h"
 #include "storage/storage_cache.h"
@@ -619,160 +617,7 @@ ReplayFigure MeasureReplayThroughput(
   return figure;
 }
 
-// ---------------------------------------------------------------------
-// Shard-scaling microbench: one 120-enclosure eco run on the sharded
-// engine, S=1 (the serial engine, by delegation) vs S=8. The config is
-// inside the documented exact-equivalence domain (neutral cache,
-// pattern-change triggers off), so the figures are gated on the two
-// shard counts producing the same integer counters and per-enclosure
-// energies. The speedup is machine-dependent: on a single-core host the
-// epoch barriers are pure overhead and the figure is honestly < 1.
-// ---------------------------------------------------------------------
-
-ReplayFigure MeasureShardedReplayThroughput(
-    int shards, replay::ExperimentMetrics* out_metrics = nullptr,
-    telemetry::profile::Profiler* profiler = nullptr) {
-  workload::FileServerConfig wl;
-  wl.duration = 20 * kMinute;
-  wl.num_enclosures = 120;
-  wl.big_hot_files = 20;
-  wl.small_hot_files = 60;
-  wl.popular_files = 2500;
-  wl.tail_files = 1000;
-  wl.archive_files = 240;
-  // The default file-server sizes (120 GiB hot / 96 GiB archive) target
-  // a 12-enclosure array; 20 big-hot files at those sizes overflow the
-  // first enclosure's 1.7 TiB volume. Scale the per-file sizes down so
-  // the 120-enclosure placement fits while the I/O stream stays dense.
-  wl.big_hot_file_bytes = 8 * kGiB;
-  wl.archive_file_bytes = 4 * kGiB;
-  auto workload = workload::FileServerWorkload::Create(wl);
-  if (!workload.ok()) {
-    std::fprintf(stderr, "sharded bench workload: %s\n",
-                 workload.status().ToString().c_str());
-    std::abort();
-  }
-
-  ReplayFigure figure;
-  auto run_once = [&] {
-    if (profiler != nullptr) profiler->Drain();  // last run's spans only
-    core::PowerManagementConfig pm;
-    pm.enable_pattern_change_triggers = false;
-    core::EcoStoragePolicy policy(pm);
-    replay::ExperimentConfig config;
-    config.profiler = profiler;
-    config.storage.cache.total_bytes = 64 * kGiB;
-    config.storage.cache.write_delay_area_bytes = 8 * kGiB;
-    replay::ShardedExperiment experiment(workload.value().get(), &policy,
-                                         config, shards);
-    auto metrics = experiment.Run();
-    if (!metrics.ok()) {
-      std::fprintf(stderr, "sharded bench run: %s\n",
-                   metrics.status().ToString().c_str());
-      std::abort();
-    }
-    figure.logical_ios = metrics.value().logical_ios;
-    figure.fingerprint = bench::MetricsFingerprint(metrics.value());
-    if (out_metrics != nullptr) *out_metrics = metrics.value();
-  };
-
-  using Clock = std::chrono::steady_clock;
-  // Two timed runs, best wall time: these runs are seconds-long, so the
-  // 2-second repeat loop of the serial figure would be all warm-up.
-  double best = 1e300;
-  for (int i = 0; i < 2; ++i) {
-    auto start = Clock::now();
-    run_once();
-    double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (elapsed < best) best = elapsed;
-  }
-  figure.lios_per_sec = static_cast<double>(figure.logical_ios) / best;
-  return figure;
-}
-
 namespace {
-
-// ---------------------------------------------------------------------
-// sharded_profile: the contention breakdown the wall-clock phase spans
-// of a profiled sharded replay yield — per-lane busy time, coordinator
-// barrier-wait and merge time, and the per-epoch load-imbalance ratio
-// (max lane busy / mean lane busy among the lanes that ran that epoch).
-// S=1 delegates to the serial engine, so its row reports the serial
-// pipeline (ingest/period-end) instead of lane spans.
-// ---------------------------------------------------------------------
-
-struct ShardedProfileStats {
-  uint64_t spans = 0;
-  int64_t epochs = 0;  ///< kEpoch spans recorded (sharded path only)
-  std::vector<double> lane_busy_ms;  ///< per lane: total kLaneAdvance wall
-  double ingest_ms = 0.0;  ///< serial-path ingest (the S=1 delegation)
-  double scatter_ms = 0.0;
-  double barrier_wait_ms = 0.0;
-  double merge_ms = 0.0;
-  double period_end_ms = 0.0;
-  double imbalance_mean = 0.0;
-};
-
-ShardedProfileStats ComputeShardedProfileStats(
-    const std::vector<telemetry::profile::Span>& spans) {
-  namespace prof = telemetry::profile;
-  ShardedProfileStats out;
-  out.spans = spans.size();
-  // epoch correlation id -> lane -> busy ns, for the imbalance ratio.
-  std::map<uint32_t, std::map<uint16_t, int64_t>> epoch_busy;
-  for (const prof::Span& s : spans) {
-    const double ms = static_cast<double>(s.dur_ns) / 1e6;
-    switch (static_cast<prof::Phase>(s.phase)) {
-      case prof::Phase::kEpoch:
-        out.epochs++;
-        break;
-      case prof::Phase::kIngest:
-        out.ingest_ms += ms;
-        break;
-      case prof::Phase::kScatter:
-        out.scatter_ms += ms;
-        break;
-      case prof::Phase::kBarrierWait:
-        out.barrier_wait_ms += ms;
-        break;
-      case prof::Phase::kMerge:
-        out.merge_ms += ms;
-        break;
-      case prof::Phase::kPeriodEnd:
-        out.period_end_ms += ms;
-        break;
-      case prof::Phase::kLaneAdvance:
-        if (s.lane >= out.lane_busy_ms.size()) {
-          out.lane_busy_ms.resize(s.lane + 1, 0.0);
-        }
-        out.lane_busy_ms[s.lane] += ms;
-        epoch_busy[s.seq][s.lane] += s.dur_ns;
-        break;
-      default:
-        break;
-    }
-  }
-  double ratio_sum = 0.0;
-  int64_t ratio_epochs = 0;
-  for (const auto& [seq, lanes] : epoch_busy) {
-    if (lanes.size() < 2) continue;  // one active lane: imbalance undefined
-    int64_t max_ns = 0, sum_ns = 0;
-    for (const auto& [lane, ns] : lanes) {
-      max_ns = std::max(max_ns, ns);
-      sum_ns += ns;
-    }
-    if (sum_ns <= 0) continue;
-    const double mean_ns =
-        static_cast<double>(sum_ns) / static_cast<double>(lanes.size());
-    ratio_sum += static_cast<double>(max_ns) / mean_ns;
-    ratio_epochs++;
-  }
-  out.imbalance_mean = ratio_epochs > 0
-                           ? ratio_sum / static_cast<double>(ratio_epochs)
-                           : 1.0;
-  return out;
-}
 
 // ---------------------------------------------------------------------
 // planner_scale: the indexed placement planner vs the frozen stable_sort
@@ -1127,10 +972,159 @@ double MeasureEventsPerSec(int64_t events_per_call, Fn&& fn) {
   return static_cast<double>(events_per_call * calls) / elapsed;
 }
 
+/// One observation-overhead figure: an instrumented eco replay vs the
+/// same replay without the instrument.
+struct OverheadFigure {
+  const char* what = "";  ///< instrument name in messages
+  double off_rate = 0.0;
+  double on_rate = 0.0;
+  /// Published figure: the raw median, clamped to 0 at or below the noise
+  /// floor.
+  double overhead_pct = 0.0;
+  double overhead_pct_raw = 0.0;  ///< median of the per-pair overheads
+  double noise_floor_pct = 0.0;   ///< median off-vs-off drift
+  std::vector<double> pair_pcts;  ///< per-pair overheads, run order
+  int64_t count = 0;  ///< instrument output of the median pair
+};
+
+/// All three overhead budgets (telemetry, live ledger, profile) are <2%.
+constexpr double kOverheadGatePct = 2.0;
+constexpr int kOverheadPairs = 5;
+
+/// The bracketed overhead protocol. Wall-clock rates on this harness
+/// drift by several percent over a --json run (frequency scaling, cache
+/// warming), so a single off/on pair reports anywhere between -3% and +4%
+/// on a healthy build. Each repetition therefore brackets the
+/// instrumented run with two baseline runs (off-on-off): linear drift
+/// cancels inside the bracket, and the published figure is the MEDIAN of
+/// the repetitions — a real regression shifts the whole distribution,
+/// residual noise only its tails. The raw median can still land slightly
+/// negative on a healthy build (attaching an instrument cannot speed the
+/// replay up), so the published figure is clamped at the measured noise
+/// floor: the bracket's own off-vs-off drift is the resolution of the
+/// harness, and a raw median at or below it publishes as 0.00%. The raw
+/// median and every per-pair delta are recorded alongside, and the
+/// one-sided gate stays on the raw median.
+///
+/// `off()` returns an uninstrumented ReplayFigure; `on(&count)` returns
+/// an instrumented one and reports the instrument's output (events,
+/// windows, spans). An instrumented run that diverges from `want_fp`
+/// exits the process: observation must never change the replay.
+template <typename OffFn, typename OnFn>
+OverheadFigure MeasureBracketedOverhead(const char* what, uint64_t want_fp,
+                                        OffFn&& off, OnFn&& on) {
+  struct Rep {
+    double overhead_pct;
+    double drift_pct;  ///< |off_before - off_after| / off_rate: noise
+    double off_rate;
+    double on_rate;
+    int64_t count;
+  };
+  OverheadFigure figure;
+  figure.what = what;
+  std::vector<Rep> reps;
+  reps.reserve(kOverheadPairs);
+  for (int attempt = 0; attempt < kOverheadPairs; ++attempt) {
+    ReplayFigure off_before = off();
+    int64_t count = 0;
+    ReplayFigure on_figure = on(&count);
+    ReplayFigure off_after = off();
+    if (on_figure.fingerprint != want_fp) {
+      std::fprintf(stderr,
+                   "BENCH_perf: %s-on replay diverged from the seed "
+                   "outcome (fp %016llx want %016llx) — attaching the "
+                   "instrument changed the replay\n",
+                   what,
+                   static_cast<unsigned long long>(on_figure.fingerprint),
+                   static_cast<unsigned long long>(want_fp));
+      std::exit(1);
+    }
+    const double off_rate =
+        0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
+    Rep rep;
+    rep.overhead_pct = (off_rate - on_figure.lios_per_sec) / off_rate * 100.0;
+    rep.drift_pct =
+        std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
+        off_rate * 100.0;
+    rep.off_rate = off_rate;
+    rep.on_rate = on_figure.lios_per_sec;
+    rep.count = count;
+    figure.pair_pcts.push_back(rep.overhead_pct);
+    reps.push_back(rep);
+  }
+  std::sort(reps.begin(), reps.end(), [](const Rep& a, const Rep& b) {
+    return a.overhead_pct < b.overhead_pct;
+  });
+  const Rep& median = reps[kOverheadPairs / 2];
+  figure.overhead_pct_raw = median.overhead_pct;
+  figure.off_rate = median.off_rate;
+  figure.on_rate = median.on_rate;
+  figure.count = median.count;
+  std::vector<double> drifts;
+  for (const Rep& rep : reps) drifts.push_back(rep.drift_pct);
+  std::sort(drifts.begin(), drifts.end());
+  figure.noise_floor_pct = drifts[kOverheadPairs / 2];
+  figure.overhead_pct = figure.overhead_pct_raw > figure.noise_floor_pct
+                            ? figure.overhead_pct_raw
+                            : 0.0;
+  return figure;
+}
+
+/// Prints the budget violation and returns true when `figure`'s raw
+/// median is at or over the gate.
+bool OverheadGateTrips(const OverheadFigure& figure) {
+  if (figure.overhead_pct_raw < kOverheadGatePct) return false;
+  std::fprintf(stderr,
+               "BENCH_perf: %s overhead %.2f%% (median of %d bracketed "
+               "repetitions) exceeds the %.1f%% budget (on %.0f vs off "
+               "%.0f lios/s)\n",
+               figure.what, figure.overhead_pct_raw, kOverheadPairs,
+               kOverheadGatePct, figure.on_rate, figure.off_rate);
+  return true;
+}
+
+void WriteOverheadJson(std::FILE* out, const char* key, bool enabled,
+                       const char* count_key, const OverheadFigure& figure) {
+  std::fprintf(out, "  \"%s\": {\n", key);
+  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
+  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
+  std::fprintf(out, "    \"enabled\": %s,\n", enabled ? "true" : "false");
+  std::fprintf(out, "    \"%s\": %lld,\n", count_key,
+               static_cast<long long>(figure.count));
+  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", figure.off_rate);
+  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", figure.on_rate);
+  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", figure.overhead_pct);
+  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n",
+               figure.overhead_pct_raw);
+  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n",
+               figure.noise_floor_pct);
+  std::fprintf(out, "    \"pair_overhead_pct\": [");
+  for (size_t i = 0; i < figure.pair_pcts.size(); ++i) {
+    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", figure.pair_pcts[i]);
+  }
+  std::fprintf(out, "],\n");
+  std::fprintf(out, "    \"statistic\": \"median\",\n");
+  std::fprintf(out, "    \"pairs\": %d,\n", kOverheadPairs);
+  std::fprintf(out, "    \"gate_pct\": %.1f\n", kOverheadGatePct);
+  std::fprintf(out, "  },\n");
+}
+
+void PrintOverhead(const OverheadFigure& figure, const char* count_unit) {
+  std::printf("%s overhead (eco replay, %lld %s, median of %d bracketed "
+              "reps): on %.2fM vs off %.2fM lios/s = %.2f%% (raw %.2f%%, "
+              "noise floor %.2f%%, budget %.1f%%)\n",
+              figure.what, static_cast<long long>(figure.count), count_unit,
+              kOverheadPairs, figure.on_rate / 1e6, figure.off_rate / 1e6,
+              figure.overhead_pct, figure.overhead_pct_raw,
+              figure.noise_floor_pct, kOverheadGatePct);
+}
+
 /// Measures every tracked figure and writes the BENCH_perf.json schema.
 /// Path precedence: `path_override` (the --json= flag) beats the
-/// ECOSTORE_BENCH_JSON env var beats "BENCH_perf.json".
-void WriteBenchPerfJson(const char* path_override) {
+/// ECOSTORE_BENCH_JSON env var beats "BENCH_perf.json". Returns the
+/// process exit code: the file is always written first, then 1 if an
+/// overhead gate tripped (or the file could not be written).
+int WriteBenchPerfJson(const char* path_override) {
   const FileServerPeriod& period = FileServerPeriod::Get();
   const auto events = static_cast<int64_t>(period.buffer.size());
   core::PatternClassifier classifier(
@@ -1315,306 +1309,55 @@ void WriteBenchPerfJson(const char* path_override) {
     std::exit(1);
   }
 
-  // Telemetry overhead: the identical eco replay with a recorder attached
-  // (default class mask, the --telemetry configuration) vs without. The
-  // instrumented run must stay bit-identical AND within 2% throughput.
-  // Wall-clock rates on this harness drift by several percent over a
-  // --json run (frequency scaling, cache warming), so a single off/on
-  // pair reports anywhere between -3% and +4% on a healthy build — and
-  // the old take-the-smallest rule then published the most negative
-  // outlier (the recorded -2.81% was pure noise). Each repetition now
-  // brackets the instrumented run with two baseline runs (off-on-off):
-  // linear drift cancels inside the bracket, and the published figure is
-  // the MEDIAN of the repetitions — a real regression shifts the whole
-  // distribution, residual noise only its tails.
-  // The raw median can still land slightly NEGATIVE on a healthy build
-  // (the previously recorded -2.44% read as if attaching a recorder sped
-  // the replay up — physically impossible, pure measurement noise). The
-  // published figure is therefore clamped at the measured noise floor:
-  // the bracket's own off-vs-off drift tells us the resolution of the
-  // harness, and any raw median at or below that floor publishes as
-  // 0.00%. The raw median and every per-pair delta are recorded
-  // alongside, and the one-sided <2% gate stays on the raw median.
-  constexpr double kTelemetryGatePct = 2.0;
-  constexpr int kTelemetryPairs = 5;
-  double telemetry_off_rate = 0.0;
-  double telemetry_on_rate = 0.0;
-  double telemetry_overhead_pct = 0.0;
-  double telemetry_overhead_pct_raw = 0.0;
-  double telemetry_noise_floor_pct = 0.0;
-  std::vector<double> telemetry_pair_pcts;
-  uint64_t telemetry_recorded = 0;
-  {
-    struct OverheadRep {
-      double overhead_pct;
-      double drift_pct;  ///< |off_before - off_after| / off_rate: noise
-      double off_rate;
-      double on_rate;
-      uint64_t recorded;
-    };
-    std::vector<OverheadRep> reps;
-    reps.reserve(kTelemetryPairs);
-    for (int attempt = 0; attempt < kTelemetryPairs; ++attempt) {
-      telemetry::Recorder recorder;  // fresh rings per repetition
-      ReplayFigure off_before = MeasureReplayThroughput(true);
-      ReplayFigure on = MeasureReplayThroughput(true, &recorder);
-      ReplayFigure off_after = MeasureReplayThroughput(true);
-      if (on.fingerprint != kSeedReplayEcoFingerprint) {
-        std::fprintf(stderr,
-                     "BENCH_perf: telemetry-on replay diverged from the "
-                     "seed outcome (fp %016llx want %016llx)\n",
-                     static_cast<unsigned long long>(on.fingerprint),
-                     static_cast<unsigned long long>(
-                         kSeedReplayEcoFingerprint));
-        std::exit(1);
-      }
-      double off_rate =
-          0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
-      OverheadRep rep;
-      rep.overhead_pct = (off_rate - on.lios_per_sec) / off_rate * 100.0;
-      rep.drift_pct =
-          std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
-          off_rate * 100.0;
-      rep.off_rate = off_rate;
-      rep.on_rate = on.lios_per_sec;
-      rep.recorded = recorder.recorded();
-      telemetry_pair_pcts.push_back(rep.overhead_pct);
-      reps.push_back(rep);
-    }
-    std::sort(reps.begin(), reps.end(),
-              [](const OverheadRep& a, const OverheadRep& b) {
-                return a.overhead_pct < b.overhead_pct;
-              });
-    const OverheadRep& median = reps[kTelemetryPairs / 2];
-    telemetry_overhead_pct_raw = median.overhead_pct;
-    telemetry_off_rate = median.off_rate;
-    telemetry_on_rate = median.on_rate;
-    telemetry_recorded = median.recorded;
-    std::vector<double> drifts;
-    for (const OverheadRep& rep : reps) drifts.push_back(rep.drift_pct);
-    std::sort(drifts.begin(), drifts.end());
-    telemetry_noise_floor_pct = drifts[kTelemetryPairs / 2];
-    telemetry_overhead_pct =
-        telemetry_overhead_pct_raw > telemetry_noise_floor_pct
-            ? telemetry_overhead_pct_raw
-            : 0.0;
-    if (telemetry_overhead_pct_raw >= kTelemetryGatePct) {
-      std::fprintf(stderr,
-                   "BENCH_perf: telemetry overhead %.2f%% (median of %d "
-                   "bracketed repetitions) exceeds the %.1f%% budget "
-                   "(on %.0f vs off %.0f lios/s)\n",
-                   telemetry_overhead_pct_raw, kTelemetryPairs,
-                   kTelemetryGatePct, telemetry_on_rate,
-                   telemetry_off_rate);
-      std::exit(1);
-    }
-  }
-
-  // Live-ledger overhead: the instrumented eco replay with the streaming
-  // pipeline attached (StreamDispatcher + RollingSummary folding 1-minute
-  // windows, the --rolling-summary configuration minus file I/O) vs the
-  // same replay with only the recorder. Both arms construct their
-  // instruments fresh inside every timed run, so the delta isolates the
-  // consumer: the per-window recorder pumps, the incremental ledger fold
-  // and the window closes. Same bracketed median-of-five protocol and
-  // the same clamp-at-noise-floor reporting as the telemetry gate.
-  constexpr double kLiveLedgerGatePct = 2.0;
-  double live_off_rate = 0.0;
-  double live_on_rate = 0.0;
-  double live_overhead_pct = 0.0;
-  double live_overhead_pct_raw = 0.0;
-  double live_noise_floor_pct = 0.0;
-  std::vector<double> live_pair_pcts;
-  int64_t live_windows = 0;
-  {
-    struct OverheadRep {
-      double overhead_pct;
-      double drift_pct;
-      double off_rate;
-      double on_rate;
-      int64_t windows;
-    };
-    std::vector<OverheadRep> reps;
-    reps.reserve(kTelemetryPairs);
-    for (int attempt = 0; attempt < kTelemetryPairs; ++attempt) {
-      ReplayFigure off_before = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kLiveRecorder);
-      ReplayFigure on = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kLiveConsumer);
-      ReplayFigure off_after = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kLiveRecorder);
-      if (on.fingerprint != kSeedReplayEcoFingerprint) {
-        std::fprintf(stderr,
-                     "BENCH_perf: live-consumer replay diverged from the "
-                     "seed outcome (fp %016llx want %016llx) — attaching "
-                     "the streaming pipeline changed the replay\n",
-                     static_cast<unsigned long long>(on.fingerprint),
-                     static_cast<unsigned long long>(
-                         kSeedReplayEcoFingerprint));
-        std::exit(1);
-      }
-      if (telemetry::Recorder::kEnabled && on.rolling_windows <= 0) {
-        std::fprintf(stderr,
-                     "BENCH_perf: live consumer closed no rolling windows "
-                     "— the stream pump is not wired\n");
-        std::exit(1);
-      }
-      double off_rate =
-          0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
-      OverheadRep rep;
-      rep.overhead_pct = (off_rate - on.lios_per_sec) / off_rate * 100.0;
-      rep.drift_pct =
-          std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
-          off_rate * 100.0;
-      rep.off_rate = off_rate;
-      rep.on_rate = on.lios_per_sec;
-      rep.windows = on.rolling_windows;
-      live_pair_pcts.push_back(rep.overhead_pct);
-      reps.push_back(rep);
-    }
-    std::sort(reps.begin(), reps.end(),
-              [](const OverheadRep& a, const OverheadRep& b) {
-                return a.overhead_pct < b.overhead_pct;
-              });
-    const OverheadRep& median = reps[kTelemetryPairs / 2];
-    live_overhead_pct_raw = median.overhead_pct;
-    live_off_rate = median.off_rate;
-    live_on_rate = median.on_rate;
-    live_windows = median.windows;
-    std::vector<double> drifts;
-    for (const OverheadRep& rep : reps) drifts.push_back(rep.drift_pct);
-    std::sort(drifts.begin(), drifts.end());
-    live_noise_floor_pct = drifts[kTelemetryPairs / 2];
-    live_overhead_pct = live_overhead_pct_raw > live_noise_floor_pct
-                            ? live_overhead_pct_raw
-                            : 0.0;
-    if (live_overhead_pct_raw >= kLiveLedgerGatePct) {
-      std::fprintf(stderr,
-                   "BENCH_perf: live-ledger overhead %.2f%% (median of %d "
-                   "bracketed repetitions) exceeds the %.1f%% budget "
-                   "(on %.0f vs off %.0f lios/s)\n",
-                   live_overhead_pct_raw, kTelemetryPairs,
-                   kLiveLedgerGatePct, live_on_rate, live_off_rate);
-      std::exit(1);
-    }
-  }
-
-  // Profile overhead: the identical eco replay with a wall-clock phase
-  // profiler attached (the --profile configuration) vs without, under
-  // the telemetry gate's bracketed median-of-five protocol with the
-  // clamp-at-noise-floor reporting. The profiled run must also stay
-  // bit-identical: the profiler only reads the wall clock and writes
-  // its own per-thread rings, and this gate proves it.
-  constexpr double kProfileGatePct = 2.0;
-  double profile_off_rate = 0.0;
-  double profile_on_rate = 0.0;
-  double profile_overhead_pct = 0.0;
-  double profile_overhead_pct_raw = 0.0;
-  double profile_noise_floor_pct = 0.0;
-  std::vector<double> profile_pair_pcts;
-  uint64_t profile_spans_recorded = 0;
-  {
-    struct OverheadRep {
-      double overhead_pct;
-      double drift_pct;
-      double off_rate;
-      double on_rate;
-      uint64_t spans;
-    };
-    std::vector<OverheadRep> reps;
-    reps.reserve(kTelemetryPairs);
-    for (int attempt = 0; attempt < kTelemetryPairs; ++attempt) {
-      telemetry::profile::Profiler profiler;  // fresh rings per repetition
-      ReplayFigure off_before = MeasureReplayThroughput(true);
-      ReplayFigure on = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kPassedRecorder, &profiler);
-      ReplayFigure off_after = MeasureReplayThroughput(true);
-      if (on.fingerprint != kSeedReplayEcoFingerprint) {
-        std::fprintf(stderr,
-                     "BENCH_perf: profiled replay diverged from the seed "
-                     "outcome (fp %016llx want %016llx) — attaching the "
-                     "profiler changed the replay\n",
-                     static_cast<unsigned long long>(on.fingerprint),
-                     static_cast<unsigned long long>(
-                         kSeedReplayEcoFingerprint));
-        std::exit(1);
-      }
-      double off_rate =
-          0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
-      OverheadRep rep;
-      rep.overhead_pct = (off_rate - on.lios_per_sec) / off_rate * 100.0;
-      rep.drift_pct =
-          std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
-          off_rate * 100.0;
-      rep.off_rate = off_rate;
-      rep.on_rate = on.lios_per_sec;
-      rep.spans = profiler.recorded();
-      profile_pair_pcts.push_back(rep.overhead_pct);
-      reps.push_back(rep);
-    }
-    std::sort(reps.begin(), reps.end(),
-              [](const OverheadRep& a, const OverheadRep& b) {
-                return a.overhead_pct < b.overhead_pct;
-              });
-    const OverheadRep& median = reps[kTelemetryPairs / 2];
-    profile_overhead_pct_raw = median.overhead_pct;
-    profile_off_rate = median.off_rate;
-    profile_on_rate = median.on_rate;
-    profile_spans_recorded = median.spans;
-    std::vector<double> drifts;
-    for (const OverheadRep& rep : reps) drifts.push_back(rep.drift_pct);
-    std::sort(drifts.begin(), drifts.end());
-    profile_noise_floor_pct = drifts[kTelemetryPairs / 2];
-    profile_overhead_pct =
-        profile_overhead_pct_raw > profile_noise_floor_pct
-            ? profile_overhead_pct_raw
-            : 0.0;
-    if (profile_overhead_pct_raw >= kProfileGatePct) {
-      std::fprintf(stderr,
-                   "BENCH_perf: profile overhead %.2f%% (median of %d "
-                   "bracketed repetitions) exceeds the %.1f%% budget "
-                   "(on %.0f vs off %.0f lios/s)\n",
-                   profile_overhead_pct_raw, kTelemetryPairs,
-                   kProfileGatePct, profile_on_rate, profile_off_rate);
-      std::exit(1);
-    }
-  }
-
-  // Shard-scaling figure: S=1 vs S=8 on the 120-enclosure run, gated on
-  // both shard counts producing the same simulated outcome (integer
-  // counters exact, per-enclosure energies bitwise — the run is inside
-  // the exact-equivalence domain by construction). Both runs carry a
-  // phase profiler, which feeds the sharded_profile contention figure
-  // below AND extends the equality gate to profiled sharded replays.
-  replay::ExperimentMetrics sharded_one, sharded_eight;
-  telemetry::profile::Profiler shard1_profiler, shard8_profiler;
-  ReplayFigure shard1 =
-      MeasureShardedReplayThroughput(1, &sharded_one, &shard1_profiler);
-  ReplayFigure shard8 =
-      MeasureShardedReplayThroughput(8, &sharded_eight, &shard8_profiler);
-  if (sharded_one.logical_ios != sharded_eight.logical_ios ||
-      sharded_one.physical_batches != sharded_eight.physical_batches ||
-      sharded_one.spinups != sharded_eight.spinups ||
-      sharded_one.enclosure_energy != sharded_eight.enclosure_energy) {
-    std::fprintf(stderr,
-                 "BENCH_perf: sharded replay (S=8) diverged from serial "
-                 "(lios %lld/%lld phys %lld/%lld spin %lld/%lld "
-                 "encE %.17g/%.17g)\n",
-                 static_cast<long long>(sharded_one.logical_ios),
-                 static_cast<long long>(sharded_eight.logical_ios),
-                 static_cast<long long>(sharded_one.physical_batches),
-                 static_cast<long long>(sharded_eight.physical_batches),
-                 static_cast<long long>(sharded_one.spinups),
-                 static_cast<long long>(sharded_eight.spinups),
-                 sharded_one.enclosure_energy,
-                 sharded_eight.enclosure_energy);
-    std::exit(1);
-  }
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  const ShardedProfileStats sharded_profile_s1 =
-      ComputeShardedProfileStats(shard1_profiler.Drain());
-  const ShardedProfileStats sharded_profile_s8 =
-      ComputeShardedProfileStats(shard8_profiler.Drain());
+  // Observation overheads: the identical eco replay with one instrument
+  // attached vs without, each gated at <2% throughput and on staying
+  // bit-identical (MeasureBracketedOverhead has the protocol).
+  //  - telemetry: a recorder with the default class mask (--telemetry);
+  //  - live ledger: the streaming pipeline (StreamDispatcher +
+  //    RollingSummary folding 1-minute windows, the --rolling-summary
+  //    configuration minus file I/O) vs the same replay with only the
+  //    recorder. Both arms construct their instruments fresh inside every
+  //    timed run, so the delta isolates the consumer: the per-window
+  //    recorder pumps, the incremental ledger fold and the window closes;
+  //  - profile: a wall-clock phase profiler (--profile), which only reads
+  //    the wall clock and writes its own per-thread rings.
+  const OverheadFigure telemetry_overhead = MeasureBracketedOverhead(
+      "telemetry", kSeedReplayEcoFingerprint,
+      [] { return MeasureReplayThroughput(true); },
+      [](int64_t* count) {
+        telemetry::Recorder recorder;  // fresh rings per repetition
+        ReplayFigure on = MeasureReplayThroughput(true, &recorder);
+        *count = static_cast<int64_t>(recorder.recorded());
+        return on;
+      });
+  const OverheadFigure live_overhead = MeasureBracketedOverhead(
+      "live-ledger", kSeedReplayEcoFingerprint,
+      [] {
+        return MeasureReplayThroughput(true, nullptr,
+                                       ReplayInstrument::kLiveRecorder);
+      },
+      [](int64_t* count) {
+        ReplayFigure on = MeasureReplayThroughput(
+            true, nullptr, ReplayInstrument::kLiveConsumer);
+        if (telemetry::Recorder::kEnabled && on.rolling_windows <= 0) {
+          std::fprintf(stderr,
+                       "BENCH_perf: live consumer closed no rolling windows "
+                       "— the stream pump is not wired\n");
+          std::exit(1);
+        }
+        *count = on.rolling_windows;
+        return on;
+      });
+  const OverheadFigure profile_overhead = MeasureBracketedOverhead(
+      "profile", kSeedReplayEcoFingerprint,
+      [] { return MeasureReplayThroughput(true); },
+      [](int64_t* count) {
+        telemetry::profile::Profiler profiler;  // fresh rings per repetition
+        ReplayFigure on = MeasureReplayThroughput(
+            true, nullptr, ReplayInstrument::kPassedRecorder, &profiler);
+        *count = static_cast<int64_t>(profiler.recorded());
+        return on;
+      });
 
   // Fleet-scale planner figure: indexed vs legacy stable_sort placement
   // on synthetic 1k/100k and 10k/1M fleets, gated on identical plans.
@@ -1631,7 +1374,7 @@ void WriteBenchPerfJson(const char* path_override) {
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "BENCH_perf: cannot write %s\n", path);
-    return;
+    return 1;
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"bench_micro\",\n");
@@ -1680,119 +1423,14 @@ void WriteBenchPerfJson(const char* path_override) {
   std::fprintf(out, "    \"no_power_saving_speedup\": %.2f\n",
                nps.lios_per_sec / kSeedReplayNpsLiosPerSec);
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sharded_replay\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_120enc_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"host_cpus\": %u,\n", host_cpus);
-  std::fprintf(out, "    \"logical_ios_per_run\": %lld,\n",
-               static_cast<long long>(shard1.logical_ios));
-  std::fprintf(out, "    \"shards1_lios_per_sec\": %.0f,\n",
-               shard1.lios_per_sec);
-  std::fprintf(out, "    \"shards8_lios_per_sec\": %.0f,\n",
-               shard8.lios_per_sec);
-  std::fprintf(out, "    \"speedup\": %.2f\n",
-               shard8.lios_per_sec / shard1.lios_per_sec);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sharded_profile\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_120enc_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"host_cpus\": %u,\n", host_cpus);
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::profile::Profiler::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"cases\": [\n");
-  const ShardedProfileStats* profile_cases[] = {&sharded_profile_s1,
-                                                &sharded_profile_s8};
-  const int profile_case_shards[] = {1, 8};
-  for (int i = 0; i < 2; ++i) {
-    const ShardedProfileStats& c = *profile_cases[i];
-    std::fprintf(out,
-                 "      {\"shards\": %d, \"spans\": %llu, \"epochs\": %lld, "
-                 "\"ingest_ms\": %.1f, \"scatter_ms\": %.1f, "
-                 "\"lane_busy_ms\": [",
-                 profile_case_shards[i],
-                 static_cast<unsigned long long>(c.spans),
-                 static_cast<long long>(c.epochs), c.ingest_ms,
-                 c.scatter_ms);
-    for (size_t l = 0; l < c.lane_busy_ms.size(); ++l) {
-      std::fprintf(out, "%s%.1f", l == 0 ? "" : ", ", c.lane_busy_ms[l]);
-    }
-    std::fprintf(out,
-                 "], \"barrier_wait_ms\": %.1f, \"merge_ms\": %.1f, "
-                 "\"period_end_ms\": %.1f, \"imbalance_mean\": %.2f}%s\n",
-                 c.barrier_wait_ms, c.merge_ms, c.period_end_ms,
-                 c.imbalance_mean, i == 0 ? "," : "");
-  }
-  std::fprintf(out, "    ]\n");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"telemetry_overhead\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::Recorder::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"events_recorded\": %llu,\n",
-               static_cast<unsigned long long>(telemetry_recorded));
-  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", telemetry_off_rate);
-  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", telemetry_on_rate);
-  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", telemetry_overhead_pct);
-  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n",
-               telemetry_overhead_pct_raw);
-  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n",
-               telemetry_noise_floor_pct);
-  std::fprintf(out, "    \"pair_overhead_pct\": [");
-  for (size_t i = 0; i < telemetry_pair_pcts.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", telemetry_pair_pcts[i]);
-  }
-  std::fprintf(out, "],\n");
-  std::fprintf(out, "    \"statistic\": \"median\",\n");
-  std::fprintf(out, "    \"pairs\": %d,\n", kTelemetryPairs);
-  std::fprintf(out, "    \"gate_pct\": %.1f\n", kTelemetryGatePct);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"live_ledger_overhead\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::Recorder::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"rolling_windows\": %lld,\n",
-               static_cast<long long>(live_windows));
-  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", live_off_rate);
-  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", live_on_rate);
-  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", live_overhead_pct);
-  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n",
-               live_overhead_pct_raw);
-  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n",
-               live_noise_floor_pct);
-  std::fprintf(out, "    \"pair_overhead_pct\": [");
-  for (size_t i = 0; i < live_pair_pcts.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", live_pair_pcts[i]);
-  }
-  std::fprintf(out, "],\n");
-  std::fprintf(out, "    \"statistic\": \"median\",\n");
-  std::fprintf(out, "    \"pairs\": %d,\n", kTelemetryPairs);
-  std::fprintf(out, "    \"gate_pct\": %.1f\n", kLiveLedgerGatePct);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"profile_overhead\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::profile::Profiler::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"spans_recorded\": %llu,\n",
-               static_cast<unsigned long long>(profile_spans_recorded));
-  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", profile_off_rate);
-  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", profile_on_rate);
-  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", profile_overhead_pct);
-  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n",
-               profile_overhead_pct_raw);
-  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n",
-               profile_noise_floor_pct);
-  std::fprintf(out, "    \"pair_overhead_pct\": [");
-  for (size_t i = 0; i < profile_pair_pcts.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", profile_pair_pcts[i]);
-  }
-  std::fprintf(out, "],\n");
-  std::fprintf(out, "    \"statistic\": \"median\",\n");
-  std::fprintf(out, "    \"pairs\": %d,\n", kTelemetryPairs);
-  std::fprintf(out, "    \"gate_pct\": %.1f\n", kProfileGatePct);
-  std::fprintf(out, "  },\n");
+  WriteOverheadJson(out, "telemetry_overhead", telemetry::Recorder::kEnabled,
+                    "events_recorded", telemetry_overhead);
+  WriteOverheadJson(out, "live_ledger_overhead",
+                    telemetry::Recorder::kEnabled, "rolling_windows",
+                    live_overhead);
+  WriteOverheadJson(out, "profile_overhead",
+                    telemetry::profile::Profiler::kEnabled,
+                    "spans_recorded", profile_overhead);
   std::fprintf(out, "  \"planner_scale\": {\n");
   std::fprintf(out, "    \"cases\": [\n");
   const PlannerScaleCase* planner_cases[] = {&planner_small, &planner_large};
@@ -1865,43 +1503,9 @@ void WriteBenchPerfJson(const char* path_override) {
               eco.lios_per_sec / kSeedReplayEcoLiosPerSec,
               nps.lios_per_sec / 1e6, kSeedReplayNpsLiosPerSec / 1e6,
               nps.lios_per_sec / kSeedReplayNpsLiosPerSec);
-  std::printf("sharded replay (120 enclosures, %u host cpus): S=8 %.2fM "
-              "vs S=1 %.2fM lios/s (%.2fx)\n",
-              host_cpus, shard8.lios_per_sec / 1e6,
-              shard1.lios_per_sec / 1e6,
-              shard8.lios_per_sec / shard1.lios_per_sec);
-  std::printf("telemetry overhead (eco replay, %llu events/run, median "
-              "of %d bracketed reps): on %.2fM vs off %.2fM lios/s = "
-              "%.2f%% (raw %.2f%%, noise floor %.2f%%, budget %.1f%%)\n",
-              static_cast<unsigned long long>(telemetry_recorded),
-              kTelemetryPairs, telemetry_on_rate / 1e6,
-              telemetry_off_rate / 1e6, telemetry_overhead_pct,
-              telemetry_overhead_pct_raw, telemetry_noise_floor_pct,
-              kTelemetryGatePct);
-  std::printf("live-ledger overhead (eco replay, %lld rolling windows, "
-              "median of %d bracketed reps): on %.2fM vs off %.2fM "
-              "lios/s = %.2f%% (raw %.2f%%, noise floor %.2f%%, budget "
-              "%.1f%%)\n",
-              static_cast<long long>(live_windows), kTelemetryPairs,
-              live_on_rate / 1e6, live_off_rate / 1e6, live_overhead_pct,
-              live_overhead_pct_raw, live_noise_floor_pct,
-              kLiveLedgerGatePct);
-  std::printf("profile overhead (eco replay, %llu spans/run, median of "
-              "%d bracketed reps): on %.2fM vs off %.2fM lios/s = "
-              "%.2f%% (raw %.2f%%, noise floor %.2f%%, budget %.1f%%)\n",
-              static_cast<unsigned long long>(profile_spans_recorded),
-              kTelemetryPairs, profile_on_rate / 1e6,
-              profile_off_rate / 1e6, profile_overhead_pct,
-              profile_overhead_pct_raw, profile_noise_floor_pct,
-              kProfileGatePct);
-  std::printf("sharded profile (S=8, %zu lanes): busy max/mean imbalance "
-              "%.2f, barrier wait %.1f ms, merge %.1f ms, period ends "
-              "%.1f ms over %lld epochs\n",
-              sharded_profile_s8.lane_busy_ms.size(),
-              sharded_profile_s8.imbalance_mean,
-              sharded_profile_s8.barrier_wait_ms,
-              sharded_profile_s8.merge_ms, sharded_profile_s8.period_end_ms,
-              static_cast<long long>(sharded_profile_s8.epochs));
+  PrintOverhead(telemetry_overhead, "events/run");
+  PrintOverhead(live_overhead, "rolling windows");
+  PrintOverhead(profile_overhead, "spans/run");
   for (int i = 0; i < 2; ++i) {
     const PlannerScaleCase& c = *planner_cases[i];
     std::printf("planner scale (%d enclosures, %d items, %lld movers): "
@@ -1933,6 +1537,15 @@ void WriteBenchPerfJson(const char* path_override) {
               sim_rate / 1e6, kSeedSimulatorEventsPerSec / 1e6,
               sim_legacy_rate / 1e6, sim_rate / sim_legacy_rate,
               sim_cancel_rate / 1e6, path);
+
+  // Gate only after the figures are on disk, so a tripped budget still
+  // leaves a complete record of the pass that tripped it.
+  bool tripped = false;
+  for (const OverheadFigure* figure :
+       {&telemetry_overhead, &live_overhead, &profile_overhead}) {
+    tripped = OverheadGateTrips(*figure) || tripped;
+  }
+  return tripped ? 1 : 0;
 }
 
 }  // namespace
@@ -1944,13 +1557,9 @@ int main(int argc, char** argv) {
   // --replay prints the end-to-end throughput figures only.
   // --json[=path] also skips google-benchmark and machine-writes the
   // BENCH_perf.json schema (the sanctioned way to regenerate the file).
-  // --shards=S (with --check / --record) runs the gate on the sharded
-  // engine; each shard count has its own golden file because sharded FP
-  // reductions re-associate relative to serial.
   std::string golden_path;
   std::string json_path;
   bool check = false, record = false, replay_only = false, json_only = false;
-  const int shards = ecostore::bench::ParseShardsFlag(argc, argv);
   // --profile=<base> attaches the wall-clock phase profiler to the eco
   // replay run and writes <base>.profile.jsonl + .profile.trace.json.
   // Implies --replay (the profiled figure is the end-to-end one).
@@ -1970,32 +1579,20 @@ int main(int argc, char** argv) {
       golden_path = arg.substr(9);
     }
   }
-  if (golden_path.empty()) {
-    golden_path = shards > 1 ? "bench/golden_replay_shards" +
-                                   std::to_string(shards) + ".txt"
-                             : "bench/golden_replay.txt";
-  }
+  if (golden_path.empty()) golden_path = "bench/golden_replay.txt";
   if (check || record) {
-    return ecostore::bench::ReplayCheckMain(golden_path, record, shards);
+    return ecostore::bench::ReplayCheckMain(golden_path, record);
   }
   if (json_only) {
-    ecostore::WriteBenchPerfJson(json_path.empty() ? nullptr
-                                                   : json_path.c_str());
-    return 0;
+    return ecostore::WriteBenchPerfJson(json_path.empty() ? nullptr
+                                                          : json_path.c_str());
   }
   if (replay_only) {
     ecostore::telemetry::profile::Profiler profiler;
     ecostore::telemetry::profile::Profiler* attach =
         profile_base.empty() ? nullptr : &profiler;
-    // --shards=S profiles the sharded engine (lane spans + contention)
-    // instead of the serial pipeline.
-    ecostore::ReplayFigure eco =
-        shards > 1
-            ? ecostore::MeasureShardedReplayThroughput(shards, nullptr,
-                                                       attach)
-            : ecostore::MeasureReplayThroughput(
-                  true, nullptr,
-                  ecostore::ReplayInstrument::kPassedRecorder, attach);
+    ecostore::ReplayFigure eco = ecostore::MeasureReplayThroughput(
+        true, nullptr, ecostore::ReplayInstrument::kPassedRecorder, attach);
     ecostore::ReplayFigure base = ecostore::MeasureReplayThroughput(false);
     std::printf("replay end-to-end (file-server 20 min, %lld logical IOs "
                 "per run):\n  eco_storage      %.0f lios/s (fp %016llx)\n"
@@ -2006,10 +1603,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(base.fingerprint));
     if (attach != nullptr) {
       ecostore::telemetry::profile::ProfileMeta meta;
-      meta.workload =
-          shards > 1 ? "file_server_120enc_20min" : "file_server_20min";
+      meta.workload = "file_server_20min";
       meta.policy = "eco_storage";
-      meta.shards = shards;
       meta.host_cpus = std::thread::hardware_concurrency();
       meta.wall_ns = static_cast<int64_t>(
           static_cast<double>(eco.logical_ios) / eco.lios_per_sec * 1e9);
@@ -2036,6 +1631,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  ecostore::WriteBenchPerfJson(nullptr);
-  return 0;
+  return ecostore::WriteBenchPerfJson(nullptr);
 }

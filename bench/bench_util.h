@@ -32,22 +32,6 @@ inline int ParseThreadsFlag(int argc, char** argv) {
   return threads;
 }
 
-/// Parses a `--shards=S` argument: the intra-run shard count for the
-/// sharded replay engine (replay::ShardedExperiment). Default 1 ==
-/// today's serial engine; distinct from `--threads`, which runs whole
-/// experiments concurrently.
-inline int ParseShardsFlag(int argc, char** argv) {
-  int shards = 1;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    const std::string prefix = "--shards=";
-    if (arg.rfind(prefix, 0) == 0) {
-      shards = std::atoi(arg.c_str() + prefix.size());
-    }
-  }
-  return shards < 1 ? 1 : shards;
-}
-
 /// Returns the value of a `--flag=value` argument; empty when absent.
 /// `prefix` includes the '=' (e.g. "--telemetry=").
 inline std::string ParseFlagValue(int argc, char** argv,

@@ -199,11 +199,7 @@ inline constexpr SimDuration kReplayCheckDuration = 20 * kMinute;
 
 /// Replays the full bench_sweep grid at the check duration and returns
 /// one fingerprint per (row, policy) pair, in sweep print order.
-/// `shards` > 1 replays every run on the sharded engine (its own golden
-/// file: sharded FP reductions re-associate, so shards=S fingerprints
-/// are self-consistent but not comparable to the serial goldens).
-inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite(
-    int shards = 1) {
+inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   workload::FileServerConfig wl;
   wl.duration = kReplayCheckDuration;
   std::vector<SweepSection> sections = SweepSections(wl);
@@ -225,9 +221,9 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite(
   // consumer — the acceptance bar for live observability is that
   // watching a replay cannot change it.
   // Each job also attaches a wall-clock phase profiler (DESIGN.md §15):
-  // the gate thereby proves that profiling a replay — serial or sharded —
-  // cannot change its results. In an ECOSTORE_PROFILE=OFF build the
-  // profilers are empty stubs and the same fingerprints must come out.
+  // the gate thereby proves that profiling a replay cannot change its
+  // results. In an ECOSTORE_PROFILE=OFF build the profilers are empty
+  // stubs and the same fingerprints must come out.
   std::vector<std::unique_ptr<telemetry::Recorder>> recorders;
   std::vector<std::unique_ptr<telemetry::analysis::LatencyBook>> books;
   std::vector<std::unique_ptr<telemetry::StreamDispatcher>> streams;
@@ -265,12 +261,8 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite(
   // One suite worker on purpose: the gate compares bit-exact
   // fingerprints, so it must not depend on the cross-experiment thread
   // pool (PR 1 proved parallel == serial, but the gate should not assume
-  // what it could itself be testing). The sharded engine's own worker
-  // count is result-invariant by contract, which the shards>1 gate
-  // exercises on every CI run.
-  replay::SuiteOptions suite_options{1};
-  suite_options.shards = shards;
-  auto runs = replay::RunExperiments(jobs, suite_options);
+  // what it could itself be testing).
+  auto runs = replay::RunExperiments(jobs, replay::SuiteOptions{1});
   if (!runs.ok()) return runs.status();
 
   const char* dump = std::getenv("ECOSTORE_REPLAY_DUMP");
@@ -326,9 +318,8 @@ inline bool LoadGoldenFingerprints(const std::string& path,
 
 /// Runs the grid and compares against the goldens at `path`. Returns the
 /// process exit code (0 == bit-identical).
-inline int ReplayCheckMain(const std::string& path, bool record,
-                           int shards = 1) {
-  auto runs = RunReplayCheckSuite(shards);
+inline int ReplayCheckMain(const std::string& path, bool record) {
+  auto runs = RunReplayCheckSuite();
   if (!runs.ok()) {
     std::fprintf(stderr, "replay check suite failed: %s\n",
                  runs.status().ToString().c_str());

@@ -223,20 +223,10 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
     telemetry::profile::ProfileMeta pmeta;
     pmeta.workload = metrics.value().workload;
     pmeta.policy = metrics.value().policy;
-    pmeta.shards = 1;
     pmeta.host_cpus = std::thread::hardware_concurrency();
     pmeta.wall_ns =
         static_cast<int64_t>(metrics.value().wall_seconds * 1e9);
     pmeta.dropped = profiler.dropped();
-    // The pool gauges are the single source of truth for executor stats;
-    // the serial capture run has no pool, so they stay absent unless the
-    // engine published them.
-    for (const auto& [name, value] : recorder.GaugeValues()) {
-      if (name == "pool.workers") pmeta.pool_workers = value;
-      else if (name == "pool.tasks_executed") pmeta.pool_tasks = value;
-      else if (name == "pool.busy_us") pmeta.pool_busy_ns = value * 1000;
-      else if (name == "pool.peak_queued") pmeta.pool_peak_queue = value;
-    }
     std::vector<telemetry::profile::Span> spans = profiler.Drain();
     pmeta.spans = static_cast<int64_t>(spans.size());
     st = telemetry::profile::ExportProfile(profile_base, pmeta, spans);

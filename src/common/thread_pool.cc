@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace ecostore {
 
@@ -28,19 +27,6 @@ size_t ThreadPool::QueuedTasks() const {
   return queue_.size();
 }
 
-ThreadPool::Stats ThreadPool::GetStats() const {
-  Stats stats;
-  stats.workers = static_cast<int>(workers_.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.queued = static_cast<int64_t>(queue_.size());
-    stats.peak_queued = peak_queued_;
-  }
-  stats.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
-  stats.busy_ns = busy_ns_.load(std::memory_order_relaxed);
-  return stats;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -53,14 +39,7 @@ void ThreadPool::WorkerLoop() {
     }
     // packaged_task catches the task's exceptions and stores them in the
     // future, so this call never throws out of the worker.
-    auto start = std::chrono::steady_clock::now();
     task();
-    auto end = std::chrono::steady_clock::now();
-    busy_ns_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           end - start)
-                           .count(),
-                       std::memory_order_relaxed);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

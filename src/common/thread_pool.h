@@ -1,9 +1,7 @@
 #ifndef ECOSTORE_COMMON_THREAD_POOL_H_
 #define ECOSTORE_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -50,9 +48,6 @@ class ThreadPool {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       queue_.emplace_back([task] { (*task)(); });
-      if (static_cast<int64_t>(queue_.size()) > peak_queued_) {
-        peak_queued_ = static_cast<int64_t>(queue_.size());
-      }
     }
     wake_.notify_one();
     return result;
@@ -61,19 +56,6 @@ class ThreadPool {
   /// Number of tasks queued but not yet started (diagnostic).
   size_t QueuedTasks() const;
 
-  /// One consistent snapshot of the pool's lifetime accounting. This is
-  /// the single source of truth the engines publish as telemetry gauges
-  /// and the wall-clock profiler folds into its capture meta — consumers
-  /// must not re-derive utilization from their own task timing.
-  struct Stats {
-    int workers = 0;
-    int64_t tasks_executed = 0;  ///< tasks completed (task() returned)
-    int64_t queued = 0;          ///< tasks enqueued, not yet started
-    int64_t peak_queued = 0;     ///< high-water queue depth since start
-    int64_t busy_ns = 0;         ///< wall time workers spent inside tasks
-  };
-  Stats GetStats() const;
-
  private:
   void WorkerLoop();
 
@@ -81,11 +63,6 @@ class ThreadPool {
   std::condition_variable wake_;
   std::deque<std::function<void()>> queue_;
   bool shutting_down_ = false;
-  int64_t peak_queued_ = 0;  ///< guarded by mutex_ (updated in Submit)
-  /// Relaxed atomics: workers accumulate outside the lock; two clock
-  /// reads per task are noise against lane-advance-sized work items.
-  std::atomic<int64_t> tasks_executed_{0};
-  std::atomic<int64_t> busy_ns_{0};
   std::vector<std::thread> workers_;
 };
 

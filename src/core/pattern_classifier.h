@@ -101,11 +101,10 @@ struct ClassificationResult {
 ///
 /// Finalisation is sharded by contiguous slices of the (item-ordered)
 /// frontier across a common::ThreadPool with a deterministic item-ordered
-/// merge (the ShardedExperiment discipline):
-/// every cross-shard reduction is integral, so the result is bit-identical
-/// for any shard or worker count, and bit-identical to the pre-streaming
-/// classifier preserved in bench/legacy_classifier.h (the differential
-/// oracle).
+/// merge: every cross-shard reduction is integral, so the result is
+/// bit-identical for any shard or worker count, and bit-identical to the
+/// pre-streaming classifier preserved in bench/legacy_classifier.h (the
+/// differential oracle).
 ///
 /// Across periods the classifier keeps the previous pattern table and
 /// emits the dirty set — items whose pattern changed, which includes

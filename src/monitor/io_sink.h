@@ -9,8 +9,7 @@ namespace ecostore::monitor {
 /// observes it (DESIGN.md §13).
 ///
 /// A sink receives every logical I/O in global time order, on the thread
-/// that drives the monitor (the serial replay loop, or the sharded
-/// coordinator's scatter phase — never a lane worker). Policies attach one
+/// that drives the monitor (the replay loop). Policies attach one
 /// via PolicyActuator::AttachLogicalIoSink() and fold their period
 /// analysis into ingest: the proposed method's PatternClassifier, PDC's
 /// per-item access counter. This is how the library observes logical I/O;

@@ -1,12 +1,9 @@
 #ifndef ECOSTORE_REPLAY_MIGRATION_ENGINE_H_
 #define ECOSTORE_REPLAY_MIGRATION_ENGINE_H_
 
-#include <algorithm>
-#include <cassert>
 #include <deque>
 #include <memory>
 
-#include "common/logging.h"
 #include "common/sim_time.h"
 #include "common/types.h"
 #include "sim/simulator.h"
@@ -14,24 +11,7 @@
 
 namespace ecostore::replay {
 
-/// \brief Executes data-item migrations in the background, one item at a
-/// time, rate-throttled so application I/O is not disturbed (the paper's
-/// runtime movement function, §V-A).
-///
-/// Each chunk issues a bulk read on the source enclosure and a bulk write
-/// on the target; when the item's last chunk lands, the virtualization
-/// mapping flips to the new enclosure. Block-level moves (for DDR-style
-/// baselines) are accounted immediately as a read/write pair without any
-/// remapping.
-///
-/// Templated on the storage facade so the sharded engine can route the
-/// same logic through its cross-shard `ShardRouter` (which forwards each
-/// enclosure's I/O to the owning lane); `System` must provide
-/// virtualization(), enclosure(), SubmitPhysicalBulk(), CommitItemMove()
-/// and telemetry() with StorageSystem's signatures. Serial code uses the
-/// `MigrationEngine` alias below, explicitly instantiated in the .cc.
-/// Engine tuning knobs, shared by every MigrationEngineT instantiation so
-/// one ExperimentConfig::migration value drives serial and sharded runs.
+/// Migration engine tuning knobs.
 struct MigrationOptions {
   int64_t chunk_bytes = 4LL * 1024 * 1024;
   /// Sustained copy throughput per job (bytes/second).
@@ -47,46 +27,28 @@ struct MigrationOptions {
   SimDuration busy_backoff_delay = 500 * kMillisecond;
 };
 
-template <typename System>
-class MigrationEngineT {
+/// \brief Executes data-item migrations in the background, one item at a
+/// time, rate-throttled so application I/O is not disturbed (the paper's
+/// runtime movement function, §V-A).
+///
+/// Each chunk issues a bulk read on the source enclosure and a bulk write
+/// on the target; when the item's last chunk lands, the virtualization
+/// mapping flips to the new enclosure. Block-level moves (for DDR-style
+/// baselines) are accounted immediately as a read/write pair without any
+/// remapping.
+class MigrationEngine {
  public:
   using Options = MigrationOptions;
 
-  MigrationEngineT(sim::Simulator* simulator, System* system,
-                   const Options& options)
-      : sim_(simulator), system_(system), options_(options) {
-    assert(simulator != nullptr);
-    assert(system != nullptr);
-    assert(options_.chunk_bytes > 0);
-    assert(options_.rate_bytes_per_second > 0);
-  }
+  MigrationEngine(sim::Simulator* simulator, storage::StorageSystem* system,
+                  const Options& options);
 
   /// Enqueues a whole-item move (FIFO). Stale requests (item already on
   /// target by the time the job starts) are dropped.
-  void RequestItemMove(DataItemId item, EnclosureId target) {
-    if (system_->virtualization().catalog().item(item).pinned) return;
-    queue_.push_back(Job{item, target, kInvalidEnclosure, 0});
-    FillJobSlots();
-  }
+  void RequestItemMove(DataItemId item, EnclosureId target);
 
   /// Accounts an immediate block-granular move of `bytes`.
-  void RequestBlockMove(EnclosureId from, EnclosureId to, int64_t bytes) {
-    if (bytes <= 0 || from == to) return;
-    telemetry::Recorder* recorder = system_->telemetry();
-    if (telemetry::Wants(recorder, telemetry::kClassMigration)) {
-      recorder->Record(telemetry::MakeMigrationEvent(
-          sim_->Now(), telemetry::EventKind::kBlockMove, kInvalidDataItem,
-          from, to, bytes));
-    }
-    int64_t n_ios =
-        std::max<int64_t>(1, bytes / options_.block_size);
-    system_->SubmitPhysicalBulk(from, n_ios, bytes, IoType::kRead,
-                                /*sequential=*/false);
-    system_->SubmitPhysicalBulk(to, n_ios, bytes, IoType::kWrite,
-                                /*sequential=*/false);
-    migrated_bytes_ += bytes;
-    block_moves_++;
-  }
+  void RequestBlockMove(EnclosureId from, EnclosureId to, int64_t bytes);
 
   int64_t migrated_bytes() const { return migrated_bytes_; }
   int64_t completed_item_moves() const { return completed_item_moves_; }
@@ -102,84 +64,11 @@ class MigrationEngineT {
     int64_t remaining_bytes = 0;
   };
 
-  void FillJobSlots() {
-    while (active_jobs_ < options_.max_concurrent_jobs && !queue_.empty()) {
-      Job job = queue_.front();
-      queue_.pop_front();
-      EnclosureId source = system_->virtualization().EnclosureOf(job.item);
-      if (source == job.target) continue;  // stale request
-      job.source = source;
-      job.remaining_bytes =
-          system_->virtualization().catalog().item(job.item).size_bytes;
-      active_jobs_++;
-      telemetry::Recorder* recorder = system_->telemetry();
-      if (telemetry::Wants(recorder, telemetry::kClassMigration)) {
-        recorder->Record(telemetry::MakeMigrationEvent(
-            sim_->Now(), telemetry::EventKind::kMigrationBegin, job.item,
-            job.source, job.target, job.remaining_bytes));
-      }
-      RunChunk(std::make_shared<Job>(job));
-    }
-  }
-
-  void RunChunk(std::shared_ptr<Job> job) {
-    // Background priority: stay out of the way while either end is busy
-    // with application I/O.
-    SimTime now = sim_->Now();
-    SimTime src_busy = system_->enclosure(job->source).busy_until();
-    SimTime dst_busy = system_->enclosure(job->target).busy_until();
-    if (std::max(src_busy, dst_busy) > now + options_.busy_backoff_threshold) {
-      telemetry::Recorder* recorder = system_->telemetry();
-      if (telemetry::Wants(recorder, telemetry::kClassMigration)) {
-        recorder->Record(telemetry::MakeMigrationEvent(
-            now, telemetry::EventKind::kMigrationThrottle, job->item,
-            job->source, job->target, job->remaining_bytes));
-      }
-      sim_->ScheduleAfter(options_.busy_backoff_delay,
-                          [this, job] { RunChunk(job); });
-      return;
-    }
-
-    int64_t chunk = std::min(options_.chunk_bytes, job->remaining_bytes);
-    int64_t n_ios = std::max<int64_t>(1, chunk / options_.block_size);
-    system_->SubmitPhysicalBulk(job->source, n_ios, chunk, IoType::kRead,
-                                /*sequential=*/true);
-    system_->SubmitPhysicalBulk(job->target, n_ios, chunk, IoType::kWrite,
-                                /*sequential=*/true);
-    migrated_bytes_ += chunk;
-    job->remaining_bytes -= chunk;
-
-    SimDuration pace = FromSeconds(static_cast<double>(chunk) /
-                                   options_.rate_bytes_per_second);
-    sim_->ScheduleAfter(std::max<SimDuration>(pace, 1), [this, job] {
-      if (job->remaining_bytes > 0) {
-        RunChunk(job);
-        return;
-      }
-      Status st = system_->CommitItemMove(job->item, job->target);
-      if (!st.ok()) {
-        // Target filled up while the copy ran; the item stays where it was
-        // and the next management period will re-plan.
-        ECOSTORE_LOG(kDebug) << "migration commit failed: " << st.ToString();
-      } else {
-        completed_item_moves_++;
-      }
-      telemetry::Recorder* recorder = system_->telemetry();
-      if (telemetry::Wants(recorder, telemetry::kClassMigration)) {
-        // bytes < 0 reports a failed commit (paper §V-A re-plan case).
-        int64_t size =
-            system_->virtualization().catalog().item(job->item).size_bytes;
-        recorder->Record(telemetry::MakeMigrationEvent(
-            sim_->Now(), telemetry::EventKind::kMigrationEnd, job->item,
-            job->source, job->target, st.ok() ? size : -1));
-      }
-      active_jobs_--;
-      FillJobSlots();
-    });
-  }
+  void FillJobSlots();
+  void RunChunk(std::shared_ptr<Job> job);
 
   sim::Simulator* sim_;
-  System* system_;
+  storage::StorageSystem* system_;
   Options options_;
 
   std::deque<Job> queue_;
@@ -189,13 +78,6 @@ class MigrationEngineT {
   int64_t completed_item_moves_ = 0;
   int64_t block_moves_ = 0;
 };
-
-/// The serial engine: migrations run directly against the one
-/// StorageSystem. Explicitly instantiated in migration_engine.cc so
-/// existing translation units keep linking against compiled code.
-using MigrationEngine = MigrationEngineT<storage::StorageSystem>;
-
-extern template class MigrationEngineT<storage::StorageSystem>;
 
 }  // namespace ecostore::replay
 

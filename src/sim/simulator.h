@@ -78,15 +78,10 @@ class Simulator {
   }
 
   /// Advances the clock to `t` without running anything (no-op when `t`
-  /// is in the past). Two sanctioned uses:
-  ///  - the replay hot path: the caller has checked NextEventTime() > t,
-  ///    so skipping the heap is free;
-  ///  - the sharded engine's epoch barrier: a lane that ran RunUntil(t)
-  ///    but quiesced early is pinned to exactly `t` so barrier-time work
-  ///    (cross-shard flushes, plan application) stamps the barrier time,
-  ///    and the coordinator's clock is set to the barrier before its own
-  ///    due events are executed. Events already scheduled at exactly `t`
-  ///    still fire on the next RunUntil(t) — AdvanceTo never skips them.
+  /// is in the past). The replay hot path calls it after checking
+  /// NextEventTime() > t, so skipping the heap is free. Events already
+  /// scheduled at exactly `t` still fire on the next RunUntil(t) —
+  /// AdvanceTo never skips them.
   void AdvanceTo(SimTime t) {
     if (t > now_) now_ = t;
   }

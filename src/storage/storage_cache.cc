@@ -401,37 +401,6 @@ std::vector<FlushDemand> StorageCache::SetWriteDelayItems(
   return demands;
 }
 
-StorageCache::ItemState StorageCache::ExportItemState(DataItemId item) const {
-  ItemState state;
-  const ItemInfo* info = FindItem(item);
-  if (info != nullptr) {
-    state.preload_selected = info->preload_selected;
-    state.preloaded = info->preloaded;
-    state.write_delayed = info->write_delayed;
-    state.preload_bytes = info->preload_bytes;
-  }
-  return state;
-}
-
-void StorageCache::AdoptItemState(DataItemId item, const ItemState& state) {
-  ItemInfo& info = items_[item];
-  info.preload_selected = state.preload_selected;
-  info.preloaded = state.preloaded;
-  info.write_delayed = state.write_delayed;
-  info.preload_bytes = state.preload_bytes;
-  CompactItem(item);
-}
-
-void StorageCache::DropItemState(DataItemId item) {
-  auto it = items_.find(item);
-  if (it == items_.end()) return;
-  it->second.preload_selected = false;
-  it->second.preloaded = false;
-  it->second.write_delayed = false;
-  it->second.preload_bytes = 0;
-  CompactItem(item);
-}
-
 Result<std::vector<DataItemId>> StorageCache::SetPreloadItems(
     const std::vector<std::pair<DataItemId, int64_t>>& sizes) {
   int64_t total = 0;

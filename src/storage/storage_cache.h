@@ -132,25 +132,6 @@ class StorageCache {
   /// returned as demands to write to the *new* location.
   std::vector<FlushDemand> InvalidateItem(DataItemId item);
 
-  /// Plan-level membership of one item (no block residency), used by the
-  /// sharded engine to move an item's cache standing between per-shard
-  /// caches when the item migrates across the shard boundary. Blocks do
-  /// not transfer: the caller is expected to InvalidateItem() on the
-  /// source cache first (physical locations changed anyway), so only the
-  /// preload/write-delay selection and residency flags carry over.
-  struct ItemState {
-    bool preload_selected = false;
-    bool preloaded = false;
-    bool write_delayed = false;
-    int64_t preload_bytes = 0;
-  };
-
-  ItemState ExportItemState(DataItemId item) const;
-  /// Overwrites the item's membership flags with `state`.
-  void AdoptItemState(DataItemId item, const ItemState& state);
-  /// Clears the item's membership flags (post-export, on the source).
-  void DropItemState(DataItemId item);
-
   int64_t hit_blocks() const { return hit_blocks_; }
   int64_t miss_blocks() const { return miss_blocks_; }
   int64_t absorbed_write_blocks() const { return absorbed_write_blocks_; }

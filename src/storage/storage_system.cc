@@ -219,21 +219,18 @@ Status StorageSystem::SetWriteDelayItems(
     // Per-item membership deltas (DESIGN.md §10): one event per item that
     // left (with its destaged dirty blocks) and per item that joined (with
     // its catalog size, so the ledger can estimate occupancy). Ordered by
-    // item id. On an ownership-masked lane only owned items are reported,
-    // so a sharded run emits each delta exactly once across lanes.
+    // item id.
     for (const StorageCache::WdChange& ch : left) {
-      EnclosureId enc = virt_.EnclosureOf(ch.item);
-      if (!OwnsEnclosure(enc)) continue;
       telemetry_->Record(telemetry::MakeCacheEvent(
-          sim_->Now(), telemetry::EventKind::kWriteDelayFlush, ch.item, enc,
-          ch.flushed_blocks, ch.flushed_bytes, plan_epoch_));
+          sim_->Now(), telemetry::EventKind::kWriteDelayFlush, ch.item,
+          virt_.EnclosureOf(ch.item), ch.flushed_blocks, ch.flushed_bytes,
+          plan_epoch_));
     }
     for (DataItemId item : entered) {
-      EnclosureId enc = virt_.EnclosureOf(item);
-      if (!OwnsEnclosure(enc)) continue;
       telemetry_->Record(telemetry::MakeCacheEvent(
-          sim_->Now(), telemetry::EventKind::kWriteDelayAdmit, item, enc, 0,
-          catalog_->item(item).size_bytes, plan_epoch_));
+          sim_->Now(), telemetry::EventKind::kWriteDelayAdmit, item,
+          virt_.EnclosureOf(item), 0, catalog_->item(item).size_bytes,
+          plan_epoch_));
     }
   }
   ApplyFlushDemands(demands);
@@ -291,7 +288,6 @@ void StorageSystem::FinalizeRun() {
   ApplyFlushDemands(cache_.FlushAll());
   SimTime now = sim_->Now();
   for (auto& enc : enclosures_) {
-    if (!OwnsEnclosure(enc->id())) continue;
     if (enc->served_ios() > 0 && enc->busy_until() <= now) {
       SimDuration gap = now - enc->last_busy_end();
       if (gap > 0) NotifyIdleGap(enc->id(), now, gap);
@@ -303,23 +299,17 @@ void StorageSystem::FinalizeRun() {
   // telescope exactly to the run's measured ExperimentMetrics energy.
   if (telemetry::Wants(telemetry_, telemetry::kClassPower)) {
     for (auto& enc : enclosures_) {
-      if (!OwnsEnclosure(enc->id())) continue;
       telemetry_->Record(telemetry::MakeEnergyFinalEvent(
           now, enc->id(), enc->Energy(now), plan_epoch_));
     }
-    // On a masked lane the controller belongs to no shard; the sharded
-    // coordinator emits its final exactly once instead.
-    if (owned_.empty()) {
-      telemetry_->Record(telemetry::MakeEnergyFinalEvent(
-          now, kInvalidEnclosure, ControllerEnergy(), plan_epoch_));
-    }
+    telemetry_->Record(telemetry::MakeEnergyFinalEvent(
+        now, kInvalidEnclosure, ControllerEnergy(), plan_epoch_));
   }
 }
 
 Joules StorageSystem::EnclosureEnergy() {
   Joules total = 0;
   for (auto& enc : enclosures_) {
-    if (!OwnsEnclosure(enc->id())) continue;
     total += enc->Energy(sim_->Now());
   }
   return total;

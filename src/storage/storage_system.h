@@ -130,30 +130,7 @@ class StorageSystem {
   Status CommitItemMove(DataItemId item, EnclosureId target);
 
   /// Destages everything and reports final idle gaps; call at end of run.
-  /// On an ownership-masked system (sharded lanes) only owned enclosures
-  /// are finalized and the controller's energy-final event is suppressed —
-  /// the sharded coordinator emits it exactly once.
   void FinalizeRun();
-
-  /// Restricts end-of-run accounting (EnclosureEnergy, FinalizeRun) to the
-  /// enclosures marked true. The sharded engine builds one structurally
-  /// complete StorageSystem per shard but routes each enclosure's I/O to
-  /// exactly one lane; the mask keeps the untouched replicas out of the
-  /// energy totals. An empty mask (the default) means "owns everything" —
-  /// the serial engine never calls this.
-  void SetOwnedEnclosures(std::vector<bool> owned) {
-    owned_ = std::move(owned);
-  }
-  bool OwnsEnclosure(EnclosureId id) const {
-    return owned_.empty() || owned_.at(static_cast<size_t>(id));
-  }
-
-  /// Applies flush demands produced by *another* system's cache (sharded
-  /// cross-lane item moves: the source lane invalidates, the target lane —
-  /// this one — rewrites the dirty blocks at the item's new home).
-  void ApplyExternalFlushDemands(const std::vector<FlushDemand>& demands) {
-    ApplyFlushDemands(demands);
-  }
 
   DiskEnclosure& enclosure(EnclosureId id) {
     return *enclosures_.at(static_cast<size_t>(id));
@@ -164,9 +141,6 @@ class StorageSystem {
   const BlockVirtualization& virtualization() const { return virt_; }
   BlockVirtualization& virtualization() { return virt_; }
   const StorageCache& cache() const { return cache_; }
-  /// Mutable cache access for the sharded engine's cross-lane item-state
-  /// transfer (ExportItemState/AdoptItemState/DropItemState/Invalidate).
-  StorageCache& mutable_cache() { return cache_; }
   const StorageConfig& config() const { return config_; }
   sim::Simulator* simulator() { return sim_; }
 
@@ -195,8 +169,6 @@ class StorageSystem {
   StorageCache cache_;
   BlockVirtualization virt_;
   std::vector<bool> spin_down_allowed_;
-  /// End-of-run accounting mask; empty = all enclosures owned (serial).
-  std::vector<bool> owned_;
   std::vector<StorageObserver*> observers_;
   telemetry::Recorder* telemetry_ = nullptr;
   telemetry::analysis::LatencyBook* latency_book_ = nullptr;

@@ -38,7 +38,7 @@
 
 namespace ecostore::telemetry::analysis {
 
-/// \brief Streaming BuildLedger: Consume events in (time, shard) drain
+/// \brief Streaming BuildLedger: Consume events in time-sorted drain
 /// order, Snapshot at any frontier. Also a StreamConsumer so it can hang
 /// directly off a StreamDispatcher.
 class IncrementalEnergyLedger : public StreamConsumer {

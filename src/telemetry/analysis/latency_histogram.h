@@ -200,7 +200,7 @@ inline const char* PatternSlotName(uint8_t pattern) {
 /// \brief The full latency book of one run: one fixed-layout histogram
 /// per (pattern, outcome) cell. Recording is two bounds-checked index
 /// computations plus one bucket increment, cheap enough for the per-I/O
-/// path; merging two books (e.g. per-thread shards) is element-wise.
+/// path; merging two books is element-wise.
 class LatencyBook {
  public:
   LatencyBook() : cells_(kNumPatternSlots * kNumOutcomes) {}

@@ -99,10 +99,9 @@ class RollingSummary : public StreamConsumer {
     SimDuration window_us = kMinute;
     /// Closed windows kept in memory (oldest dropped first).
     size_t retention = 256;
-    /// Live cumulative latency book to diff per window (may be null; the
-    /// sharded engine merges books only at the horizon, so it passes
-    /// null). Diffed once per window close — when the pump cadence
-    /// equals the window length, the delta is exactly the window's I/Os.
+    /// Live cumulative latency book to diff per window (may be null).
+    /// Diffed once per window close — when the pump cadence equals the
+    /// window length, the delta is exactly the window's I/Os.
     const LatencyBook* book = nullptr;
     /// Append-only JSONL sink, one line per window plus a rolling_meta
     /// head and a rolling_final trailer; flushed per line so the file is

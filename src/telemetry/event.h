@@ -220,22 +220,13 @@ struct SimStatsPayload {
   int64_t cancelled = 0;
 };
 
-/// Event::shard value used by the sharded engine's coordinator (period
-/// boundaries, migration engine, decisions): sorts after every real shard
-/// at equal timestamps, which matches the barrier protocol — shard-local
-/// effects at time t are applied before coordinator events at t.
-inline constexpr uint16_t kCoordinatorShard = 0xffff;
-
 /// \brief One fixed-size, simulated-time-stamped telemetry event. 48-byte
 /// trivially copyable POD so per-thread ring buffers are flat memcpy-able
 /// arrays and recording is one bounds check + one 48-byte store.
 struct Event {
   SimTime time = 0;
   EventKind kind = EventKind::kNone;
-  /// Shard that recorded the event (0 in serial runs; the sharded
-  /// engine's coordinator records kCoordinatorShard). Occupies what used
-  /// to be padding, so the 48-byte layout is unchanged.
-  uint16_t shard = 0;
+  uint16_t pad16 = 0;
   uint32_t pad32 = 0;
   union {
     PowerPayload power;

@@ -40,9 +40,6 @@ void AppendEventJson(std::string* out, const Event& e) {
   std::snprintf(buf, sizeof(buf), "{\"type\":\"event\",\"t\":%lld,\"kind\":\"%s\"",
                 static_cast<long long>(e.time), EventKindName(e.kind));
   *out += buf;
-  // Serial runs record shard 0 everywhere; omit the key so their capture
-  // bytes are unchanged from pre-sharding captures.
-  if (e.shard != 0) AppendKV(out, "shard", e.shard);
   switch (e.kind) {
     case EventKind::kPowerState:
     case EventKind::kEnergyFinal:
@@ -119,7 +116,6 @@ void AppendEventJson(std::string* out, const Event& e) {
 
 Event EventFromJson(const FlatJson& json, EventKind kind) {
   Event e = MakeEvent(json.Int("t"), kind);
-  e.shard = static_cast<uint16_t>(json.Int("shard"));
   switch (kind) {
     case EventKind::kPowerState:
     case EventKind::kEnergyFinal:

@@ -42,15 +42,10 @@ Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,
   line = "{\"type\":\"profile_meta\"";
   line += ",\"workload\":\"" + meta.workload + "\"";
   line += ",\"policy\":\"" + meta.policy + "\"";
-  AppendKV(&line, "shards", meta.shards);
   AppendKV(&line, "host_cpus", meta.host_cpus);
   AppendKV(&line, "wall_ns", meta.wall_ns);
   AppendKVU(&line, "spans", spans.size());
   AppendKVU(&line, "dropped", meta.dropped);
-  AppendKV(&line, "pool_workers", meta.pool_workers);
-  AppendKV(&line, "pool_tasks", meta.pool_tasks);
-  AppendKV(&line, "pool_busy_ns", meta.pool_busy_ns);
-  AppendKV(&line, "pool_peak_queue", meta.pool_peak_queue);
   line += "}\n";
   std::fputs(line.c_str(), f);
 
@@ -60,7 +55,6 @@ Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,
     line += "\"";
     AppendKV(&line, "start_ns", span.start_ns);
     AppendKV(&line, "dur_ns", span.dur_ns);
-    AppendKV(&line, "lane", span.lane);
     AppendKVU(&line, "seq", span.seq);
     AppendKV(&line, "detail", span.detail);
     line += "}\n";
@@ -92,15 +86,10 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
     if (type == "profile_meta") {
       meta->workload = json.Str("workload");
       meta->policy = json.Str("policy");
-      meta->shards = static_cast<int>(json.Int("shards"));
       meta->host_cpus = static_cast<int>(json.Int("host_cpus"));
       meta->wall_ns = json.Int("wall_ns");
       meta->spans = json.U64("spans");
       meta->dropped = json.U64("dropped");
-      meta->pool_workers = static_cast<int>(json.Int("pool_workers"));
-      meta->pool_tasks = json.Int("pool_tasks");
-      meta->pool_busy_ns = json.Int("pool_busy_ns");
-      meta->pool_peak_queue = json.Int("pool_peak_queue");
       declared = static_cast<int64_t>(meta->spans);
       have_meta = true;
     } else if (type == "span") {
@@ -115,7 +104,6 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
       span.phase = static_cast<uint16_t>(PhaseFromName(json.Str("phase")));
       span.start_ns = json.Int("start_ns");
       span.dur_ns = json.Int("dur_ns");
-      span.lane = static_cast<uint16_t>(json.Int("lane"));
       span.seq = static_cast<uint32_t>(json.U64("seq"));
       span.detail = json.Int("detail");
       spans->push_back(span);
@@ -143,8 +131,8 @@ Status WriteProfileTrace(const std::string& path, const ProfileMeta& meta,
   if (f == nullptr) return Status::IoError("cannot write " + path);
   // pid 10: the wall-clock domain, disjoint from the sim-time trace's
   // pids 0-3 so the two files can be concatenated into one Perfetto view.
-  // tid = lane (0 serial/coordinator); span seq ids in args correlate
-  // with the kPeriodBoundary indices of the sim-time stream.
+  // Span seq ids in args correlate with the kPeriodBoundary indices of
+  // the sim-time stream.
   std::fprintf(f, "[\n");
   std::fprintf(f,
                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":10,"
@@ -153,11 +141,10 @@ Status WriteProfileTrace(const std::string& path, const ProfileMeta& meta,
   for (const Span& span : spans) {
     std::fprintf(
         f,
-        ",\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":10,\"tid\":%u,"
+        ",\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":10,\"tid\":0,"
         "\"ts\":%.3f,\"dur\":%.3f,"
         "\"args\":{\"seq\":%llu,\"detail\":%lld}}",
-        PhaseName(static_cast<Phase>(span.phase)),
-        static_cast<unsigned>(span.lane), span.start_ns / 1000.0,
+        PhaseName(static_cast<Phase>(span.phase)), span.start_ns / 1000.0,
         span.dur_ns / 1000.0, static_cast<unsigned long long>(span.seq),
         static_cast<long long>(span.detail));
   }

@@ -10,18 +10,17 @@ namespace {
 
 /// Per-thread binding cache: re-binding is just two loads when the same
 /// (thread, profiler) pair records repeatedly — the common case, since
-/// one engine runs on one thread (plus a bounded pool of lane workers).
+/// one engine runs on one thread.
 struct ThreadBinding {
   const void* profiler = nullptr;
   void* ring = nullptr;
 };
 thread_local ThreadBinding t_binding;
 
-/// The thread's active span sink, lane tag and correlation id. All three
-/// are thread-local rather than per-profiler so interior phases (core/
+/// The thread's active span sink and correlation id. Both are
+/// thread-local rather than per-profiler so interior phases (core/
 /// planning code) need no plumbing: a ScopedPhase reads them directly.
 thread_local Profiler* t_profiler = nullptr;
-thread_local uint16_t t_lane = 0;
 thread_local uint32_t t_seq = 0;
 
 }  // namespace
@@ -33,14 +32,6 @@ Profiler* SetThreadProfiler(Profiler* profiler) {
 }
 
 Profiler* ThreadProfiler() { return t_profiler; }
-
-uint16_t SetThreadProfileLane(uint16_t lane) {
-  uint16_t previous = t_lane;
-  t_lane = lane;
-  return previous;
-}
-
-uint16_t ThreadProfileLane() { return t_lane; }
 
 uint32_t SetThreadCorrelation(uint32_t seq) {
   uint32_t previous = t_seq;
@@ -151,15 +142,12 @@ void Profiler::DrainInto(std::vector<Span>* out) {
     ring->head = 0;
     ring->wrapped = false;
   }
-  // Stable (start, lane) order: ties keep per-thread record order, so a
-  // parent span closed after its children still sorts by its earlier
-  // start and the analyzer's nesting sweep sees parents first.
+  // Stable start order: ties keep per-thread record order, so a parent
+  // span closed after its children still sorts by its earlier start and
+  // the analyzer's nesting sweep sees parents first.
   std::stable_sort(merged.begin(), merged.end(),
                    [](const Span& a, const Span& b) {
-                     if (a.start_ns != b.start_ns) {
-                       return a.start_ns < b.start_ns;
-                     }
-                     return a.lane < b.lane;
+                     return a.start_ns < b.start_ns;
                    });
 }
 

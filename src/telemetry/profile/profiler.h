@@ -1,17 +1,15 @@
 #ifndef ECOSTORE_TELEMETRY_PROFILE_PROFILER_H_
 #define ECOSTORE_TELEMETRY_PROFILE_PROFILER_H_
 
-// Wall-clock phase profiler for the replay engines (DESIGN.md §15).
+// Wall-clock phase profiler for the replay engine (DESIGN.md §15).
 //
 // The telemetry recorder observes *simulated* time exhaustively; this
 // layer observes the engine's own *wall-clock* behaviour: scoped phase
 // timers on std::chrono::steady_clock writing 32-byte POD spans into
 // per-thread rings with the same single-writer discipline as the
-// de-atomized event recorder (telemetry/recorder.h). Spans carry a lane
-// tag (0 = serial / coordinator, lane L+1 = sharded lane L) and a
-// correlation id (the monitoring-period index on the serial engine, the
-// epoch index on the sharded engine) so wall-time profiles line up with
-// the sim-time event stream across the two clock domains.
+// de-atomized event recorder (telemetry/recorder.h). Spans carry a
+// correlation id (the monitoring-period index) so wall-time profiles line
+// up with the sim-time event stream across the two clock domains.
 //
 // Two compile modes, exactly mirroring the recorder:
 //  - enabled (default): the real profiler below. An un-profiled run pays
@@ -22,10 +20,10 @@
 //    by tests/profile_disabled_test.cc) and every ScopedPhase folds away.
 //
 // The profiler is bound per *thread*, not threaded through call
-// signatures: Experiment::Run / ShardedExperiment workers install it with
-// ScopedThreadProfiler, and interior phases (classify-finalise, plan,
-// migrate, flush — core/ code with no profiler parameter) just open a
-// ScopedPhase, which is inert unless the thread is bound. The profiler
+// signatures: Experiment::Run installs it with ScopedThreadProfiler, and
+// interior phases (classify-finalise, plan, migrate, flush — core/ code
+// with no profiler parameter) just open a ScopedPhase, which is inert
+// unless the thread is bound. The profiler
 // never touches simulator or policy state, so attaching one cannot change
 // replay results (enforced by the fingerprint gate, which runs every job
 // with a profiler attached).
@@ -49,13 +47,11 @@
 
 namespace ecostore::telemetry::profile {
 
-/// Which part of the engine a span covers. Serial phases first, sharded
-/// phases after; the numeric values are part of the capture format, so
-/// new phases append before kCount.
+/// Which part of the engine a span covers. The numeric values are part of
+/// the capture format, so new phases append before kCount.
 enum class Phase : uint16_t {
   kNone = 0,
 
-  // --- serial replay pipeline (replay/experiment.cc + core/) ----------
   kIngest,           ///< one replay batch: generate + submit + account
   kClassifyFinalize, ///< PatternClassifier::Finalize at a period end
   kPlan,             ///< placement / cache planning (incremental or full)
@@ -64,13 +60,6 @@ enum class Phase : uint16_t {
   kLedgerPump,       ///< mid-run telemetry pump into stream consumers
   kPeriodEnd,        ///< one whole DoPeriodEnd (parent of the above)
   kFinalize,         ///< end-of-run accounting after the hot loop
-
-  // --- sharded engine (replay/sharded_experiment.cc) -------------------
-  kEpoch,       ///< one bounded sim-time epoch on the coordinator
-  kScatter,     ///< routing generated records into lane inboxes
-  kLaneAdvance, ///< one lane consuming its inbox up to t_stop (busy time)
-  kBarrierWait, ///< coordinator blocked on lane futures (contention)
-  kMerge,       ///< barrier merge: lane telemetry drain + hook replay
 
   kCount
 };
@@ -86,11 +75,6 @@ inline const char* PhaseName(Phase phase) {
     case Phase::kLedgerPump: return "ledger_pump";
     case Phase::kPeriodEnd: return "period_end";
     case Phase::kFinalize: return "finalize";
-    case Phase::kEpoch: return "epoch";
-    case Phase::kScatter: return "scatter";
-    case Phase::kLaneAdvance: return "lane_advance";
-    case Phase::kBarrierWait: return "barrier_wait";
-    case Phase::kMerge: return "merge";
     case Phase::kCount: break;
   }
   return "?";
@@ -100,15 +84,13 @@ inline const char* PhaseName(Phase phase) {
 /// per-thread rings are flat arrays and recording is one bounds check +
 /// one 32-byte store (the profiler's analogue of the 48-byte Event).
 /// `start_ns` is relative to the owning Profiler's construction instant
-/// (steady_clock), `lane` is 0 for serial / coordinator work and
-/// shard + 1 for sharded lanes, `seq` is the period / epoch correlation
-/// id and `detail` is a phase-specific magnitude (batch records, inbox
-/// events, queue depth, ...).
+/// (steady_clock), `seq` is the period correlation id and `detail` is a
+/// phase-specific magnitude (batch records, queue depth, ...).
 struct Span {
   int64_t start_ns = 0;
   int64_t dur_ns = 0;
   uint16_t phase = 0;  ///< Phase numeric value
-  uint16_t lane = 0;
+  uint16_t pad16 = 0;
   uint32_t seq = 0;
   int64_t detail = 0;
 };
@@ -147,8 +129,6 @@ static_assert(sizeof(Profiler) == 1,
 
 inline Profiler* SetThreadProfiler(Profiler*) { return nullptr; }
 inline Profiler* ThreadProfiler() { return nullptr; }
-inline uint16_t SetThreadProfileLane(uint16_t) { return 0; }
-inline uint16_t ThreadProfileLane() { return 0; }
 inline uint32_t SetThreadCorrelation(uint32_t) { return 0; }
 inline uint32_t ThreadCorrelation() { return 0; }
 
@@ -202,8 +182,7 @@ class Profiler {
   uint64_t dropped() const;
 
   /// Merges all thread rings into one stream ordered by start time
-  /// (stable: ties keep per-thread record order, then lane order) and
-  /// resets the rings. Callers must ensure no Record() runs concurrently.
+  /// (stable: ties keep per-thread record order) and resets the rings. Callers must ensure no Record() runs concurrently.
   std::vector<Span> Drain();
   void DrainInto(std::vector<Span>* out);
 
@@ -237,15 +216,8 @@ class Profiler {
 Profiler* SetThreadProfiler(Profiler* profiler);
 Profiler* ThreadProfiler();
 
-/// Lane tag stamped into Span::lane (0 serial / coordinator; the sharded
-/// engine tags workers with shard + 1, mirroring telemetry's thread-shard
-/// tag but independent of the telemetry compile mode).
-uint16_t SetThreadProfileLane(uint16_t lane);
-uint16_t ThreadProfileLane();
-
-/// Correlation id stamped into Span::seq: the monitoring-period index on
-/// the serial engine, the epoch index on the sharded engine. This is the
-/// join key between the wall-clock track and the sim-time event stream.
+/// Correlation id stamped into Span::seq: the monitoring-period index.
+/// This is the join key between the wall-clock track and the sim-time event stream.
 uint32_t SetThreadCorrelation(uint32_t seq);
 uint32_t ThreadCorrelation();
 
@@ -271,7 +243,6 @@ class ScopedPhase {
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
             .count();
     span.phase = static_cast<uint16_t>(phase_);
-    span.lane = ThreadProfileLane();
     span.seq = ThreadCorrelation();
     span.detail = detail_;
     profiler_->Record(span);
@@ -305,21 +276,7 @@ class ScopedThreadProfiler {
   Profiler* previous_;
 };
 
-/// RAII lane tag for one epoch's lane advance (sharded workers).
-class ScopedProfileLane {
- public:
-  explicit ScopedProfileLane(uint16_t lane)
-      : previous_(SetThreadProfileLane(lane)) {}
-  ~ScopedProfileLane() { SetThreadProfileLane(previous_); }
-
-  ScopedProfileLane(const ScopedProfileLane&) = delete;
-  ScopedProfileLane& operator=(const ScopedProfileLane&) = delete;
-
- private:
-  uint16_t previous_;
-};
-
-/// RAII correlation id (period index / epoch index) for a scope.
+/// RAII correlation id (period index) for a scope.
 class ScopedCorrelation {
  public:
   explicit ScopedCorrelation(uint32_t seq)

@@ -17,20 +17,7 @@ struct ThreadBinding {
 };
 thread_local ThreadBinding t_binding;
 
-/// Shard tag stamped into Event::shard by Record(). Thread-local, not
-/// per-recorder: one thread advances one shard at a time, whichever
-/// recorder it records into.
-thread_local uint16_t t_shard = 0;
-
 }  // namespace
-
-uint16_t SetThreadShard(uint16_t shard) {
-  uint16_t previous = t_shard;
-  t_shard = shard;
-  return previous;
-}
-
-uint16_t ThreadShard() { return t_shard; }
 
 Recorder::Recorder(const Options& options)
     : options_(options), mask_(options.mask) {
@@ -76,14 +63,11 @@ void Recorder::Record(const Event& event) {
       std::memory_order_relaxed);
   if (buffer->events.size() < options_.thread_buffer_capacity) {
     buffer->events.push_back(event);
-    buffer->events.back().shard = t_shard;
     return;
   }
   // Ring is at capacity: overwrite the oldest entry in place. Wrap with a
   // predictable branch — a 64-bit divide has no business in this path.
-  Event& slot = buffer->events[buffer->head];
-  slot = event;
-  slot.shard = t_shard;
+  buffer->events[buffer->head] = event;
   if (++buffer->head == buffer->events.size()) buffer->head = 0;
   buffer->wrapped = true;
   buffer->dropped.store(buffer->dropped.load(std::memory_order_relaxed) + 1,
@@ -138,16 +122,12 @@ void Recorder::DrainInto(std::vector<Event>* out) {
     buffer->head = 0;
     buffer->wrapped = false;
   }
-  // Sort key (time, shard). Stable: within one (time, shard) group events
-  // keep their per-thread record order, so a single-threaded run (all
-  // shard 0) drains in exactly the order it recorded. In a sharded run a
-  // shard executes on exactly one thread per epoch, so every (time, shard)
-  // group lives in a single ring in record order, and the drained stream
-  // is deterministic for any worker-thread count.
+  // Stable sort by time: events at one timestamp keep their per-thread
+  // record order, so a single-threaded run drains in exactly the order it
+  // recorded.
   std::stable_sort(merged.begin(), merged.end(),
                    [](const Event& a, const Event& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.shard < b.shard;
+                     return a.time < b.time;
                    });
 }
 

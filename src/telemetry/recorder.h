@@ -226,38 +226,6 @@ class Recorder : public LogSink {
 
 #endif  // ECOSTORE_TELEMETRY_DISABLED
 
-#ifdef ECOSTORE_TELEMETRY_DISABLED
-
-inline uint16_t SetThreadShard(uint16_t) { return 0; }
-inline uint16_t ThreadShard() { return 0; }
-
-#else
-
-/// Sets the calling thread's shard tag; every subsequent Record() on this
-/// thread (any recorder) stamps it into Event::shard. Serial runs never
-/// touch it, so they record shard 0 everywhere. Returns the previous tag.
-uint16_t SetThreadShard(uint16_t shard);
-uint16_t ThreadShard();
-
-#endif  // ECOSTORE_TELEMETRY_DISABLED
-
-/// RAII shard tag for one epoch's lane advance (or the coordinator's
-/// barrier work): tags the thread for the scope, restores on exit. The
-/// sharded engine wraps every pool task in one of these so a worker
-/// thread that serves different lanes across epochs always stamps the
-/// lane it is currently advancing.
-class ScopedShardTag {
- public:
-  explicit ScopedShardTag(uint16_t shard) : previous_(SetThreadShard(shard)) {}
-  ~ScopedShardTag() { SetThreadShard(previous_); }
-
-  ScopedShardTag(const ScopedShardTag&) = delete;
-  ScopedShardTag& operator=(const ScopedShardTag&) = delete;
-
- private:
-  uint16_t previous_;
-};
-
 /// The universal event-site guard: one null test + one mask test when
 /// telemetry is compiled in, constant false (dead code) when it is not.
 inline bool Wants(const Recorder* recorder, uint32_t event_class) {

@@ -4,6 +4,17 @@
 
 namespace ecostore::telemetry {
 
+namespace {
+
+void SortByTime(std::vector<Event>* events) {
+  std::stable_sort(events->begin(), events->end(),
+                   [](const Event& a, const Event& b) {
+                     return a.time < b.time;
+                   });
+}
+
+}  // namespace
+
 void StreamDispatcher::AddConsumer(StreamConsumer* consumer) {
   if (consumer != nullptr) consumers_.push_back(consumer);
 }
@@ -18,15 +29,11 @@ void StreamDispatcher::Pump(Recorder* recorder, SimTime frontier) {
 
 void StreamDispatcher::AdvanceFrontier(SimTime frontier) {
   if (finished_ || frontier <= frontier_) return;
-  // The concatenation of (time, shard)-sorted drain segments; one stable
-  // sort restores the global batch order (intra-group record order is the
+  // The concatenation of time-sorted drain segments; one stable sort
+  // restores the global batch order (same-time record order is the
   // segment order, which matches the single-drain order because record
   // order per ring is preserved across drains).
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [](const Event& a, const Event& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.shard < b.shard;
-                   });
+  SortByTime(&pending_);
   size_t emit = 0;
   while (emit < pending_.size() && pending_[emit].time < frontier) ++emit;
   for (size_t i = 0; i < emit; ++i) Emit(pending_[i]);
@@ -37,11 +44,7 @@ void StreamDispatcher::AdvanceFrontier(SimTime frontier) {
 
 void StreamDispatcher::Finish(const StreamFinal& final) {
   if (finished_) return;
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [](const Event& a, const Event& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.shard < b.shard;
-                   });
+  SortByTime(&pending_);
   for (const Event& event : pending_) Emit(event);
   pending_.clear();
   if (final.at > frontier_) frontier_ = final.at;

@@ -9,20 +9,20 @@
 // directions: every event with time < F has been delivered (in the exact
 // order a batch Recorder::Drain() of the whole run would have produced
 // them), and no event with time < F will ever arrive later. Consumers
-// therefore see, at each OnFrontier(F), precisely the (time, shard)-sorted
-// prefix {e : e.time < F} of the final batch capture — which is what makes
+// therefore see, at each OnFrontier(F), precisely the time-sorted prefix
+// {e : e.time < F} of the final batch capture — which is what makes
 // an incremental ledger provably equivalent to the batch one at every
 // window boundary (DESIGN.md §14).
 //
-// Ordering argument. Recorder::Drain() stable-sorts by (time, shard) and
-// both engines funnel every event through rings whose record order is
+// Ordering argument. Recorder::Drain() stable-sorts by time and the
+// engine funnels every event through rings whose record order is
 // preserved per drain. The dispatcher stable-sorts the concatenation of
-// successive drains; because each drain is itself (time, shard)-sorted
-// with intra-group record order intact, and the frontier contract forbids
-// late events below an already-announced frontier, the emitted prefix is
+// successive drains; because each drain is itself time-sorted with
+// same-time record order intact, and the frontier contract forbids late
+// events below an already-announced frontier, the emitted prefix is
 // identical to the batch sort. Events at or above the frontier are
 // retained (bounded by one window of traffic), never re-ordered against
-// later arrivals of the same (time, shard) group.
+// later arrivals at the same time.
 
 #include <cstddef>
 #include <cstdint>
@@ -64,8 +64,8 @@ class StreamConsumer {
 ///
 /// Owns the reorder buffer that turns per-pump ring drains into the
 /// global batch order. Not thread-safe: the engine pumps from the replay
-/// (or coordinator) thread only, with writers quiescent — the same
-/// contract as Recorder::Drain().
+/// thread only, with writers quiescent — the same contract as
+/// Recorder::Drain().
 class StreamDispatcher {
  public:
   /// Registers a consumer (not owned). Call before the first Pump().

@@ -36,10 +36,8 @@ TEST(ProfileDisabledTest, AllOperationsAreNoOps) {
 TEST(ProfileDisabledTest, BindingsAndScopesAreInert) {
   Profiler profiler;
   ScopedThreadProfiler bind(&profiler);
-  ScopedProfileLane lane(3);
   ScopedCorrelation corr(7);
   EXPECT_EQ(ThreadProfiler(), nullptr);
-  EXPECT_EQ(ThreadProfileLane(), 0);
   EXPECT_EQ(ThreadCorrelation(), 0u);
   { ScopedPhase phase(Phase::kPlan, 42); }
   EXPECT_EQ(profiler.recorded(), 0u);
@@ -50,8 +48,8 @@ TEST(ProfileDisabledTest, SpanStaysPodSized) {
   // it), and its layout contract is identical in both modes.
   static_assert(sizeof(Span) == 32);
   Span s;
-  s.phase = static_cast<uint16_t>(Phase::kMerge);
-  EXPECT_STREQ(PhaseName(static_cast<Phase>(s.phase)), "merge");
+  s.phase = static_cast<uint16_t>(Phase::kFinalize);
+  EXPECT_STREQ(PhaseName(static_cast<Phase>(s.phase)), "finalize");
 }
 
 }  // namespace

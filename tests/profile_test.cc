@@ -1,6 +1,7 @@
 // Tests for the wall-clock phase profiler (telemetry/profile/): ring
 // semantics, scoped-phase stamping, thread binding, and the two export
-// formats (JSONL interchange + real-time Chrome trace).
+// formats (JSONL interchange + real-time Chrome trace), including old
+// captures that carry retired keys and phases.
 
 #include <gtest/gtest.h>
 
@@ -29,12 +30,11 @@ std::string ReadFile(const std::string& path) {
 }
 
 Span MakeSpan(int64_t start_ns, int64_t dur_ns, Phase phase,
-              uint16_t lane = 0, uint32_t seq = 0, int64_t detail = 0) {
+              uint32_t seq = 0, int64_t detail = 0) {
   Span s;
   s.start_ns = start_ns;
   s.dur_ns = dur_ns;
   s.phase = static_cast<uint16_t>(phase);
-  s.lane = lane;
   s.seq = seq;
   s.detail = detail;
   return s;
@@ -81,8 +81,7 @@ TEST(ProfilerTest, MultiThreadRingsMergeSorted) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&profiler, t] {
       for (int i = 0; i < 100; ++i) {
-        profiler.Record(MakeSpan(i * 4 + t, 1, Phase::kLaneAdvance,
-                                 static_cast<uint16_t>(t + 1)));
+        profiler.Record(MakeSpan(i * 4 + t, 1, Phase::kIngest));
       }
     });
   }
@@ -97,11 +96,10 @@ TEST(ProfilerTest, MultiThreadRingsMergeSorted) {
   }
 }
 
-TEST(ProfilerTest, ScopedPhaseStampsBindingLaneAndCorrelation) {
+TEST(ProfilerTest, ScopedPhaseStampsBindingAndCorrelation) {
   Profiler profiler;
   {
     ScopedThreadProfiler bind(&profiler);
-    ScopedProfileLane lane(3);
     ScopedCorrelation corr(17);
     ScopedPhase outer(Phase::kPeriodEnd, 42);
     { ScopedPhase inner(Phase::kPlan); }
@@ -112,7 +110,6 @@ TEST(ProfilerTest, ScopedPhaseStampsBindingLaneAndCorrelation) {
   EXPECT_EQ(spans[0].phase, static_cast<uint16_t>(Phase::kPeriodEnd));
   EXPECT_EQ(spans[1].phase, static_cast<uint16_t>(Phase::kPlan));
   for (const Span& s : spans) {
-    EXPECT_EQ(s.lane, 3);
     EXPECT_EQ(s.seq, 17u);
     EXPECT_GE(s.dur_ns, 0);
   }
@@ -150,12 +147,6 @@ TEST(ProfilerTest, ScopedBindingsRestorePrevious) {
     EXPECT_EQ(ThreadProfiler(), &b);
   }
   EXPECT_EQ(ThreadProfiler(), &a);
-  SetThreadProfileLane(0);
-  {
-    ScopedProfileLane lane(5);
-    EXPECT_EQ(ThreadProfileLane(), 5);
-  }
-  EXPECT_EQ(ThreadProfileLane(), 0);
   {
     ScopedCorrelation corr(9);
     EXPECT_EQ(ThreadCorrelation(), 9u);
@@ -167,18 +158,13 @@ TEST(ProfileExportTest, JsonlRoundTrip) {
   ProfileMeta meta;
   meta.workload = "file_server_20min";
   meta.policy = "eco_storage";
-  meta.shards = 8;
   meta.host_cpus = 16;
   meta.wall_ns = 1234567890;
   meta.dropped = 3;
-  meta.pool_workers = 8;
-  meta.pool_tasks = 420;
-  meta.pool_busy_ns = 987654321;
-  meta.pool_peak_queue = 7;
   std::vector<Span> spans = {
-      MakeSpan(100, 50, Phase::kEpoch, 0, 1, 0),
-      MakeSpan(110, 20, Phase::kLaneAdvance, 2, 1, 333),
-      MakeSpan(160, 5, Phase::kMerge, 0, 1, 0),
+      MakeSpan(100, 50, Phase::kPeriodEnd, 1, 0),
+      MakeSpan(110, 20, Phase::kPlan, 1, 333),
+      MakeSpan(160, 5, Phase::kIngest, 2, 0),
   };
   meta.spans = spans.size();
 
@@ -190,21 +176,15 @@ TEST(ProfileExportTest, JsonlRoundTrip) {
   ASSERT_TRUE(ParseProfileJsonl(path, &parsed, &parsed_spans).ok());
   EXPECT_EQ(parsed.workload, meta.workload);
   EXPECT_EQ(parsed.policy, meta.policy);
-  EXPECT_EQ(parsed.shards, meta.shards);
   EXPECT_EQ(parsed.host_cpus, meta.host_cpus);
   EXPECT_EQ(parsed.wall_ns, meta.wall_ns);
   EXPECT_EQ(parsed.spans, meta.spans);
   EXPECT_EQ(parsed.dropped, meta.dropped);
-  EXPECT_EQ(parsed.pool_workers, meta.pool_workers);
-  EXPECT_EQ(parsed.pool_tasks, meta.pool_tasks);
-  EXPECT_EQ(parsed.pool_busy_ns, meta.pool_busy_ns);
-  EXPECT_EQ(parsed.pool_peak_queue, meta.pool_peak_queue);
   ASSERT_EQ(parsed_spans.size(), spans.size());
   for (size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(parsed_spans[i].start_ns, spans[i].start_ns);
     EXPECT_EQ(parsed_spans[i].dur_ns, spans[i].dur_ns);
     EXPECT_EQ(parsed_spans[i].phase, spans[i].phase);
-    EXPECT_EQ(parsed_spans[i].lane, spans[i].lane);
     EXPECT_EQ(parsed_spans[i].seq, spans[i].seq);
     EXPECT_EQ(parsed_spans[i].detail, spans[i].detail);
   }
@@ -223,7 +203,7 @@ TEST(ProfileExportTest, TraceUsesRealTimeTrack) {
   meta.workload = "w";
   meta.policy = "p";
   meta.spans = 1;
-  std::vector<Span> spans = {MakeSpan(1500, 2500, Phase::kPlan, 0, 4, 0)};
+  std::vector<Span> spans = {MakeSpan(1500, 2500, Phase::kPlan, 4, 0)};
 
   const std::string path = TempPath("profile_trace.trace.json");
   ASSERT_TRUE(WriteProfileTrace(path, meta, spans).ok());
@@ -250,6 +230,36 @@ TEST(ProfileExportTest, ExportBaseStripsSuffixes) {
   EXPECT_TRUE(
       ParseProfileJsonl(base + ".profile.jsonl", &parsed, &parsed_spans).ok());
   EXPECT_TRUE(std::ifstream(base + ".profile.trace.json").good());
+}
+
+TEST(ProfileExportTest, OldCaptureWithRetiredKeysAndPhasesLoads) {
+  // A capture from a build that still had lanes: a "shards" meta key,
+  // pool figures, "lane" on every span, and a phase name that no longer
+  // exists. It loads; the retired phase reads back as kNone.
+  const std::string path = TempPath("profile_retired.profile.jsonl");
+  std::ofstream(path)
+      << "{\"type\":\"profile_meta\",\"workload\":\"w\",\"policy\":\"p\","
+         "\"shards\":8,\"host_cpus\":4,\"wall_ns\":1000,\"spans\":2,"
+         "\"dropped\":0,\"pool_workers\":8,\"pool_tasks\":10,"
+         "\"pool_busy_ns\":500,\"pool_peak_queue\":2}\n"
+         "{\"type\":\"span\",\"phase\":\"lane_advance\",\"start_ns\":10,"
+         "\"dur_ns\":20,\"lane\":3,\"seq\":1,\"detail\":7}\n"
+         "{\"type\":\"span\",\"phase\":\"plan\",\"start_ns\":40,"
+         "\"dur_ns\":5,\"lane\":3,\"seq\":1,\"detail\":0}\n";
+  ProfileMeta meta;
+  std::vector<Span> spans;
+  const Status st = ParseProfileJsonl(path, &meta, &spans);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(meta.workload, "w");
+  EXPECT_EQ(meta.host_cpus, 4);
+  EXPECT_EQ(meta.spans, 2u);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].phase, static_cast<uint16_t>(Phase::kNone));
+  EXPECT_EQ(spans[0].start_ns, 10);
+  EXPECT_EQ(spans[0].dur_ns, 20);
+  EXPECT_EQ(spans[0].seq, 1u);
+  EXPECT_EQ(spans[0].detail, 7);
+  EXPECT_EQ(spans[1].phase, static_cast<uint16_t>(Phase::kPlan));
 }
 
 TEST(ProfileExportTest, ParseRejectsGarbage) {

@@ -1,7 +1,7 @@
 // Tests for the live observability pipeline: randomized differential
 // equivalence of the IncrementalEnergyLedger against batch BuildLedger
-// (the oracle) at every window boundary on both the serial and sharded
-// engines, RollingSummary window/cumulative consistency, and the
+// (the oracle) at every window boundary of the replay engine,
+// RollingSummary window/cumulative consistency, and the
 // in-flight capture reader (ReadJsonlChunk + CaptureTailParser) on
 // byte-truncated files.
 
@@ -19,7 +19,6 @@
 #include "core/eco_storage_policy.h"
 #include "policies/basic_policies.h"
 #include "replay/experiment.h"
-#include "replay/sharded_experiment.h"
 #include "telemetry/analysis/energy_ledger.h"
 #include "telemetry/analysis/incremental_ledger.h"
 #include "telemetry/analysis/rolling_summary.h"
@@ -210,84 +209,6 @@ TEST(IncrementalLedgerTest, MatchesBatchWithoutPowerSavingPolicy) {
   CapturedRun run = RunInstrumentedSerial(7ull, /*eco=*/false,
                                           10 * kMinute);
   CheckIncrementalMatchesBatch(run, kMinute);
-}
-
-// Records a Snapshot at every frontier the engine announces, so the
-// sharded engine's own pump cadence (epoch-granularity, not window-
-// aligned) is what gets verified.
-struct SnapshottingConsumer : public StreamConsumer {
-  explicit SnapshottingConsumer(const ExportMeta& meta) : inc(meta) {}
-  void OnEvent(const Event& event) override { inc.Consume(event); }
-  void OnFrontier(SimTime frontier) override {
-    inc.AdvanceTo(frontier);
-    snaps.emplace_back(frontier, inc.Snapshot());
-  }
-  void OnFinish(const StreamFinal& final) override { inc.Finish(final); }
-  IncrementalEnergyLedger inc;
-  std::vector<std::pair<SimTime, EnergyLedger>> snaps;
-};
-
-TEST(IncrementalLedgerTest, MatchesBatchAtEveryFrontierShardedEngine) {
-  if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  workload::FileServerConfig wl;
-  wl.duration = 12 * kMinute;
-  auto workload = workload::FileServerWorkload::Create(wl);
-  ASSERT_TRUE(workload.ok());
-  core::PowerManagementConfig pm;
-  // Inside the sharded engine's documented exact-equivalence domain
-  // (DESIGN.md §11): trigger latency is epoch-quantized otherwise.
-  pm.enable_pattern_change_triggers = false;
-  core::EcoStoragePolicy policy(pm);
-
-  Recorder::Options options;
-  options.thread_buffer_capacity = 1u << 20;
-  options.mask = kClassAll;
-  Recorder recorder(options);
-
-  ExportMeta pre_meta;
-  pre_meta.workload = workload.value()->info().name;
-  pre_meta.num_enclosures = workload.value()->info().num_enclosures;
-  pre_meta.duration = wl.duration;
-  replay::ExperimentConfig config;
-  bench::FillPowerModel(&pre_meta, config.storage);
-
-  StreamDispatcher dispatcher;
-  CaptureBuffer buffer;
-  SnapshottingConsumer snap(pre_meta);
-  dispatcher.AddConsumer(&buffer);
-  dispatcher.AddConsumer(&snap);
-  config.telemetry = &recorder;
-  config.stream = &dispatcher;
-  config.stream_window_us = 90 * kSecond;
-
-  replay::ShardedExperiment experiment(workload.value().get(), &policy,
-                                       config, /*shards=*/4);
-  auto metrics = experiment.Run();
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(recorder.dropped(), 0u);
-  EXPECT_TRUE(dispatcher.finished());
-  EXPECT_TRUE(snap.inc.finished());
-
-  std::vector<Event> events = buffer.Take();
-  ASSERT_GT(events.size(), 0u);
-  ASSERT_GT(snap.snaps.size(), 1u);
-  for (const auto& [frontier, live] : snap.snaps) {
-    std::vector<Event> prefix;
-    for (const Event& e : events) {
-      if (e.time < frontier) prefix.push_back(e);
-    }
-    ExpectSameLedger(live, BuildLedger(pre_meta, prefix),
-                     "frontier=" + std::to_string(frontier));
-  }
-  // End-of-run: install the measured energies (as the engine's Finish
-  // did) and compare against the batch oracle over the full capture.
-  ExportMeta final_meta = pre_meta;
-  final_meta.enclosure_energy_j = metrics.value().enclosure_energy;
-  final_meta.controller_energy_j = metrics.value().controller_energy;
-  EnergyLedger batch = BuildLedger(final_meta, events);
-  ExpectSameLedger(snap.inc.Snapshot(), batch, "sharded end-of-run");
-  EXPECT_TRUE(batch.has_finals);
-  EXPECT_LE(batch.reconcile_rel_err, 1e-6);
 }
 
 // --- rolling summary ------------------------------------------------------
@@ -499,7 +420,7 @@ TEST(CaptureTailParserTest, ResumesAcrossByteTruncation) {
   for (size_t i = 0; i < ref_events.size(); ++i) {
     const Event& a = parser.events()[i];
     const Event& b = ref_events[i];
-    ASSERT_TRUE(a.time == b.time && a.kind == b.kind && a.shard == b.shard)
+    ASSERT_TRUE(a.time == b.time && a.kind == b.kind)
         << "event " << i;
   }
   EXPECT_EQ(parser.meta().duration, ref_meta.duration);

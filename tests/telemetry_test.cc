@@ -1,11 +1,14 @@
 // Tests for the telemetry subsystem: recorder ring semantics (wrap +
 // overflow accounting), counters/gauges, the JSONL and Chrome-trace
-// exporters (round-trip + sim-time ordering), the power-timeline builder,
+// exporters (round-trip + sim-time ordering, and old captures' retired
+// keys), the power-timeline builder,
 // the logger bridge's simulated timestamps, and the guarantee that an
 // attached recorder never changes the replay outcome.
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -234,6 +237,66 @@ TEST(ExportTest, JsonlRoundTripPreservesEveryKindAndOrder) {
   EXPECT_EQ(back[8].adapt.next_period, 600 * kSecond);
   EXPECT_EQ(back[9].period.next_period, 600 * kSecond);
   EXPECT_EQ(back[10].sim_stats.peak_heap_depth, 100);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(ExportTest, RetiredShardKeyParsesToTheSameEvent) {
+  // Captures written while events carried a shard tag spell it as a
+  // "shard" key after the kind; the format no longer has one, and such a
+  // line must parse to exactly the event of the same line without it.
+  ExportMeta meta;
+  meta.workload = "unit";
+  meta.policy = "proposed";
+  meta.num_enclosures = 4;
+  meta.duration = 20 * kSecond;
+  const Event event = MakeCacheEvent(5 * kSecond, EventKind::kWriteDelayFlush,
+                                     7, 3, 16, 65536, 2);
+  const std::string path = TempPath("retired_shard.jsonl");
+  ASSERT_TRUE(WriteJsonl(path, meta, {event, event}).ok());
+
+  // Tag the second event line the way those captures did.
+  std::string text = ReadFile(path);
+  const std::string kind = "\"kind\":\"" +
+                           std::string(EventKindName(event.kind)) + "\"";
+  const size_t first = text.find(kind);
+  ASSERT_NE(first, std::string::npos);
+  const size_t second = text.find(kind, first + 1);
+  ASSERT_NE(second, std::string::npos);
+  text.insert(second + kind.size(), ",\"shard\":65535");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+
+  ExportMeta meta_back;
+  std::vector<Event> back;
+  ASSERT_TRUE(ParseJsonl(path, &meta_back, &back).ok());
+  ASSERT_EQ(back.size(), 2u);
+  const Event& plain = back[0];
+  const Event& tagged = back[1];
+  EXPECT_EQ(tagged.time, plain.time);
+  EXPECT_EQ(tagged.kind, plain.kind);
+  EXPECT_EQ(tagged.pad16, plain.pad16);
+  EXPECT_EQ(tagged.pad32, plain.pad32);
+  EXPECT_EQ(tagged.cache.item, plain.cache.item);
+  EXPECT_EQ(tagged.cache.enclosure, plain.cache.enclosure);
+  EXPECT_EQ(tagged.cache.blocks, plain.cache.blocks);
+  EXPECT_EQ(tagged.cache.bytes, plain.cache.bytes);
+  EXPECT_EQ(tagged.cache.plan, plain.cache.plan);
+  EXPECT_EQ(plain.cache.bytes, event.cache.bytes);
+
+  // Re-exported, the two events are byte-identical lines.
+  const std::string plain_path = TempPath("retired_shard_plain.jsonl");
+  const std::string tagged_path = TempPath("retired_shard_tagged.jsonl");
+  ASSERT_TRUE(WriteJsonl(plain_path, meta, {plain}).ok());
+  ASSERT_TRUE(WriteJsonl(tagged_path, meta, {tagged}).ok());
+  EXPECT_EQ(ReadFile(tagged_path), ReadFile(plain_path));
 }
 
 TEST(ExportTest, PowerTimelineReconstructsDwellSegments) {

@@ -881,13 +881,12 @@ int RunRegress(const std::string& path_a, const std::string& path_b,
 // --- profile --------------------------------------------------------------
 //
 // Renders a wall-clock profile capture (`--profile=<base>` on the bench
-// binaries): a top-down phase table over the engine's own wall time and,
-// for sharded captures, a per-lane contention report. This is the
-// real-time clock domain — `score`/`audit` above read simulated time.
+// binaries): a top-down phase table over the engine's own wall time. This
+// is the real-time clock domain — `score`/`audit` above read simulated time.
 
-/// Per-lane self-time sweep: spans are ordered by start time, so a stack
-/// of still-open spans per lane attributes each span's duration to its
-/// innermost enclosing span as child time. self = dur - children.
+/// Self-time sweep: spans are ordered by start time, so a stack of
+/// still-open spans attributes each span's duration to its innermost
+/// enclosing span as child time. self = dur - children.
 struct ProfilePhaseAgg {
   int64_t count = 0;
   int64_t total_ns = 0;
@@ -914,31 +913,21 @@ int RunProfile(const std::string& arg) {
     std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("workload=%s policy=%s engine=%s host_cpus=%d wall=%.2fs "
+  std::printf("workload=%s policy=%s host_cpus=%d wall=%.2fs "
               "spans=%llu dropped=%llu\n",
-              meta.workload.c_str(), meta.policy.c_str(),
-              meta.shards > 1
-                  ? ("sharded(S=" + std::to_string(meta.shards) + ")").c_str()
-                  : "serial",
-              meta.host_cpus, static_cast<double>(meta.wall_ns) / 1e9,
+              meta.workload.c_str(), meta.policy.c_str(), meta.host_cpus,
+              static_cast<double>(meta.wall_ns) / 1e9,
               static_cast<unsigned long long>(meta.spans),
               static_cast<unsigned long long>(meta.dropped));
-  if (meta.pool_workers > 0) {
-    std::printf("pool: %d workers, %lld tasks, busy %.2fs, peak queue "
-                "%lld\n",
-                meta.pool_workers, static_cast<long long>(meta.pool_tasks),
-                static_cast<double>(meta.pool_busy_ns) / 1e9,
-                static_cast<long long>(meta.pool_peak_queue));
-  }
   if (spans.empty()) {
     std::printf("no spans (profiler compiled out or nothing recorded)\n");
     return 0;
   }
 
   // Top-down phase table. Spans arrive ordered by start time (the export
-  // preserves Drain()'s merge order); the self-time sweep keeps one open
-  // stack per lane, popping spans that ended before the next one starts
-  // and charging nested durations to the innermost enclosing span.
+  // preserves Drain()'s merge order); the self-time sweep keeps a stack of
+  // open spans, popping spans that ended before the next one starts and
+  // charging nested durations to the innermost enclosing span.
   constexpr int kPhases = static_cast<int>(profile::Phase::kCount);
   std::array<ProfilePhaseAgg, kPhases> agg{};
   struct Open {
@@ -946,13 +935,13 @@ int RunProfile(const std::string& arg) {
     int phase;
     int64_t child_ns = 0;
   };
-  std::map<uint16_t, std::vector<Open>> stacks;
-  auto close = [&](std::vector<Open>* stack, size_t keep) {
-    while (stack->size() > keep) {
-      const Open top = stack->back();
-      stack->pop_back();
+  std::vector<Open> stack;
+  auto close = [&](size_t keep) {
+    while (stack.size() > keep) {
+      const Open top = stack.back();
+      stack.pop_back();
       agg[top.phase].self_ns -= top.child_ns;
-      if (!stack->empty()) stack->back().child_ns += top.child_ns;
+      if (!stack.empty()) stack.back().child_ns += top.child_ns;
     }
   };
   for (const profile::Span& s : spans) {
@@ -962,14 +951,13 @@ int RunProfile(const std::string& arg) {
     a.total_ns += s.dur_ns;
     a.self_ns += s.dur_ns;  // children subtracted as the stack unwinds
     a.durs.push_back(s.dur_ns);
-    std::vector<Open>& stack = stacks[s.lane];
     size_t keep = stack.size();
     while (keep > 0 && stack[keep - 1].end_ns <= s.start_ns) keep--;
-    close(&stack, keep);
+    close(keep);
     if (!stack.empty()) stack.back().child_ns += s.dur_ns;
     stack.push_back(Open{s.start_ns + s.dur_ns, s.phase});
   }
-  for (auto& [lane, stack] : stacks) close(&stack, 0);
+  close(0);
 
   std::printf("\nphase table (wall-clock; self excludes nested phases):\n");
   std::printf("  %-18s %8s %12s %12s %10s %10s\n", "phase", "count",
@@ -986,61 +974,6 @@ int RunProfile(const std::string& arg) {
                 ProfilePct(a.durs, 0.5) / 1e3, ProfilePct(a.durs, 0.99) / 1e3);
   }
 
-  // Contention report: only meaningful when the capture has lane spans
-  // (the sharded engine). Busy time is per-lane kLaneAdvance; barrier
-  // wait and merge are coordinator phases; imbalance is per-epoch
-  // max(lane busy) / mean(lane busy).
-  std::map<uint16_t, int64_t> lane_busy;
-  std::map<uint32_t, std::map<uint16_t, int64_t>> epoch_busy;
-  for (const profile::Span& s : spans) {
-    if (static_cast<profile::Phase>(s.phase) == profile::Phase::kLaneAdvance) {
-      lane_busy[s.lane] += s.dur_ns;
-      epoch_busy[s.seq][s.lane] += s.dur_ns;
-    }
-  }
-  if (!lane_busy.empty()) {
-    const int64_t barrier_ns =
-        agg[static_cast<int>(profile::Phase::kBarrierWait)].total_ns;
-    const int64_t merge_ns =
-        agg[static_cast<int>(profile::Phase::kMerge)].total_ns;
-    std::printf("\ncontention (sharded engine):\n");
-    std::printf("  coordinator: barrier wait %.2f ms, merge %.2f ms\n",
-                static_cast<double>(barrier_ns) / 1e6,
-                static_cast<double>(merge_ns) / 1e6);
-    for (const auto& [lane, busy] : lane_busy) {
-      std::printf("  lane %-2d busy %10.2f ms\n", lane - 1,
-                  static_cast<double>(busy) / 1e6);
-    }
-    // Per-epoch imbalance: mean over epochs plus the worst offenders.
-    std::vector<std::pair<double, uint32_t>> imbalance;
-    for (const auto& [epoch, lanes] : epoch_busy) {
-      if (lanes.size() < 2) continue;
-      int64_t max_ns = 0, sum_ns = 0;
-      for (const auto& [lane, busy] : lanes) {
-        max_ns = std::max(max_ns, busy);
-        sum_ns += busy;
-      }
-      const double mean = static_cast<double>(sum_ns) /
-                          static_cast<double>(lanes.size());
-      if (mean > 0) {
-        imbalance.push_back({static_cast<double>(max_ns) / mean, epoch});
-      }
-    }
-    if (!imbalance.empty()) {
-      double sum = 0;
-      for (const auto& [r, e] : imbalance) sum += r;
-      std::printf("  load imbalance: mean %.2fx over %zu epochs",
-                  sum / static_cast<double>(imbalance.size()),
-                  imbalance.size());
-      std::sort(imbalance.rbegin(), imbalance.rend());
-      std::printf(", worst:");
-      for (size_t i = 0; i < imbalance.size() && i < 3; ++i) {
-        std::printf(" epoch %u (%.2fx)", imbalance[i].second,
-                    imbalance[i].first);
-      }
-      std::printf("\n");
-    }
-  }
   return 0;
 }
 
@@ -1067,7 +1000,7 @@ int Usage() {
                "       eco_report profile <capture>\n"
                "         (capture: a --profile=<base> export base or its\n"
                "          .profile.jsonl; renders the wall-clock phase\n"
-               "          table and the sharded contention report)\n");
+               "          table)\n");
   return 2;
 }
 
