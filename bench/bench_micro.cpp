@@ -18,8 +18,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -34,6 +36,7 @@
 #include "core/placement_planner.h"
 #include "policies/basic_policies.h"
 #include "replay/experiment.h"
+#include "replay/suite.h"
 #include "sim/simulator.h"
 #include "storage/disk_enclosure.h"
 #include "storage/storage_cache.h"
@@ -42,6 +45,7 @@
 #include "telemetry/recorder.h"
 #include "trace/trace_stats.h"
 #include "workload/file_server_workload.h"
+#include "workload/oltp_workload.h"
 
 namespace ecostore {
 namespace {
@@ -528,7 +532,26 @@ struct ReplayFigure {
   double lios_per_sec = 0.0;
   uint64_t fingerprint = 0;
   int64_t rolling_windows = 0;  ///< kLiveConsumer runs: windows folded
+  int64_t sim_events_executed = 0;
+  int64_t sim_peak_heap_depth = 0;
 };
+
+/// Runs `run_once` once untimed, then repeatedly for at least two wall
+/// seconds; returns the timed runs per second.
+template <typename RunOnce>
+double RunsPerSecond(RunOnce&& run_once) {
+  using Clock = std::chrono::steady_clock;
+  run_once();  // warm-up
+  int64_t calls = 0;
+  auto start = Clock::now();
+  double elapsed = 0.0;
+  do {
+    run_once();
+    calls++;
+    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+  } while (elapsed < 2.0);
+  return static_cast<double>(calls) / elapsed;
+}
 
 /// How MeasureReplayThroughput instruments the replay. The two kLive*
 /// modes construct a fresh recorder (and, for kLiveConsumer, a fresh
@@ -602,18 +625,50 @@ ReplayFigure MeasureReplayThroughput(
         rolling != nullptr ? rolling->windows_closed() : 0;
   };
 
-  using Clock = std::chrono::steady_clock;
-  run_once();  // warm-up
-  int64_t calls = 0;
-  auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    run_once();
-    calls++;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < 2.0);
-  figure.lios_per_sec =
-      static_cast<double>(figure.logical_ios * calls) / elapsed;
+  const double runs_per_sec = RunsPerSecond(run_once);
+  figure.lios_per_sec = static_cast<double>(figure.logical_ios) * runs_per_sec;
+  return figure;
+}
+
+/// Replay throughput of one paper baseline (`policy_index` into
+/// PaperPolicySet: 2 = PDC, 3 = DDR) on a 5-minute OLTP trace, where
+/// every enclosure (PDC) or every cold one (DDR) may spin down, plus the
+/// event-engine counters of the run. Aborts if a repeat's outcome differs
+/// from the first run's.
+ReplayFigure MeasureOltpBaselineReplay(size_t policy_index) {
+  workload::OltpConfig wl;
+  wl.duration = 5 * kMinute;
+  auto workload = workload::OltpWorkload::Create(wl);
+  if (!workload.ok()) {
+    std::fprintf(stderr, "oltp replay bench workload: %s\n",
+                 workload.status().ToString().c_str());
+    std::abort();
+  }
+  const replay::PolicyFactory factory =
+      replay::PaperPolicySet(core::PowerManagementConfig{})[policy_index];
+  ReplayFigure figure;
+  auto run_once = [&] {
+    std::unique_ptr<policies::StoragePolicy> policy = factory();
+    replay::Experiment experiment(workload.value().get(), policy.get(),
+                                  replay::ExperimentConfig{});
+    auto metrics = experiment.Run();
+    if (!metrics.ok()) {
+      std::fprintf(stderr, "oltp replay bench run: %s\n",
+                   metrics.status().ToString().c_str());
+      std::abort();
+    }
+    const uint64_t fingerprint = bench::MetricsFingerprint(metrics.value());
+    if (figure.fingerprint != 0 && fingerprint != figure.fingerprint) {
+      std::fprintf(stderr, "oltp replay bench: non-deterministic outcome\n");
+      std::abort();
+    }
+    figure.fingerprint = fingerprint;
+    figure.logical_ios = metrics.value().logical_ios;
+    figure.sim_events_executed = metrics.value().sim_events_executed;
+    figure.sim_peak_heap_depth = metrics.value().sim_peak_heap_depth;
+  };
+  const double runs_per_sec = RunsPerSecond(run_once);
+  figure.lios_per_sec = static_cast<double>(figure.logical_ios) * runs_per_sec;
   return figure;
 }
 
@@ -1296,6 +1351,8 @@ int WriteBenchPerfJson(const char* path_override) {
   constexpr uint64_t kSeedReplayNpsFingerprint = 0x5da2bb45a09019c0ull;
   ReplayFigure eco = MeasureReplayThroughput(true);
   ReplayFigure nps = MeasureReplayThroughput(false);
+  ReplayFigure pdc = MeasureOltpBaselineReplay(2);
+  ReplayFigure ddr = MeasureOltpBaselineReplay(3);
   if (eco.fingerprint != kSeedReplayEcoFingerprint ||
       nps.fingerprint != kSeedReplayNpsFingerprint) {
     std::fprintf(stderr,
@@ -1378,6 +1435,8 @@ int WriteBenchPerfJson(const char* path_override) {
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"bench_micro\",\n");
+  std::fprintf(out, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(out, "  \"classification_fileserver_period\": {\n");
   std::fprintf(out, "    \"trace_events\": %lld,\n",
                static_cast<long long>(events));
@@ -1420,8 +1479,24 @@ int WriteBenchPerfJson(const char* path_override) {
                nps.lios_per_sec);
   std::fprintf(out, "    \"no_power_saving_seed_lios_per_sec\": %.0f,\n",
                kSeedReplayNpsLiosPerSec);
-  std::fprintf(out, "    \"no_power_saving_speedup\": %.2f\n",
+  std::fprintf(out, "    \"no_power_saving_speedup\": %.2f,\n",
                nps.lios_per_sec / kSeedReplayNpsLiosPerSec);
+  std::fprintf(out, "    \"baseline_workload\": \"oltp_5min\",\n");
+  std::fprintf(out, "    \"baseline_logical_ios_per_run\": %lld,\n",
+               static_cast<long long>(pdc.logical_ios));
+  const std::pair<const char*, const ReplayFigure*> baselines[] = {
+      {"pdc", &pdc}, {"ddr", &ddr}};
+  for (size_t i = 0; i < 2; ++i) {
+    const ReplayFigure& f = *baselines[i].second;
+    std::fprintf(out,
+                 "    \"%s\": {\"lios_per_sec\": %.0f, "
+                 "\"sim_events_executed\": %lld, "
+                 "\"sim_peak_heap_depth\": %lld}%s\n",
+                 baselines[i].first, f.lios_per_sec,
+                 static_cast<long long>(f.sim_events_executed),
+                 static_cast<long long>(f.sim_peak_heap_depth),
+                 i + 1 < 2 ? "," : "");
+  }
   std::fprintf(out, "  },\n");
   WriteOverheadJson(out, "telemetry_overhead", telemetry::Recorder::kEnabled,
                     "events_recorded", telemetry_overhead);
@@ -1503,6 +1578,15 @@ int WriteBenchPerfJson(const char* path_override) {
               eco.lios_per_sec / kSeedReplayEcoLiosPerSec,
               nps.lios_per_sec / 1e6, kSeedReplayNpsLiosPerSec / 1e6,
               nps.lios_per_sec / kSeedReplayNpsLiosPerSec);
+  std::printf("replay end-to-end (OLTP 5 min, %lld logical IOs per run): "
+              "pdc %.2fM lios/s (%lld events, peak heap %lld), ddr %.2fM "
+              "lios/s (%lld events, peak heap %lld)\n",
+              static_cast<long long>(pdc.logical_ios), pdc.lios_per_sec / 1e6,
+              static_cast<long long>(pdc.sim_events_executed),
+              static_cast<long long>(pdc.sim_peak_heap_depth),
+              ddr.lios_per_sec / 1e6,
+              static_cast<long long>(ddr.sim_events_executed),
+              static_cast<long long>(ddr.sim_peak_heap_depth));
   PrintOverhead(telemetry_overhead, "events/run");
   PrintOverhead(live_overhead, "rolling windows");
   PrintOverhead(profile_overhead, "spans/run");

@@ -52,14 +52,6 @@ struct PowerManagementConfig {
   /// full re-planning, so this is safe to leave on; the flag exists for
   /// ablation and the equivalence tests.
   bool enable_incremental_replan = true;
-  /// Enclosure-of cache: maintain the item → post-plan enclosure map and
-  /// the per-enclosure P3 population incrementally (keyed on the
-  /// BlockVirtualization move journal + the classifier's dirty set)
-  /// instead of walking the full item table each period for the cache
-  /// planner's final-enclosure map and the P3-on-cold safety net. The
-  /// resulting plans are identical (set semantics of the safety net);
-  /// the flag exists for the equivalence tests.
-  bool enable_enclosure_cache = true;
 
   Status Validate() const;
 };

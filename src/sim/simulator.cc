@@ -1,11 +1,17 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace ecostore::sim {
 
 EventId Simulator::ScheduleAt(SimTime when, Callback cb) {
+  return ScheduleAt(when, next_seq_++, std::move(cb));
+}
+
+EventId Simulator::ScheduleAt(SimTime when, uint64_t seq, Callback cb) {
+  assert(seq < next_seq_);
   if (when < now_) when = now_;
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -16,7 +22,7 @@ EventId Simulator::ScheduleAt(SimTime when, Callback cb) {
     slots_.emplace_back();
   }
   slots_[slot].cb = std::move(cb);
-  queue_.push_back(HeapEntry{when, next_seq_++, slot});
+  queue_.push_back(HeapEntry{when, seq, slot});
   std::push_heap(queue_.begin(), queue_.end(), Later);
   live_++;
   scheduled_++;

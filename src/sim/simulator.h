@@ -51,6 +51,19 @@ class Simulator {
   /// to Now(). Returns an id usable with Cancel().
   EventId ScheduleAt(SimTime when, Callback cb);
 
+  /// Takes the next insertion-order sequence number without scheduling
+  /// anything (not counted in Stats::scheduled). A caller that may defer
+  /// an event reserves its seq at request time and later schedules it
+  /// with the overload below, so it keeps its FIFO place among events
+  /// scheduled for the same time in between.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Schedules `cb` at `when` under a seq previously taken with
+  /// ReserveSeq(). Each reserved seq may be scheduled at most once at a
+  /// time; it orders against other same-time events as if the event had
+  /// been scheduled when the seq was reserved.
+  EventId ScheduleAt(SimTime when, uint64_t seq, Callback cb);
+
   /// Schedules `cb` after `delay` (>= 0) from Now().
   EventId ScheduleAfter(SimDuration delay, Callback cb);
 

@@ -29,6 +29,8 @@ Status StorageSystem::Init() {
   }
   spin_down_allowed_.assign(static_cast<size_t>(config_.num_enclosures),
                             false);
+  spin_down_timers_.assign(static_cast<size_t>(config_.num_enclosures),
+                           SpinDownTimer{});
   return virt_.PlaceInitial();
 }
 
@@ -48,28 +50,52 @@ void StorageSystem::NotifyPowerState(EnclosureId enclosure, SimTime at,
   }
 }
 
+void StorageSystem::RequestSpinDownCheck(EnclosureId enclosure) {
+  const DiskEnclosure& enc = *enclosures_[static_cast<size_t>(enclosure)];
+  SimTime when = std::max(sim_->Now(), enc.busy_until()) +
+                 config_.enclosure.spindown_timeout;
+  SpinDownTimer& timer = spin_down_timers_[static_cast<size_t>(enclosure)];
+  timer.pending.push_back({when, sim_->ReserveSeq()});
+  if (!timer.armed) ArmSpinDownTimer(enclosure);
+}
+
 void StorageSystem::ArmSpinDownTimer(EnclosureId enclosure) {
-  DiskEnclosure& enc = *enclosures_[static_cast<size_t>(enclosure)];
-  SimTime check_at =
-      std::max(sim_->Now(), enc.busy_until()) + config_.enclosure.spindown_timeout;
-  sim_->ScheduleAt(check_at, [this, enclosure] {
-    DiskEnclosure& e = *enclosures_[static_cast<size_t>(enclosure)];
-    if (spin_down_allowed_[static_cast<size_t>(enclosure)] &&
-        e.EligibleForSpinDown(sim_->Now())) {
-      if (e.PowerOff(sim_->Now())) {
-        if (telemetry::Wants(telemetry_, telemetry::kClassPower)) {
-          // PowerOff already caught the energy integrator up to now, so
-          // this Energy() read is a pure counter load — the probe cannot
-          // perturb the replay's floating-point stream.
-          telemetry_->Record(telemetry::MakePowerEvent(
-              sim_->Now(), enclosure,
-              static_cast<uint8_t>(PowerState::kOff), 0,
-              e.Energy(sim_->Now()), plan_epoch_));
-        }
-        NotifyPowerState(enclosure, sim_->Now(), PowerState::kOff);
+  SpinDownTimer& timer = spin_down_timers_[static_cast<size_t>(enclosure)];
+  const SpinDownTimer::Key& head = timer.pending.front();
+  timer.armed = true;
+  timer.armed_seq = head.seq;
+  sim_->ScheduleAt(head.when, head.seq,
+                   [this, enclosure] { OnSpinDownTimer(enclosure); });
+}
+
+void StorageSystem::OnSpinDownTimer(EnclosureId enclosure) {
+  SpinDownTimer& timer = spin_down_timers_[static_cast<size_t>(enclosure)];
+  timer.armed = false;
+  if (timer.pending.empty()) return;
+  if (timer.pending.front().seq != timer.armed_seq) {
+    // The armed check was dropped by a later submission; the head is due
+    // strictly after now (DESIGN.md §8).
+    ArmSpinDownTimer(enclosure);
+    return;
+  }
+  timer.pending.erase(timer.pending.begin());
+  if (!timer.pending.empty()) ArmSpinDownTimer(enclosure);
+
+  DiskEnclosure& e = *enclosures_[static_cast<size_t>(enclosure)];
+  if (spin_down_allowed_[static_cast<size_t>(enclosure)] &&
+      e.EligibleForSpinDown(sim_->Now())) {
+    if (e.PowerOff(sim_->Now())) {
+      if (telemetry::Wants(telemetry_, telemetry::kClassPower)) {
+        // PowerOff already caught the energy integrator up to now, so
+        // this Energy() read is a pure counter load — the probe cannot
+        // perturb the replay's floating-point stream.
+        telemetry_->Record(telemetry::MakePowerEvent(
+            sim_->Now(), enclosure, static_cast<uint8_t>(PowerState::kOff),
+            0, e.Energy(sim_->Now()), plan_epoch_));
       }
+      NotifyPowerState(enclosure, sim_->Now(), PowerState::kOff);
     }
-  });
+  }
 }
 
 SimTime StorageSystem::SubmitPhysicalBulk(EnclosureId enclosure,
@@ -81,6 +107,10 @@ SimTime StorageSystem::SubmitPhysicalBulk(EnclosureId enclosure,
   SimTime now = sim_->Now();
   DiskEnclosure::IoGrant grant = enc.SubmitIo(now, n_ios, bytes, type,
                                               sequential);
+  // busy_until just moved past every pending check's idle deadline, so
+  // none of them can succeed any more. Dropped before the observers run:
+  // a nested submission from OnPhysicalIo requests its own check.
+  spin_down_timers_[static_cast<size_t>(enclosure)].pending.clear();
   if (grant.powered_on) {
     if (telemetry::Wants(telemetry_, telemetry::kClassPower)) {
       // SubmitIo caught the integrator up to now; Energy() is a pure read.
@@ -112,7 +142,7 @@ SimTime StorageSystem::SubmitPhysicalBulk(EnclosureId enclosure,
   }
   NotifyPhysicalIo(rec);
   if (spin_down_allowed_[static_cast<size_t>(enclosure)]) {
-    ArmSpinDownTimer(enclosure);
+    RequestSpinDownCheck(enclosure);
   }
   return grant.completion;
 }
@@ -199,7 +229,11 @@ void StorageSystem::BeginPlanEpoch(int32_t plan,
 void StorageSystem::SetSpinDownAllowed(EnclosureId enclosure, bool allowed) {
   bool was = spin_down_allowed_.at(static_cast<size_t>(enclosure));
   spin_down_allowed_[static_cast<size_t>(enclosure)] = allowed;
-  if (allowed && !was) ArmSpinDownTimer(enclosure);
+  if (allowed && !was) {
+    // Pending checks stay: one requested before the re-allow can still
+    // find the enclosure idle long enough.
+    RequestSpinDownCheck(enclosure);
+  }
 }
 
 Status StorageSystem::SetWriteDelayItems(

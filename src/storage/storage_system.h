@@ -159,8 +159,18 @@ class StorageSystem {
   /// Applies cache flush demands as bulk sequential writes.
   void ApplyFlushDemands(const std::vector<FlushDemand>& demands);
 
-  /// Arms the idle-timeout spin-down check for an enclosure.
+  /// Requests an idle-timeout spin-down check of `enclosure`, due one
+  /// timeout after its queue drains. The check's seq is reserved now, so
+  /// it keeps this FIFO place among same-time events even though it only
+  /// enters the heap once it is the head.
+  void RequestSpinDownCheck(EnclosureId enclosure);
+
+  /// Puts the enclosure's head check key into the simulator's heap.
   void ArmSpinDownTimer(EnclosureId enclosure);
+
+  /// Heap entry of an enclosure's spin-down timer fired: runs the check if
+  /// its key is still the head, otherwise re-arms for the current head.
+  void OnSpinDownTimer(EnclosureId enclosure);
 
   sim::Simulator* sim_;
   StorageConfig config_;
@@ -169,6 +179,23 @@ class StorageSystem {
   StorageCache cache_;
   BlockVirtualization virt_;
   std::vector<bool> spin_down_allowed_;
+
+  /// Per-enclosure idle-check timer (DESIGN.md §8). `pending` holds the
+  /// (when, seq) keys of the checks that can still succeed, in firing
+  /// order; a physical submission clears it. At most one heap entry per
+  /// enclosure exists (`armed`), keyed `armed_seq`: the head's, or an
+  /// earlier key that was dropped since and re-arms for the head when it
+  /// fires.
+  struct SpinDownTimer {
+    struct Key {
+      SimTime when = 0;
+      uint64_t seq = 0;
+    };
+    std::vector<Key> pending;
+    uint64_t armed_seq = 0;
+    bool armed = false;
+  };
+  std::vector<SpinDownTimer> spin_down_timers_;
   std::vector<StorageObserver*> observers_;
   telemetry::Recorder* telemetry_ = nullptr;
   telemetry::analysis::LatencyBook* latency_book_ = nullptr;

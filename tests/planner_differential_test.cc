@@ -247,7 +247,8 @@ class IncrementalEquivalenceTest : public ::testing::Test {
                              .AddItem("e" + std::to_string(e) + "_i" +
                                           std::to_string(i),
                                       v, 40 * kMiB,
-                                      storage::DataItemKind::kFile)
+                                      storage::DataItemKind::kFile,
+                                      /*pinned=*/pin_first_items_ && i == 0)
                              .value());
       }
     }
@@ -288,6 +289,11 @@ class IncrementalEquivalenceTest : public ::testing::Test {
     buffer_.Add(rec);
   }
 
+  /// Runs the enclosure-of cache against the full-walk oracle for six
+  /// periods (defined below, after the oracle); true when the oracle's
+  /// safety net forced an enclosure hot in some period.
+  bool ExpectEnclosureCacheMatchesWalk();
+
   monitor::MonitorSnapshot Snapshot(SimTime end) {
     monitor::MonitorSnapshot snapshot;
     snapshot.period_start = 0;
@@ -324,6 +330,14 @@ class IncrementalEquivalenceTest : public ::testing::Test {
   monitor::StorageMonitor storage_monitor_{kEnclosures};
   SortedBuffer buffer_{{}, &app_monitor_};
   std::vector<DataItemId> items_;
+  /// Pins the first item of every enclosure: a pinned P3 item on a cold
+  /// enclosure cannot move, so the plan's safety net must force it hot.
+  bool pin_first_items_ = false;
+};
+
+class PinnedEquivalenceTest : public IncrementalEquivalenceTest {
+ protected:
+  PinnedEquivalenceTest() { pin_first_items_ = true; }
 };
 
 void ExpectSameManagementPlan(const ManagementPlan& inc,
@@ -395,17 +409,78 @@ TEST_F(IncrementalEquivalenceTest, MatchesFullReplanAcrossPeriods) {
   EXPECT_TRUE(saw_skip);
 }
 
+/// Full-walk oracle for PowerManagementFunction's enclosure-of cache: the
+/// plan a period would get if the post-migration item → enclosure map and
+/// the P3-on-cold safety net were rebuilt by walking the whole item table.
+/// Placement is re-run in full (the incremental path is proven equal to
+/// it above); next_period does not depend on the cache and is copied.
+class EnclosureWalkOracle {
+ public:
+  EnclosureWalkOracle(const PowerManagementConfig& config,
+                      const storage::StorageSystem& system)
+      : hot_cold_({config.max_enclosure_iops,
+                   system.config().enclosure.capacity_bytes}),
+        placement_({config.max_enclosure_iops,
+                    system.config().enclosure.capacity_bytes},
+                   &hot_cold_),
+        cache_({system.config().cache.preload_area_bytes,
+                system.config().cache.write_delay_area_bytes}) {}
+
+  /// `plan` supplies the period's classification; `virt` must still hold
+  /// the placement the plan was made against.
+  ManagementPlan Plan(const ManagementPlan& plan,
+                      const storage::BlockVirtualization& virt) {
+    const ClassificationResult& classification = *plan.classification;
+    PlacementPlan placement = placement_.Plan(classification, virt);
+    std::vector<EnclosureId> final_enclosure(classification.items.size());
+    for (const ItemClassification& cls : classification.items) {
+      final_enclosure[static_cast<size_t>(cls.item)] =
+          virt.EnclosureOf(cls.item);
+    }
+    for (const Migration& mig : placement.migrations) {
+      final_enclosure[static_cast<size_t>(mig.item)] = mig.to;
+    }
+    ManagementPlan oracle;
+    oracle.partition = placement.partition;
+    for (const ItemClassification& cls : classification.items) {
+      if (cls.pattern != IoPattern::kP3) continue;
+      auto enc = static_cast<size_t>(
+          final_enclosure[static_cast<size_t>(cls.item)]);
+      if (!oracle.partition.is_hot[enc]) {
+        oracle.partition.is_hot[enc] = true;
+        oracle.partition.n_hot++;
+        safety_net_fired_ = true;
+      }
+    }
+    oracle.migrations = std::move(placement.migrations);
+    oracle.cache =
+        cache_.Plan(classification, oracle.partition, final_enclosure);
+    oracle.spin_down_allowed.assign(oracle.partition.is_hot.size(), false);
+    for (size_t e = 0; e < oracle.partition.is_hot.size(); ++e) {
+      oracle.spin_down_allowed[e] = !oracle.partition.is_hot[e];
+    }
+    oracle.next_period = plan.next_period;
+    return oracle;
+  }
+
+  bool safety_net_fired() const { return safety_net_fired_; }
+
+ private:
+  HotColdPlanner hot_cold_;
+  PlacementPlanner placement_;
+  CachePlanner cache_;
+  bool safety_net_fired_ = false;
+};
+
 /// The enclosure-of cache (final-enclosure map + P3 count safety net,
 /// refreshed from the move journal instead of a full item-table walk)
-/// must produce plans identical to the legacy full walks, including
-/// across partially committed migrations and stale journal entries.
-TEST_F(IncrementalEquivalenceTest, EnclosureCacheMatchesLegacyWalk) {
-  PowerManagementConfig cached_config;
-  cached_config.enable_enclosure_cache = true;
-  PowerManagementConfig walk_config;
-  walk_config.enable_enclosure_cache = false;
-  PowerManagementFunction cached(cached_config, *system_);
-  PowerManagementFunction walk(walk_config, *system_);
+/// must produce plans identical to the full walks, including across
+/// partially committed migrations and stale journal entries. Returns
+/// whether the oracle's safety net ever forced an enclosure hot.
+bool IncrementalEquivalenceTest::ExpectEnclosureCacheMatchesWalk() {
+  PowerManagementConfig config;
+  PowerManagementFunction cached(config, *system_);
+  EnclosureWalkOracle walk(config, *system_);
 
   const SimTime period_end = 520 * kSecond;
   Xoshiro256 apply_rng(1234);
@@ -416,16 +491,25 @@ TEST_F(IncrementalEquivalenceTest, EnclosureCacheMatchesLegacyWalk) {
     monitor::MonitorSnapshot snapshot = Snapshot(period_end);
 
     ManagementPlan cached_plan = cached.Run(snapshot, *system_, 520 * kSecond);
-    ManagementPlan walk_plan = walk.Run(snapshot, *system_, 520 * kSecond);
+    ManagementPlan walk_plan = walk.Plan(cached_plan, system_->virtualization());
     ExpectSameManagementPlan(cached_plan, walk_plan, round);
 
     for (const Migration& mig : cached_plan.migrations) {
       if (round >= 3 || apply_rng.NextDouble() < 0.6) {
-        ASSERT_TRUE(
+        EXPECT_TRUE(
             system_->virtualization().MoveItem(mig.item, mig.to).ok());
       }
     }
   }
+  return walk.safety_net_fired();
+}
+
+TEST_F(IncrementalEquivalenceTest, EnclosureCacheMatchesLegacyWalk) {
+  ExpectEnclosureCacheMatchesWalk();
+}
+
+TEST_F(PinnedEquivalenceTest, EnclosureCacheMatchesLegacyWalkWithPinnedP3) {
+  EXPECT_TRUE(ExpectEnclosureCacheMatchesWalk());
 }
 
 /// force_full must bypass the incremental path even when it would apply.

@@ -234,23 +234,36 @@ TEST(SimulatorTest, RandomizedChurnMatchesReferenceModel) {
   Xoshiro256 rng(99);
   struct ModelEvent {
     SimTime when;
+    uint64_t seq;
     int tag;
     EventId id;
   };
-  std::vector<ModelEvent> pending;  // schedule (= seq) order
+  struct Reservation {
+    uint64_t seq;
+    int tag;
+  };
+  std::vector<ModelEvent> pending;
+  std::vector<Reservation> reserved;  // seqs taken, not scheduled yet
   std::vector<EventId> stale;
   std::vector<int> fired, expected;
   SimTime model_now = 0;
+  uint64_t model_seq = 0;  // mirrors the engine's insertion counter
   int label = 0;
+  auto schedule = [&](SimTime when, uint64_t seq, int tag, bool reserved_seq) {
+    auto cb = [&fired, tag] { fired.push_back(tag); };
+    EventId id = reserved_seq ? sim.ScheduleAt(when, seq, cb)
+                              : sim.ScheduleAt(when, cb);
+    pending.push_back(ModelEvent{when, seq, tag, id});
+  };
+  // Eligible events fire in (when, seq) order.
+  auto by_key = [](const ModelEvent& a, const ModelEvent& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  };
   for (int round = 0; round < 2000; ++round) {
-    int op = static_cast<int>(rng.UniformInt(0, 9));
+    int op = static_cast<int>(rng.UniformInt(0, 11));
     if (op < 5) {
-      SimTime when = model_now + rng.UniformInt(0, 50);
-      int tag = label++;
-      EventId id = sim.ScheduleAt(when, [&fired, tag] {
-        fired.push_back(tag);
-      });
-      pending.push_back(ModelEvent{when, tag, id});
+      schedule(model_now + rng.UniformInt(0, 50), model_seq++, label++,
+               /*reserved_seq=*/false);
     } else if (op < 7) {
       if (!pending.empty() && rng.Bernoulli(0.7)) {
         auto k = static_cast<size_t>(
@@ -267,19 +280,14 @@ TEST(SimulatorTest, RandomizedChurnMatchesReferenceModel) {
       model_now += rng.UniformInt(0, 20);
       sim.AdvanceTo(model_now);
       ASSERT_EQ(sim.Now(), model_now);
-    } else {
+    } else if (op < 10) {
       SimTime deadline = model_now + rng.UniformInt(0, 40);
-      // Eligible events fire in (when, seq) order; a stable sort of the
-      // schedule-ordered model by time is exactly that.
       std::vector<ModelEvent> due;
       std::vector<ModelEvent> rest;
       for (const ModelEvent& e : pending) {
         (e.when <= deadline ? due : rest).push_back(e);
       }
-      std::stable_sort(due.begin(), due.end(),
-                       [](const ModelEvent& a, const ModelEvent& b) {
-                         return a.when < b.when;
-                       });
+      std::sort(due.begin(), due.end(), by_key);
       ASSERT_EQ(sim.RunUntil(deadline),
                 static_cast<int64_t>(due.size()));
       for (const ModelEvent& e : due) expected.push_back(e.tag);
@@ -287,17 +295,46 @@ TEST(SimulatorTest, RandomizedChurnMatchesReferenceModel) {
       model_now = deadline;
       ASSERT_EQ(sim.Now(), model_now);
       ASSERT_EQ(fired, expected);
+    } else if (op == 10) {
+      ASSERT_EQ(sim.ReserveSeq(), model_seq);
+      reserved.push_back(Reservation{model_seq++, label++});
+    } else if (!reserved.empty()) {
+      auto k = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(reserved.size()) - 1));
+      schedule(model_now + rng.UniformInt(0, 50), reserved[k].seq,
+               reserved[k].tag, /*reserved_seq=*/true);
+      reserved.erase(reserved.begin() + static_cast<ptrdiff_t>(k));
     }
     ASSERT_EQ(sim.PendingEvents(), pending.size());
   }
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const ModelEvent& a, const ModelEvent& b) {
-                     return a.when < b.when;
-                   });
+  std::sort(pending.begin(), pending.end(), by_key);
   ASSERT_EQ(sim.RunAll(), static_cast<int64_t>(pending.size()));
   for (const ModelEvent& e : pending) expected.push_back(e.tag);
   EXPECT_EQ(fired, expected);
   EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, ReservedSeqKeepsItsPlaceAmongSameTimeEvents) {
+  Simulator sim;
+  std::vector<char> order;
+  uint64_t seq = sim.ReserveSeq();
+  sim.ScheduleAt(10, [&] { order.push_back('a'); });
+  sim.ScheduleAt(10, [&] { order.push_back('b'); });
+  // Scheduled last, but under the seq reserved before 'a' and 'b'.
+  sim.ScheduleAt(10, seq, [&] { order.push_back('r'); });
+  sim.ScheduleAt(5, [&] { order.push_back('e'); });
+  EXPECT_EQ(sim.stats().scheduled, 4);  // the reservation is not counted
+  EXPECT_EQ(sim.RunAll(), 4);
+  EXPECT_EQ(order, (std::vector<char>{'e', 'r', 'a', 'b'}));
+
+  // A seq reserved after 'c' still orders after it at equal times.
+  order.clear();
+  sim.ScheduleAt(20, [&] { order.push_back('c'); });
+  uint64_t late = sim.ReserveSeq();
+  sim.ScheduleAt(20, late, [&] { order.push_back('r'); });
+  EXPECT_EQ(sim.RunAll(), 2);
+  EXPECT_EQ(order, (std::vector<char>{'c', 'r'}));
+  EXPECT_EQ(sim.stats().scheduled, 6);
 }
 
 TEST(SimulatorTest, EventsCanScheduleEvents) {

@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "bench/legacy_spindown.h"
+#include "common/random.h"
 #include "sim/simulator.h"
 #include "storage/storage_system.h"
 
@@ -12,6 +20,7 @@ namespace {
 struct RecordingObserver : public StorageObserver {
   std::vector<trace::PhysicalIoRecord> physical;
   std::vector<std::pair<EnclosureId, PowerState>> power;
+  std::vector<SimTime> power_at;
   std::vector<SimDuration> gaps;
 
   void OnPhysicalIo(const trace::PhysicalIoRecord& rec) override {
@@ -25,8 +34,8 @@ struct RecordingObserver : public StorageObserver {
   }
   void OnPowerStateChange(EnclosureId enclosure, SimTime at,
                           PowerState state) override {
-    (void)at;
     power.emplace_back(enclosure, state);
+    power_at.push_back(at);
   }
 };
 
@@ -191,6 +200,39 @@ TEST_F(StorageSystemTest, IdleGapsReportedAboveFloor) {
   EXPECT_NEAR(ToSeconds(observer_.gaps[0]), 30.0, 0.1);
 }
 
+TEST_F(StorageSystemTest, ReallowKeepsEarlierPendingCheck) {
+  const SimDuration timeout = config_.enclosure.spindown_timeout;
+  system_->SetSpinDownAllowed(0, true);
+  system_->SubmitPhysicalBulk(0, 1, 8192, IoType::kRead, false);
+  const SimTime busy = system_->enclosure(0).busy_until();
+  sim_.RunUntil(busy + kSecond);
+  system_->SetSpinDownAllowed(0, false);
+  sim_.RunUntil(busy + timeout - kSecond);
+  // The re-allow requests its own check a full timeout from now, but the
+  // one requested by the I/O is still pending and must still fire.
+  system_->SetSpinDownAllowed(0, true);
+  sim_.RunUntil(busy + 3 * timeout);
+  ASSERT_EQ(observer_.power.size(), 1u);
+  EXPECT_EQ(observer_.power[0],
+            std::make_pair(EnclosureId{0}, PowerState::kOff));
+  EXPECT_EQ(observer_.power_at[0], busy + timeout);
+}
+
+TEST_F(StorageSystemTest, SubmissionsKeepOneSpinDownEntryPerEnclosure) {
+  system_->SetSpinDownAllowed(0, true);
+  system_->SetSpinDownAllowed(1, true);
+  for (int i = 0; i < 1000; ++i) {
+    system_->SubmitPhysicalBulk(i % 2, 1, 8192, IoType::kRead, false);
+    sim_.RunUntil(sim_.Now() + kMillisecond);
+  }
+  EXPECT_LE(sim_.stats().peak_heap_depth, 2u);
+  sim_.RunAll();
+  // Each enclosure idled out once: its first (dropped) check re-armed for
+  // the last I/O's check, which powered it off.
+  EXPECT_EQ(observer_.power.size(), 2u);
+  EXPECT_EQ(sim_.stats().executed, 4);
+}
+
 TEST(StorageSystemInitTest, RejectsInvalidConfig) {
   sim::Simulator sim;
   DataItemCatalog catalog;
@@ -198,6 +240,179 @@ TEST(StorageSystemInitTest, RejectsInvalidConfig) {
   config.num_enclosures = 0;
   StorageSystem system(&sim, config, &catalog);
   EXPECT_FALSE(system.Init().ok());
+}
+
+// ---------------------------------------------------------------------
+// Idle-check timer vs the per-I/O check events of the seed
+// (bench/legacy_spindown.h): one randomized operation stream drives both,
+// and every observer-visible outcome must match.
+// ---------------------------------------------------------------------
+
+/// Observer of one array (StorageSystem or the legacy reference). It
+/// records power transitions and idle gaps, and — like DDR's migration
+/// hook — submits a nested I/O to the same enclosure from inside
+/// OnPhysicalIo for every streamed I/O whose block hint is a multiple of 3,
+/// then probes at exactly the nested I/O's check time.
+template <typename Array>
+struct SpinDownLog : public StorageObserver {
+  using Entry = std::tuple<SimTime, EnclosureId, int64_t>;
+
+  SpinDownLog(sim::Simulator* s, Array* a, SimDuration t)
+      : sim(s), array(a), timeout(t) {}
+
+  /// Schedules an event at `at` that records the state it sees and, when
+  /// `submit` is set, submits one I/O to the enclosure.
+  void Probe(EnclosureId enc, SimTime at, bool submit) {
+    sim->ScheduleAt(at, [this, enc, submit] {
+      probes.emplace_back(
+          sim->Now(), enc,
+          static_cast<int64_t>(array->enclosure(enc).state(sim->Now())));
+      if (submit) {
+        array->SubmitPhysicalBulk(enc, 1, 8192, IoType::kRead,
+                                  /*sequential=*/false, /*block_hint=*/-2);
+      }
+    });
+  }
+
+  void OnPhysicalIo(const trace::PhysicalIoRecord& rec) override {
+    physical++;
+    if (rec.block >= 0 && rec.block % 3 == 0) {
+      array->SubmitPhysicalBulk(rec.enclosure, 1 + rec.block % 7, 65536,
+                                IoType::kWrite, /*sequential=*/true,
+                                /*block_hint=*/-1);
+      Probe(rec.enclosure,
+            array->enclosure(rec.enclosure).busy_until() + timeout,
+            /*submit=*/false);
+    }
+  }
+  void OnIdleGapEnd(EnclosureId enclosure, SimTime at,
+                    SimDuration gap) override {
+    gaps.emplace_back(at, enclosure, gap);
+  }
+  void OnPowerStateChange(EnclosureId enclosure, SimTime at,
+                          PowerState state) override {
+    transitions.emplace_back(at, enclosure, static_cast<int64_t>(state));
+  }
+
+  sim::Simulator* sim;
+  Array* array;
+  SimDuration timeout;
+  int64_t physical = 0;
+  std::vector<Entry> transitions;
+  std::vector<Entry> gaps;
+  std::vector<Entry> probes;  ///< (time, enclosure, state) seen by probes
+};
+
+constexpr int kDiffEnclosures = 4;
+
+/// Replays the operation stream of `seed` against one array: physical
+/// submissions, spin-down permission flips, clock advances (from 0 to
+/// beyond two timeouts, so enclosures cycle off → wake → off), and probes
+/// scheduled at exactly an I/O's check time, after its check was
+/// requested.
+template <typename Array>
+void DriveSpinDownOps(uint64_t seed, sim::Simulator* sim, Array* array,
+                      SpinDownLog<Array>* log,
+                      int64_t* reallows_while_pending) {
+  const SimDuration timeout = log->timeout;
+  Xoshiro256 rng(seed);
+  std::vector<bool> allowed(kDiffEnclosures, false);
+  std::vector<SimTime> check_due(kDiffEnclosures, -1);
+  for (int64_t op = 0; op < 4000; ++op) {
+    auto enc = static_cast<EnclosureId>(rng.UniformInt(0, kDiffEnclosures - 1));
+    const int64_t kind = rng.UniformInt(0, 9);
+    if (kind < 4) {
+      const int64_t n_ios = rng.UniformInt(1, 64);
+      const bool sequential = rng.Bernoulli(0.5);
+      array->SubmitPhysicalBulk(enc, n_ios, 8192, IoType::kRead, sequential,
+                                /*block_hint=*/op);
+      const SimTime check_at = array->enclosure(enc).busy_until() + timeout;
+      if (allowed[static_cast<size_t>(enc)]) {
+        check_due[static_cast<size_t>(enc)] = check_at;
+      }
+      if (rng.Bernoulli(0.3)) {
+        const bool submit = rng.Bernoulli(0.5);
+        log->Probe(enc, check_at, submit);
+      }
+    } else if (kind < 6) {
+      const bool allow = rng.Bernoulli(0.6);
+      if (allow && !allowed[static_cast<size_t>(enc)] &&
+          check_due[static_cast<size_t>(enc)] > sim->Now()) {
+        ++*reallows_while_pending;
+      }
+      allowed[static_cast<size_t>(enc)] = allow;
+      array->SetSpinDownAllowed(enc, allow);
+    } else {
+      const int64_t scale = rng.UniformInt(0, 3);
+      SimTime deadline = sim->Now();
+      if (scale == 1) deadline += rng.UniformInt(1, 2 * kMillisecond);
+      if (scale == 2) deadline += rng.UniformInt(1, 2 * timeout);
+      if (scale == 3) deadline = array->enclosure(enc).busy_until() + timeout;
+      sim->RunUntil(std::max(deadline, sim->Now()));
+    }
+  }
+  sim->RunUntil(sim->Now() + 4 * timeout);
+}
+
+TEST(SpinDownTimerDifferentialTest, MatchesPerIoCheckEvents) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    StorageConfig config;
+    config.num_enclosures = kDiffEnclosures;
+    DataItemCatalog catalog;
+    for (int e = 0; e < kDiffEnclosures; ++e) {
+      VolumeId v = catalog.AddVolume(e);
+      ASSERT_TRUE(catalog
+                      .AddItem("i" + std::to_string(e), v, 64 * kMiB,
+                               DataItemKind::kFile)
+                      .ok());
+    }
+    const SimDuration timeout = config.enclosure.spindown_timeout;
+
+    sim::Simulator sim;
+    StorageSystem system(&sim, config, &catalog);
+    ASSERT_TRUE(system.Init().ok());
+    SpinDownLog<StorageSystem> log(&sim, &system, timeout);
+    system.AddObserver(&log);
+    int64_t reallows = 0;
+    DriveSpinDownOps(seed, &sim, &system, &log, &reallows);
+
+    sim::Simulator legacy_sim;
+    legacy::LegacySpinDownArray legacy(&legacy_sim, config);
+    SpinDownLog<legacy::LegacySpinDownArray> legacy_log(&legacy_sim, &legacy,
+                                                        timeout);
+    legacy.AddObserver(&legacy_log);
+    int64_t legacy_reallows = 0;
+    DriveSpinDownOps(seed, &legacy_sim, &legacy, &legacy_log,
+                     &legacy_reallows);
+
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    ASSERT_EQ(sim.Now(), legacy_sim.Now());
+    EXPECT_EQ(log.transitions, legacy_log.transitions);
+    EXPECT_EQ(log.gaps, legacy_log.gaps);
+    EXPECT_EQ(log.probes, legacy_log.probes);
+    EXPECT_EQ(log.physical, legacy_log.physical);
+    for (EnclosureId e = 0; e < kDiffEnclosures; ++e) {
+      DiskEnclosure& now_enc = system.enclosure(e);
+      DiskEnclosure& ref_enc = legacy.enclosure(e);
+      EXPECT_EQ(now_enc.spinup_count(), ref_enc.spinup_count());
+      EXPECT_EQ(now_enc.served_ios(), ref_enc.served_ios());
+      const Joules ref = ref_enc.Energy(sim.Now());
+      EXPECT_LE(std::fabs(now_enc.Energy(sim.Now()) - ref), 1e-9 * ref);
+    }
+
+    // The stream reached every case the timer treats specially.
+    EXPECT_GT(reallows, 0);
+    EXPECT_GT(std::count_if(log.transitions.begin(), log.transitions.end(),
+                            [](const auto& t) {
+                              return std::get<2>(t) ==
+                                     static_cast<int64_t>(PowerState::kOff);
+                            }),
+              10);
+    EXPECT_GT(system.enclosure(0).spinup_count(), 2);
+    EXPECT_FALSE(log.probes.empty());
+    // Dropped checks never reach the heap.
+    EXPECT_LT(sim.stats().executed, legacy_sim.stats().executed);
+  }
 }
 
 }  // namespace
