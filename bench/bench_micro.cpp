@@ -112,28 +112,55 @@ struct CacheMixOp {
   bool write = false;
   DataItemId item = 0;
   int64_t offset = 0;
+  int32_t size = 0;
 };
 
-std::vector<CacheMixOp> MakeCacheMixOps(size_t n) {
+/// One cache stream: the cache configuration, its write-delay items and
+/// the operations replayed through it.
+struct CacheMix {
+  storage::CacheConfig config;
+  std::unordered_set<DataItemId> write_delay_items;
+  std::vector<CacheMixOp> ops;
+};
+
+CacheMix MakeCacheMix(size_t n) {
+  // 64 items x 256 hot blocks against a ~1.5k-block general area: an
+  // eviction- and destage-heavy mix, with items 1-3 write-delayed.
+  CacheMix mix;
+  mix.config.block_size = 4096;
+  mix.config.total_bytes = 2048 * 4096;
+  mix.config.preload_area_bytes = 256 * 4096;
+  mix.config.write_delay_area_bytes = 256 * 4096;
+  mix.write_delay_items = {1, 2, 3};
   Xoshiro256 rng(7);
-  std::vector<CacheMixOp> ops(n);
-  for (CacheMixOp& op : ops) {
+  mix.ops.resize(n);
+  for (CacheMixOp& op : mix.ops) {
     op.write = rng.Bernoulli(0.4);
     op.item = static_cast<DataItemId>(rng.UniformInt(0, 63));
     op.offset = rng.UniformInt(0, 255) * 4096;
+    op.size = 4096;
   }
-  return ops;
+  return mix;
 }
 
-storage::CacheConfig MixCacheConfig() {
-  // 64 items x 256 hot blocks against a ~1.5k-block general area: an
-  // eviction- and destage-heavy mix, with items 1-3 write-delayed.
-  storage::CacheConfig config;
-  config.block_size = 4096;
-  config.total_bytes = 2048 * 4096;
-  config.preload_area_bytes = 256 * 4096;
-  config.write_delay_area_bytes = 256 * 4096;
-  return config;
+constexpr int kOltpMixItems = 10;
+constexpr int64_t kOltpMixItemBytes = 3 * kGiB;
+
+/// The OLTP shape of the oltp-baselines benchmark: 8 KiB random I/O, 55%
+/// writes, over 10 items of 3 GiB against the default (Table II) cache, so
+/// nearly every I/O misses and evicts a 64 KiB block, and the general
+/// area destages whenever 10% of it is dirty.
+CacheMix MakeOltpCacheMix(size_t n) {
+  CacheMix mix;
+  Xoshiro256 rng(11);
+  mix.ops.resize(n);
+  for (CacheMixOp& op : mix.ops) {
+    op.write = rng.Bernoulli(0.55);
+    op.item = static_cast<DataItemId>(rng.UniformInt(0, kOltpMixItems - 1));
+    op.offset = rng.UniformInt(0, kOltpMixItemBytes / 8192 - 1) * 8192;
+    op.size = 8192;
+  }
+  return mix;
 }
 
 struct CacheMixTotals {
@@ -149,9 +176,9 @@ struct CacheMixTotals {
   }
 };
 
-CacheMixTotals RunCacheMixSlab(const std::vector<CacheMixOp>& ops) {
-  storage::StorageCache cache(MixCacheConfig());
-  cache.SetWriteDelayItems({1, 2, 3});
+CacheMixTotals RunCacheMixSlab(const CacheMix& mix) {
+  storage::StorageCache cache(mix.config);
+  cache.SetWriteDelayItems(mix.write_delay_items);
   std::vector<storage::FlushDemand> scratch;
   CacheMixTotals totals;
   auto consume = [&] {
@@ -160,12 +187,12 @@ CacheMixTotals RunCacheMixSlab(const std::vector<CacheMixOp>& ops) {
       totals.demand_bytes += d.bytes;
     }
   };
-  for (const CacheMixOp& op : ops) {
+  for (const CacheMixOp& op : mix.ops) {
     if (op.write) {
-      cache.Write(op.item, op.offset, 4096, &scratch);
+      cache.Write(op.item, op.offset, op.size, &scratch);
       consume();
     } else {
-      auto out = cache.Read(op.item, op.offset, 4096, &scratch);
+      auto out = cache.Read(op.item, op.offset, op.size, &scratch);
       totals.hits += out.hit_blocks;
       totals.misses += out.miss_blocks;
       consume();
@@ -179,19 +206,19 @@ CacheMixTotals RunCacheMixSlab(const std::vector<CacheMixOp>& ops) {
   return totals;
 }
 
-CacheMixTotals RunCacheMixLegacy(const std::vector<CacheMixOp>& ops) {
-  legacy::LegacyStorageCache cache(MixCacheConfig());
-  cache.SetWriteDelayItems({1, 2, 3});
+CacheMixTotals RunCacheMixLegacy(const CacheMix& mix) {
+  legacy::LegacyStorageCache cache(mix.config);
+  cache.SetWriteDelayItems(mix.write_delay_items);
   CacheMixTotals totals;
-  for (const CacheMixOp& op : ops) {
+  for (const CacheMixOp& op : mix.ops) {
     if (op.write) {
-      auto out = cache.Write(op.item, op.offset, 4096);
+      auto out = cache.Write(op.item, op.offset, op.size);
       for (const auto& d : out.destage) {
         totals.demand_blocks += d.blocks;
         totals.demand_bytes += d.bytes;
       }
     } else {
-      auto out = cache.Read(op.item, op.offset, 4096);
+      auto out = cache.Read(op.item, op.offset, op.size);
       totals.hits += out.hit_blocks;
       totals.misses += out.miss_blocks;
       for (const auto& d : out.eviction_flushes) {
@@ -1027,6 +1054,45 @@ double MeasureEventsPerSec(int64_t events_per_call, Fn&& fn) {
   return static_cast<double>(events_per_call * calls) / elapsed;
 }
 
+struct CacheMixRates {
+  int64_t ops = 0;
+  double read_miss_ratio = 0.0;  ///< missed / read blocks
+  double slab_ops_per_sec = 0.0;
+  double legacy_ops_per_sec = 0.0;
+};
+
+/// Runs `mix` through both caches, exits 1 unless every aggregate agrees,
+/// then times each.
+CacheMixRates MeasureCacheMix(const char* name, const CacheMix& mix) {
+  CacheMixTotals slab_totals = RunCacheMixSlab(mix);
+  CacheMixTotals legacy_totals = RunCacheMixLegacy(mix);
+  if (!(slab_totals == legacy_totals)) {
+    std::fprintf(stderr,
+                 "BENCH_perf: slab and legacy cache disagree on the %s "
+                 "(hits %lld/%lld misses %lld/%lld absorbed %lld/%lld "
+                 "demand blocks %lld/%lld)\n",
+                 name, static_cast<long long>(slab_totals.hits),
+                 static_cast<long long>(legacy_totals.hits),
+                 static_cast<long long>(slab_totals.misses),
+                 static_cast<long long>(legacy_totals.misses),
+                 static_cast<long long>(slab_totals.absorbed),
+                 static_cast<long long>(legacy_totals.absorbed),
+                 static_cast<long long>(slab_totals.demand_blocks),
+                 static_cast<long long>(legacy_totals.demand_blocks));
+    std::exit(1);
+  }
+  CacheMixRates rates;
+  rates.ops = static_cast<int64_t>(mix.ops.size());
+  rates.read_miss_ratio =
+      static_cast<double>(slab_totals.misses) /
+      static_cast<double>(slab_totals.hits + slab_totals.misses);
+  rates.slab_ops_per_sec = MeasureEventsPerSec(
+      rates.ops, [&] { benchmark::DoNotOptimize(RunCacheMixSlab(mix)); });
+  rates.legacy_ops_per_sec = MeasureEventsPerSec(
+      rates.ops, [&] { benchmark::DoNotOptimize(RunCacheMixLegacy(mix)); });
+  return rates;
+}
+
 /// One observation-overhead figure: an instrumented eco replay vs the
 /// same replay without the instrument.
 struct OverheadFigure {
@@ -1259,32 +1325,13 @@ int WriteBenchPerfJson(const char* path_override) {
     benchmark::DoNotOptimize(sim.RunAll());
   });
 
-  // Cache read/write mix, slab vs legacy map/list, equal-aggregate gated.
-  const std::vector<CacheMixOp> mix_ops = MakeCacheMixOps(1 << 18);
-  CacheMixTotals slab_totals = RunCacheMixSlab(mix_ops);
-  CacheMixTotals legacy_totals = RunCacheMixLegacy(mix_ops);
-  if (!(slab_totals == legacy_totals)) {
-    std::fprintf(stderr,
-                 "BENCH_perf: slab and legacy cache disagree on the mix "
-                 "(hits %lld/%lld misses %lld/%lld absorbed %lld/%lld "
-                 "demand blocks %lld/%lld)\n",
-                 static_cast<long long>(slab_totals.hits),
-                 static_cast<long long>(legacy_totals.hits),
-                 static_cast<long long>(slab_totals.misses),
-                 static_cast<long long>(legacy_totals.misses),
-                 static_cast<long long>(slab_totals.absorbed),
-                 static_cast<long long>(legacy_totals.absorbed),
-                 static_cast<long long>(slab_totals.demand_blocks),
-                 static_cast<long long>(legacy_totals.demand_blocks));
-    std::exit(1);
-  }
-  const auto mix_events = static_cast<int64_t>(mix_ops.size());
-  double mix_slab_rate = MeasureEventsPerSec(mix_events, [&] {
-    benchmark::DoNotOptimize(RunCacheMixSlab(mix_ops));
-  });
-  double mix_legacy_rate = MeasureEventsPerSec(mix_events, [&] {
-    benchmark::DoNotOptimize(RunCacheMixLegacy(mix_ops));
-  });
+  // Cache read/write mixes, slab vs legacy map/list, equal-aggregate
+  // gated: the small eviction/destage/write-delay mix and the miss-heavy
+  // OLTP stream.
+  const CacheMix small_mix = MakeCacheMix(1 << 18);
+  const CacheMix oltp_mix = MakeOltpCacheMix(1 << 18);
+  const CacheMixRates small_mix_rates = MeasureCacheMix("mix", small_mix);
+  const CacheMixRates oltp_rates = MeasureCacheMix("OLTP mix", oltp_mix);
 
   // Workload streaming: Next() vs NextBatch() on the file-server
   // generator, gated on the two cursors producing the identical record
@@ -1448,11 +1495,31 @@ int WriteBenchPerfJson(const char* path_override) {
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"cache_mix\": {\n");
   std::fprintf(out, "    \"ops\": %lld,\n",
-               static_cast<long long>(mix_events));
-  std::fprintf(out, "    \"slab_ops_per_sec\": %.0f,\n", mix_slab_rate);
-  std::fprintf(out, "    \"legacy_ops_per_sec\": %.0f,\n", mix_legacy_rate);
-  std::fprintf(out, "    \"speedup\": %.2f\n",
-               mix_slab_rate / mix_legacy_rate);
+               static_cast<long long>(small_mix_rates.ops));
+  std::fprintf(out, "    \"slab_ops_per_sec\": %.0f,\n",
+               small_mix_rates.slab_ops_per_sec);
+  std::fprintf(out, "    \"legacy_ops_per_sec\": %.0f,\n",
+               small_mix_rates.legacy_ops_per_sec);
+  std::fprintf(out, "    \"speedup\": %.2f,\n",
+               small_mix_rates.slab_ops_per_sec /
+                   small_mix_rates.legacy_ops_per_sec);
+  std::fprintf(out, "    \"oltp\": {\n");
+  std::fprintf(out,
+               "      \"stream\": \"8 KiB random I/O, 55%% writes, %d items "
+               "x %lld GiB, default cache\",\n",
+               kOltpMixItems,
+               static_cast<long long>(kOltpMixItemBytes / kGiB));
+  std::fprintf(out, "      \"ops\": %lld,\n",
+               static_cast<long long>(oltp_rates.ops));
+  std::fprintf(out, "      \"read_miss_ratio\": %.4f,\n",
+               oltp_rates.read_miss_ratio);
+  std::fprintf(out, "      \"slab_ops_per_sec\": %.0f,\n",
+               oltp_rates.slab_ops_per_sec);
+  std::fprintf(out, "      \"legacy_ops_per_sec\": %.0f,\n",
+               oltp_rates.legacy_ops_per_sec);
+  std::fprintf(out, "      \"speedup\": %.2f\n",
+               oltp_rates.slab_ops_per_sec / oltp_rates.legacy_ops_per_sec);
+  std::fprintf(out, "    }\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"workload_stream\": {\n");
   std::fprintf(out, "    \"workload\": \"file_server_period_520s\",\n");
@@ -1563,10 +1630,15 @@ int WriteBenchPerfJson(const char* path_override) {
               "streaming %.2fM ev/s vs legacy %.2fM ev/s (%.2fx)\n",
               static_cast<long long>(events), streaming / 1e6,
               legacy_rate / 1e6, streaming / legacy_rate);
-  std::printf("cache mix (%lld ops): slab %.2fM ops/s vs legacy %.2fM ops/s "
-              "(%.2fx)\n",
-              static_cast<long long>(mix_events), mix_slab_rate / 1e6,
-              mix_legacy_rate / 1e6, mix_slab_rate / mix_legacy_rate);
+  for (const auto& [name, rates] :
+       {std::pair{"cache mix", small_mix_rates},
+        std::pair{"cache OLTP mix", oltp_rates}}) {
+    std::printf("%s (%lld ops): slab %.2fM ops/s vs legacy %.2fM ops/s "
+                "(%.2fx)\n",
+                name, static_cast<long long>(rates.ops),
+                rates.slab_ops_per_sec / 1e6, rates.legacy_ops_per_sec / 1e6,
+                rates.slab_ops_per_sec / rates.legacy_ops_per_sec);
+  }
   std::printf("workload stream (file-server 520 s, %lld records): "
               "NextBatch %.2fM rec/s vs Next %.2fM rec/s (%.2fx)\n",
               static_cast<long long>(stream_records),

@@ -1,36 +1,79 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cstdio>
 #include <limits>
 
 namespace ecostore {
 
-Histogram::Histogram() {
-  // Geometric bucket limits: 1, 2, 3, 5, 8, 12, ... up to > 4e18.
-  int64_t limit = 1;
-  while (limit < std::numeric_limits<int64_t>::max() / 2) {
-    bucket_limits_.push_back(limit);
-    int64_t next = limit + std::max<int64_t>(1, limit / 2);
-    limit = next;
+namespace {
+
+constexpr size_t kBucketCount = Histogram::kBucketCount;
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+/// The bucket upper bounds (inclusive), shared by every Histogram. Too
+/// small a kBucketCount fails constant evaluation here; too large a one
+/// leaves a zero last limit, which the static_assert below rejects.
+constexpr std::array<int64_t, kBucketCount> MakeBucketLimits() {
+  std::array<int64_t, kBucketCount> limits{};
+  size_t i = 0;
+  for (int64_t limit = 1; limit < kInt64Max / 2;
+       limit += std::max<int64_t>(1, limit / 2)) {
+    limits[i++] = limit;
   }
-  bucket_limits_.push_back(std::numeric_limits<int64_t>::max());
-  counts_.assign(bucket_limits_.size(), 0);
+  limits[i] = kInt64Max;
+  return limits;
 }
 
+constexpr std::array<int64_t, kBucketCount> kBucketLimits =
+    MakeBucketLimits();
+static_assert(kBucketLimits[kBucketCount - 1] == kInt64Max);
+
+/// kFirstCandidate[w] is the first bucket that can hold a value of bit
+/// width w: the lower bound of 2^(w-1), the smallest such value.
+constexpr std::array<uint8_t, 64> MakeFirstCandidates() {
+  std::array<uint8_t, 64> first{};
+  for (int w = 1; w < 64; ++w) {
+    int64_t smallest = int64_t{1} << (w - 1);
+    first[w] = static_cast<uint8_t>(
+        std::lower_bound(kBucketLimits.begin(), kBucketLimits.end(),
+                         smallest) -
+        kBucketLimits.begin());
+  }
+  return first;
+}
+
+constexpr std::array<uint8_t, 64> kFirstCandidate = MakeFirstCandidates();
+
+/// Limits grow by at most 1.5x per bucket, so the values of one bit width
+/// (a 2x range) span at most three buckets: BucketFor steps at most twice.
+constexpr bool TwoStepsSuffice() {
+  for (int w = 1; w < 64; ++w) {
+    int64_t largest = w == 63 ? kInt64Max : (int64_t{1} << w) - 1;
+    size_t last = std::min<size_t>(kFirstCandidate[w] + 2, kBucketCount - 1);
+    if (kBucketLimits[last] < largest) return false;
+  }
+  return true;
+}
+static_assert(TwoStepsSuffice());
+
+}  // namespace
+
 void Histogram::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  counts_.fill(0);
   count_ = 0;
   sum_ = 0.0;
   min_ = 0;
   max_ = 0;
 }
 
-size_t Histogram::BucketFor(int64_t value) const {
-  auto it = std::lower_bound(bucket_limits_.begin(), bucket_limits_.end(),
-                             value);
-  return static_cast<size_t>(it - bucket_limits_.begin());
+size_t Histogram::BucketFor(int64_t value) {
+  if (value <= 1) return 0;
+  size_t i = kFirstCandidate[std::bit_width(static_cast<uint64_t>(value))];
+  i += kBucketLimits[i] < value;
+  i += kBucketLimits[i] < value;
+  return i;
 }
 
 void Histogram::Add(int64_t value) {
@@ -43,7 +86,6 @@ void Histogram::Add(int64_t value) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  assert(bucket_limits_.size() == other.bucket_limits_.size());
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   if (other.count_ > 0) {
     if (count_ == 0 || other.min_ < min_) min_ = other.min_;
@@ -61,8 +103,8 @@ double Histogram::Quantile(double q) const {
   for (size_t i = 0; i < counts_.size(); ++i) {
     if (counts_[i] == 0) continue;
     if (static_cast<double>(seen + counts_[i]) >= target) {
-      int64_t lo = (i == 0) ? 0 : bucket_limits_[i - 1];
-      int64_t hi = std::min(bucket_limits_[i], max_);
+      int64_t lo = (i == 0) ? 0 : kBucketLimits[i - 1];
+      int64_t hi = std::min(kBucketLimits[i], max_);
       double within =
           (target - static_cast<double>(seen)) / static_cast<double>(counts_[i]);
       return static_cast<double>(lo) +

@@ -1,9 +1,10 @@
 #ifndef ECOSTORE_COMMON_HISTOGRAM_H_
 #define ECOSTORE_COMMON_HISTOGRAM_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ecostore {
 
@@ -12,10 +13,16 @@ namespace ecostore {
 ///
 /// Buckets grow geometrically (factor ~1.5 starting at 1), which keeps
 /// relative quantile error bounded while using a fixed, small footprint.
-/// Used for response times (microseconds) and interval lengths.
+/// Used for response times (microseconds) and interval lengths. The bucket
+/// limits are one shared compile-time table and the counts a fixed array,
+/// so construction and copies never allocate.
 class Histogram {
  public:
-  Histogram();
+  /// Number of buckets: limits 1, 2, 3, 4, 6, 9, ... (each limit plus
+  /// max(1, limit / 2)) while below INT64_MAX / 2, closed by INT64_MAX.
+  static constexpr size_t kBucketCount = 107;
+
+  Histogram() = default;
 
   void Add(int64_t value);
   void Merge(const Histogram& other);
@@ -41,10 +48,11 @@ class Histogram {
   std::string ToString() const;
 
  private:
-  size_t BucketFor(int64_t value) const;
+  /// Index of the first bucket whose limit is >= `value` (bucket 0 for
+  /// values <= 1, including negatives).
+  static size_t BucketFor(int64_t value);
 
-  std::vector<int64_t> bucket_limits_;  // upper bounds, inclusive
-  std::vector<int64_t> counts_;
+  std::array<int64_t, kBucketCount> counts_{};
   int64_t count_ = 0;
   double sum_ = 0.0;
   int64_t min_ = 0;

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -32,6 +33,13 @@ std::vector<std::string> Split(const std::string& line) {
 bool ParseInt(const std::string& s, int64_t* out) {
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
   return ec == std::errc() && ptr == s.data() + s.size();
+}
+
+// Parses a volume, item or enclosure id: ids are non-negative int32, so a
+// value outside [0, INT32_MAX] would wrap when narrowed.
+bool ParseId(const std::string& s, int64_t* out) {
+  return ParseInt(s, out) && *out >= 0 &&
+         *out <= std::numeric_limits<int32_t>::max();
 }
 
 }  // namespace
@@ -68,7 +76,7 @@ Result<DataItemCatalog> ReadCatalogCsv(std::istream& in) {
     if (f[0] == "V") {
       if (f.size() != 3) return fail("malformed volume row");
       int64_t id = 0, enc = 0;
-      if (!ParseInt(f[1], &id) || !ParseInt(f[2], &enc)) {
+      if (!ParseId(f[1], &id) || !ParseId(f[2], &enc)) {
         return fail("bad volume fields");
       }
       VolumeId assigned = catalog.AddVolume(static_cast<EnclosureId>(enc));
@@ -78,7 +86,7 @@ Result<DataItemCatalog> ReadCatalogCsv(std::istream& in) {
     } else if (f[0] == "I") {
       if (f.size() != 7) return fail("malformed item row");
       int64_t id = 0, volume = 0, size = 0, pinned = 0;
-      if (!ParseInt(f[1], &id) || !ParseInt(f[3], &volume) ||
+      if (!ParseId(f[1], &id) || !ParseId(f[3], &volume) ||
           !ParseInt(f[4], &size) || !ParseInt(f[6], &pinned) ||
           (pinned != 0 && pinned != 1)) {
         return fail("bad item fields");

@@ -18,7 +18,8 @@ namespace ecostore::storage {
 /// DataItemCatalog).
 Status WriteCatalogCsv(std::ostream& out, const DataItemCatalog& catalog);
 
-/// Parses a catalog written by WriteCatalogCsv.
+/// Parses a catalog written by WriteCatalogCsv. Fails on malformed rows and
+/// on volume, item or enclosure ids outside [0, INT32_MAX].
 Result<DataItemCatalog> ReadCatalogCsv(std::istream& in);
 
 Status WriteCatalogCsvFile(const std::string& path,

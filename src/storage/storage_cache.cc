@@ -1,6 +1,7 @@
 #include "storage/storage_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -15,7 +16,7 @@ StorageCache::StorageCache(const CacheConfig& config) : config_(config) {
       std::max<int64_t>(1, config_.general_area_bytes() / config_.block_size);
   wd_capacity_blocks_ = std::max<int64_t>(
       1, config_.write_delay_area_bytes / config_.block_size);
-  table_.assign(kInitialTableSize, kNilSlot);
+  table_.assign(kInitialTableSize, Cell{});
   table_mask_ = kInitialTableSize - 1;
   wd_table_.assign(kInitialTableSize, WdKey{});
   wd_mask_ = kInitialTableSize - 1;
@@ -24,13 +25,16 @@ StorageCache::StorageCache(const CacheConfig& config) : config_(config) {
 // ---------------------------------------------------------------------------
 // General-area open-addressing index.
 
-int32_t StorageCache::TableFind(DataItemId item, int64_t block) const {
-  size_t i = HashKey(item, block) & table_mask_;
+int32_t StorageCache::TableFind(DataItemId item, int64_t block,
+                                uint32_t hash) const {
+  size_t i = hash & table_mask_;
   while (true) {
-    int32_t s = table_[i];
-    if (s == kNilSlot) return kNilSlot;
-    const Slot& slot = slots_[s];
-    if (slot.item == item && slot.block == block) return s;
+    const Cell& cell = table_[i];
+    if (cell.slot == kNilSlot) return kNilSlot;
+    if (cell.hash == hash) {
+      const Slot& slot = slots_[cell.slot];
+      if (slot.item == item && slot.block == block) return cell.slot;
+    }
     i = (i + 1) & table_mask_;
   }
 }
@@ -42,48 +46,47 @@ void StorageCache::TableInsert(int32_t slot) {
   if ((static_cast<size_t>(general_size_) + 1) * 2 > table_.size()) {
     TableGrow();
   }
-  size_t i = HashKey(slots_[slot].item, slots_[slot].block) & table_mask_;
-  while (table_[i] != kNilSlot) i = (i + 1) & table_mask_;
-  table_[i] = slot;
+  uint32_t hash = slots_[slot].hash;
+  size_t i = hash & table_mask_;
+  while (table_[i].slot != kNilSlot) i = (i + 1) & table_mask_;
+  table_[i] = Cell{slot, hash};
 }
 
-void StorageCache::TableErase(DataItemId item, int64_t block) {
-  size_t i = HashKey(item, block) & table_mask_;
-  while (true) {
-    int32_t s = table_[i];
-    assert(s != kNilSlot && "erasing a block that is not indexed");
-    if (s == kNilSlot) return;
-    if (slots_[s].item == item && slots_[s].block == block) break;
+void StorageCache::TableErase(int32_t slot) {
+  size_t i = slots_[slot].hash & table_mask_;
+  while (table_[i].slot != slot) {
+    assert(table_[i].slot != kNilSlot && "erasing a block that is not indexed");
     i = (i + 1) & table_mask_;
   }
   // Backward-shift deletion: keep every displaced entry reachable from its
-  // home position without leaving tombstones behind.
+  // home position without leaving tombstones behind. Home cells come from
+  // the stored hashes, so the shift never touches the slab.
   size_t hole = i;
   size_t j = i;
   while (true) {
     j = (j + 1) & table_mask_;
-    int32_t s = table_[j];
-    if (s == kNilSlot) break;
-    size_t home = HashKey(slots_[s].item, slots_[s].block) & table_mask_;
+    const Cell cell = table_[j];
+    if (cell.slot == kNilSlot) break;
+    size_t home = cell.hash & table_mask_;
     bool movable = (j > hole) ? (home <= hole || home > j)
                               : (home <= hole && home > j);
     if (movable) {
-      table_[hole] = s;
+      table_[hole] = cell;
       hole = j;
     }
   }
-  table_[hole] = kNilSlot;
+  table_[hole] = Cell{};
 }
 
 void StorageCache::TableGrow() {
-  std::vector<int32_t> old = std::move(table_);
-  table_.assign(old.size() * 2, kNilSlot);
+  std::vector<Cell> old = std::move(table_);
+  table_.assign(old.size() * 2, Cell{});
   table_mask_ = table_.size() - 1;
-  for (int32_t s : old) {
-    if (s == kNilSlot) continue;
-    size_t i = HashKey(slots_[s].item, slots_[s].block) & table_mask_;
-    while (table_[i] != kNilSlot) i = (i + 1) & table_mask_;
-    table_[i] = s;
+  for (const Cell& cell : old) {
+    if (cell.slot == kNilSlot) continue;
+    size_t i = cell.hash & table_mask_;
+    while (table_[i].slot != kNilSlot) i = (i + 1) & table_mask_;
+    table_[i] = cell;
   }
 }
 
@@ -121,23 +124,33 @@ void StorageCache::LruMoveToFront(int32_t slot) {
   LruPushFront(slot);
 }
 
-void StorageCache::EvictLru() {
-  int32_t victim = lru_tail_;
-  assert(victim != kNilSlot);
-  Slot& slot = slots_[victim];
-  if (slot.dirty) {
-    general_dirty_--;
-    AddDemand(slot.item, 1, config_.block_size);
+void StorageCache::SetDirty(int32_t slot, bool dirty) {
+  uint64_t& word = dirty_bits_[static_cast<size_t>(slot) >> 6];
+  const uint64_t bit = uint64_t{1} << (slot & 63);
+  if (((word & bit) != 0) == dirty) return;
+  word ^= bit;
+  general_dirty_ += dirty ? 1 : -1;
+}
+
+void StorageCache::ReleaseSlot(int32_t slot) {
+  if (IsDirty(slot)) {
+    SetDirty(slot, false);
+    AddDemand(slots_[slot].item, 1, config_.block_size);
   }
-  LruUnlink(victim);
-  TableErase(slot.item, slot.block);
-  slot.item = kInvalidDataItem;
-  slot.dirty = false;
-  free_slots_.push_back(victim);
+  LruUnlink(slot);
+  TableErase(slot);
+  slots_[slot].item = kInvalidDataItem;
+  free_slots_.push_back(slot);
   general_size_--;
 }
 
-void StorageCache::InsertGeneral(DataItemId item, int64_t block, bool dirty) {
+void StorageCache::EvictLru() {
+  assert(lru_tail_ != kNilSlot);
+  ReleaseSlot(lru_tail_);
+}
+
+void StorageCache::InsertGeneral(DataItemId item, int64_t block,
+                                 uint32_t hash, bool dirty) {
   while (general_size_ >= general_capacity_blocks_) EvictLru();
   int32_t s;
   if (!free_slots_.empty()) {
@@ -146,15 +159,16 @@ void StorageCache::InsertGeneral(DataItemId item, int64_t block, bool dirty) {
   } else {
     s = static_cast<int32_t>(slots_.size());
     slots_.push_back(Slot{});
+    if (slots_.size() > dirty_bits_.size() * 64) dirty_bits_.push_back(0);
   }
   Slot& slot = slots_[s];
   slot.item = item;
   slot.block = block;
-  slot.dirty = dirty;
+  slot.hash = hash;
   LruPushFront(s);
   TableInsert(s);
   general_size_++;
-  if (dirty) general_dirty_++;
+  SetDirty(s, dirty);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,13 +262,15 @@ void StorageCache::AddDemand(DataItemId item, int64_t blocks, int64_t bytes) {
 }
 
 void StorageCache::DestageGeneralInto() {
-  for (Slot& slot : slots_) {
-    if (slot.item != kInvalidDataItem && slot.dirty) {
-      slot.dirty = false;
-      AddDemand(slot.item, 1, config_.block_size);
+  // Ascending slot order, exactly the order of a full slab scan: it fixes
+  // the first-touch order of the per-item demands.
+  for (size_t w = 0; w < dirty_bits_.size() && general_dirty_ > 0; ++w) {
+    for (uint64_t bits = dirty_bits_[w]; bits != 0; bits &= bits - 1) {
+      auto s = static_cast<int32_t>(w * 64 + std::countr_zero(bits));
+      SetDirty(s, false);
+      AddDemand(slots_[s].item, 1, config_.block_size);
     }
   }
-  general_dirty_ = 0;
 }
 
 void StorageCache::DestageWriteDelayInto() {
@@ -297,13 +313,14 @@ StorageCache::ReadOutcome StorageCache::Read(
       out.hit_blocks++;
       continue;
     }
-    int32_t s = TableFind(item, b);
+    const auto hash = static_cast<uint32_t>(HashKey(item, b));
+    int32_t s = TableFind(item, b, hash);
     if (s != kNilSlot) {
       LruMoveToFront(s);
       out.hit_blocks++;
     } else {
       out.miss_blocks++;
-      InsertGeneral(item, b, /*dirty=*/false);
+      InsertGeneral(item, b, hash, /*dirty=*/false);
     }
   }
   hit_blocks_ += out.hit_blocks;
@@ -340,17 +357,15 @@ StorageCache::WriteOutcome StorageCache::Write(
   }
 
   for (int64_t b = first; b <= last; ++b) {
-    int32_t s = TableFind(item, b);
+    const auto hash = static_cast<uint32_t>(HashKey(item, b));
+    int32_t s = TableFind(item, b, hash);
     if (s != kNilSlot) {
       LruMoveToFront(s);
-      if (!slots_[s].dirty) {
-        slots_[s].dirty = true;
-        general_dirty_++;
-      }
+      SetDirty(s, true);
     } else {
       // Eviction write-backs land in `destage` ahead of any threshold
       // destage, matching the legacy demand order.
-      InsertGeneral(item, b, /*dirty=*/true);
+      InsertGeneral(item, b, hash, /*dirty=*/true);
     }
   }
   double limit = config_.default_dirty_ratio *
@@ -459,18 +474,7 @@ std::vector<FlushDemand> StorageCache::InvalidateItem(DataItemId item) {
   std::vector<FlushDemand> demands;
   BeginDemands(&demands);
   for (int32_t s = 0; s < static_cast<int32_t>(slots_.size()); ++s) {
-    Slot& slot = slots_[s];
-    if (slot.item != item) continue;
-    if (slot.dirty) {
-      general_dirty_--;
-      AddDemand(item, 1, config_.block_size);
-    }
-    LruUnlink(s);
-    TableErase(slot.item, slot.block);
-    slot.item = kInvalidDataItem;
-    slot.dirty = false;
-    free_slots_.push_back(s);
-    general_size_--;
+    if (slots_[s].item == item) ReleaseSlot(s);
   }
   auto it = items_.find(item);
   if (it != items_.end() && it->second.wd_dirty > 0) {

@@ -42,8 +42,10 @@ struct FlushDemand {
 ///
 /// The per-I/O hot path is allocation-free once warm: general-area
 /// entries live in a contiguous slab addressed by an open-addressing
-/// (item, block) → slot index, recency is an intrusive doubly linked list
-/// of slot ids threaded through the slab, write-delay residency is a flat
+/// (item, block) → slot index whose cells carry the key's hash (a probe
+/// touches the slab only on a hash match), recency is an intrusive doubly
+/// linked list of slot ids threaded through the slab, dirtiness is a
+/// one-bit-per-slot bitmap, write-delay residency is a flat
 /// open-addressing key set, and Read/Write append flush demands to a
 /// caller-owned scratch vector instead of allocating a fresh one per
 /// call.
@@ -142,13 +144,23 @@ class StorageCache {
   static constexpr int32_t kNilSlot = -1;
 
   /// One general-area cache block. Free slots are marked with
-  /// item == kInvalidDataItem and chained through `lru_next`.
+  /// item == kInvalidDataItem. `hash` is the low 32 bits of the key's
+  /// HashKey, kept so that eviction and erasure never rehash. Dirtiness
+  /// lives in `dirty_bits_`, not here.
   struct Slot {
-    DataItemId item = kInvalidDataItem;
     int64_t block = 0;
+    DataItemId item = kInvalidDataItem;
+    uint32_t hash = 0;
     int32_t lru_prev = kNilSlot;
     int32_t lru_next = kNilSlot;
-    bool dirty = false;
+  };
+
+  /// One index cell: a slot id (kNilSlot = empty) tagged with the slot's
+  /// key hash. Slot ids are int32, so the table never exceeds 2^32 cells
+  /// and the low 32 hash bits always determine the home cell.
+  struct Cell {
+    int32_t slot = kNilSlot;
+    uint32_t hash = 0;
   };
 
   /// Per-item cache state, resolved once per request (not per block):
@@ -199,17 +211,29 @@ class StorageCache {
   void CompactItem(DataItemId item);
 
   // --- general-area slab + index ---
-  int32_t TableFind(DataItemId item, int64_t block) const;
+  /// `hash` is HashKey(item, block), computed once by the caller.
+  int32_t TableFind(DataItemId item, int64_t block, uint32_t hash) const;
   void TableInsert(int32_t slot);
-  void TableErase(DataItemId item, int64_t block);
+  void TableErase(int32_t slot);
   void TableGrow();
   void LruUnlink(int32_t slot);
   void LruPushFront(int32_t slot);
   void LruMoveToFront(int32_t slot);
   /// Inserts an absent block, evicting the LRU victim first when full.
   /// Eviction demands go to the active demand accumulator.
-  void InsertGeneral(DataItemId item, int64_t block, bool dirty);
+  void InsertGeneral(DataItemId item, int64_t block, uint32_t hash,
+                     bool dirty);
   void EvictLru();
+  /// Returns a resident slot to the free list, emitting its write-back
+  /// when dirty.
+  void ReleaseSlot(int32_t slot);
+
+  // --- general-area dirty bitmap (the one record of slot dirtiness) ---
+  bool IsDirty(int32_t slot) const {
+    return (dirty_bits_[static_cast<size_t>(slot) >> 6] >> (slot & 63)) & 1;
+  }
+  /// Sets or clears a slot's dirty bit and keeps general_dirty_ in step.
+  void SetDirty(int32_t slot, bool dirty);
 
   // --- write-delay flat set ---
   bool WdContains(DataItemId item, int64_t block) const;
@@ -225,7 +249,8 @@ class StorageCache {
   void BeginDemands(std::vector<FlushDemand>* out);
   void AddDemand(DataItemId item, int64_t blocks, int64_t bytes);
 
-  /// Destages all dirty general-area blocks (they stay resident, clean).
+  /// Destages all dirty general-area blocks (they stay resident, clean),
+  /// in ascending slab-slot order.
   void DestageGeneralInto();
   /// Destages all write-delay blocks.
   void DestageWriteDelayInto();
@@ -234,11 +259,12 @@ class StorageCache {
   int64_t general_capacity_blocks_;
   int64_t wd_capacity_blocks_;
 
-  // General area: entry slab, free list, open-addressing index and
-  // intrusive LRU (head = most recent).
+  // General area: entry slab, free list, dirty bitmap (bit s = slot s),
+  // open-addressing index and intrusive LRU (head = most recent).
   std::vector<Slot> slots_;
   std::vector<int32_t> free_slots_;
-  std::vector<int32_t> table_;  // slot ids; kNilSlot = empty
+  std::vector<uint64_t> dirty_bits_;
+  std::vector<Cell> table_;
   size_t table_mask_ = 0;
   int32_t lru_head_ = kNilSlot;
   int32_t lru_tail_ = kNilSlot;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -18,6 +19,17 @@ bool ParseInt(std::string_view field, int64_t* out) {
       std::from_chars(field.data(), field.data() + field.size(), *out);
   return ec == std::errc() && ptr == field.data() + field.size();
 }
+
+// Parses an integer and requires it to lie in [lo, hi], so narrowing it
+// afterwards cannot wrap.
+bool ParseIntIn(std::string_view field, int64_t lo, int64_t hi,
+                int64_t* out) {
+  return ParseInt(field, out) && *out >= lo && *out <= hi;
+}
+
+constexpr int64_t kInt32Min = std::numeric_limits<int32_t>::min();
+constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
 
 // Splits a CSV line into exactly `n` comma-separated fields.
 bool SplitFields(std::string_view line, std::string_view* fields, size_t n) {
@@ -70,15 +82,15 @@ Result<std::vector<LogicalIoRecord>> ReadLogicalCsv(std::istream& in) {
       return Status::IoError("bad time at line " + std::to_string(line_no));
     }
     rec.time = v;
-    if (!ParseInt(fields[1], &v)) {
+    if (!ParseIntIn(fields[1], kInt32Min, kInt32Max, &v)) {
       return Status::IoError("bad item at line " + std::to_string(line_no));
     }
     rec.item = static_cast<DataItemId>(v);
-    if (!ParseInt(fields[2], &v)) {
+    if (!ParseIntIn(fields[2], 0, kInt64Max, &v)) {
       return Status::IoError("bad offset at line " + std::to_string(line_no));
     }
     rec.offset = v;
-    if (!ParseInt(fields[3], &v)) {
+    if (!ParseIntIn(fields[3], 0, kInt32Max, &v)) {
       return Status::IoError("bad size at line " + std::to_string(line_no));
     }
     rec.size = static_cast<int32_t>(v);
@@ -94,7 +106,7 @@ Result<std::vector<LogicalIoRecord>> ReadLogicalCsv(std::istream& in) {
                              std::to_string(line_no));
     }
     rec.sequential = (v == 1);
-    if (!ParseInt(fields[6], &v)) {
+    if (!ParseIntIn(fields[6], kInt32Min, kInt32Max, &v)) {
       return Status::IoError("bad tag at line " + std::to_string(line_no));
     }
     rec.tag = static_cast<int32_t>(v);

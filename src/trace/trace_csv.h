@@ -17,7 +17,9 @@ Status WriteLogicalCsv(std::ostream& out,
                        const std::vector<LogicalIoRecord>& records);
 
 /// Parses logical I/O records from CSV produced by WriteLogicalCsv.
-/// Tolerates a missing header row. Fails on malformed rows.
+/// Tolerates a missing header row. Fails on malformed rows and on fields
+/// out of range for the record: a negative offset or size, or an item,
+/// size or tag outside int32.
 Result<std::vector<LogicalIoRecord>> ReadLogicalCsv(std::istream& in);
 
 /// Convenience file wrappers.

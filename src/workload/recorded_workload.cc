@@ -1,6 +1,7 @@
 #include "workload/recorded_workload.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "storage/catalog_csv.h"
 #include "trace/trace_csv.h"
@@ -11,7 +12,9 @@ Result<std::unique_ptr<RecordedWorkload>> RecordedWorkload::FromRecords(
     std::string name, storage::DataItemCatalog catalog,
     std::vector<trace::LogicalIoRecord> records, SimDuration duration,
     int num_enclosures) {
-  // Validate ordering and item references.
+  // Validate ordering, item references and extents: the cache computes
+  // `offset + size - 1`, so an offset past the item (or one that would
+  // overflow) never reaches replay.
   SimTime last = 0;
   for (const trace::LogicalIoRecord& rec : records) {
     if (rec.time < last) {
@@ -22,6 +25,14 @@ Result<std::unique_ptr<RecordedWorkload>> RecordedWorkload::FromRecords(
         static_cast<size_t>(rec.item) >= catalog.item_count()) {
       return Status::InvalidArgument("trace references unknown item " +
                                      std::to_string(rec.item));
+    }
+    if (rec.offset < 0 || rec.size < 0 ||
+        rec.offset >= catalog.item(rec.item).size_bytes ||
+        rec.offset > std::numeric_limits<int64_t>::max() - rec.size) {
+      return Status::InvalidArgument(
+          "trace record outside item " + std::to_string(rec.item) +
+          ": offset " + std::to_string(rec.offset) + ", size " +
+          std::to_string(rec.size));
     }
   }
   if (num_enclosures == 0) {

@@ -15,8 +15,9 @@ namespace ecostore::workload {
 /// identically under every power-saving method.
 ///
 /// Construct from in-memory records, or load a (catalog.csv, trace.csv)
-/// pair written by Save(). Records must be in non-decreasing time order
-/// and reference catalog items.
+/// pair written by Save(). Records must be in non-decreasing time order,
+/// reference catalog items, and start inside them (0 <= offset < item
+/// size, size >= 0).
 class RecordedWorkload : public Workload {
  public:
   /// Builds from in-memory parts. `records` must be time-ordered.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/units.h"
@@ -53,6 +55,22 @@ TEST(CatalogCsvTest, RejectsMalformedRows) {
   EXPECT_FALSE(storage::ReadCatalogCsv(sparse_ids).ok());
 }
 
+// Ids and enclosures wider than int32 (or negative) are rejected rather
+// than wrapped: volume 2^32 would otherwise read back as volume 0.
+TEST(CatalogCsvTest, RejectsOutOfRangeIds) {
+  std::istringstream volume_high("V,4294967296,0\n");
+  EXPECT_FALSE(storage::ReadCatalogCsv(volume_high).ok());
+  std::istringstream enclosure_high("V,0,4294967296\n");
+  EXPECT_FALSE(storage::ReadCatalogCsv(enclosure_high).ok());
+  std::istringstream enclosure_negative("V,0,-1\n");
+  EXPECT_FALSE(storage::ReadCatalogCsv(enclosure_negative).ok());
+  std::istringstream item_high("V,0,0\nI,4294967296,x,0,10,file,0\n");
+  EXPECT_FALSE(storage::ReadCatalogCsv(item_high).ok());
+  std::istringstream item_volume_high(
+      "V,0,0\nI,0,x,4294967296,10,file,0\n");
+  EXPECT_FALSE(storage::ReadCatalogCsv(item_volume_high).ok());
+}
+
 TEST(CatalogCsvTest, RejectsCommaInName) {
   storage::DataItemCatalog catalog;
   VolumeId v = catalog.AddVolume(0);
@@ -99,6 +117,49 @@ TEST(RecordedWorkloadTest, RejectsOutOfOrderAndUnknownItems) {
   records[2].item = 99;
   EXPECT_FALSE(
       RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+}
+
+// Item 0 of SampleCatalog() is 1000 bytes: offsets must fall inside it,
+// and INT64_MAX must not reach the cache's `offset + size - 1`.
+TEST(RecordedWorkloadTest, RejectsRecordsOutsideTheirItem) {
+  auto records = SampleRecords();
+  records[0].offset = 999;
+  EXPECT_TRUE(
+      RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+
+  records[0].offset = 1000;
+  EXPECT_FALSE(
+      RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+
+  records[0].offset = std::numeric_limits<int64_t>::max();
+  EXPECT_FALSE(
+      RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+
+  records = SampleRecords();
+  records[0].offset = -1;
+  EXPECT_FALSE(
+      RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+
+  records = SampleRecords();
+  records[0].size = -1;
+  EXPECT_FALSE(
+      RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+}
+
+// The narrowing fix end to end: a trace whose item id is 2^32 used to load
+// as item 0.
+TEST(RecordedWorkloadTest, LoadRejectsWrappingItemId) {
+  std::string prefix = ::testing::TempDir() + "/ecostore_wrap";
+  {
+    std::ofstream catalog(prefix + ".catalog.csv");
+    catalog << "V,0,0\nI,0,x,0,1000,file,0\n";
+    std::ofstream trace(prefix + ".trace.csv");
+    trace << "time_us,item,offset,size,type,sequential,tag\n"
+          << "0,4294967296,0,512,R,0,0\n";
+  }
+  EXPECT_FALSE(RecordedWorkload::Load(prefix).ok());
+  std::remove((prefix + ".catalog.csv").c_str());
+  std::remove((prefix + ".trace.csv").c_str());
 }
 
 TEST(RecordedWorkloadTest, CaptureMatchesSource) {

@@ -217,6 +217,57 @@ TEST(StorageCacheTest, InvalidateItemDropsAndReturnsDirty) {
   EXPECT_FALSE(h.Read(5, 0, 4096).fully_hit());  // dropped
 }
 
+std::vector<DataItemId> DemandItems(const std::vector<FlushDemand>& demands) {
+  std::vector<DataItemId> items;
+  for (const FlushDemand& d : demands) items.push_back(d.item);
+  return items;
+}
+
+/// Leaves three dirty general-area blocks whose slab order (items 30, 20,
+/// 10) differs from item order (10, 20, 30), from LRU order in either
+/// direction (20, 30, 10 most-recent first) and from the order they were
+/// dirtied (10, 30, 20). Items 30 and 20 take slots 0 and 1 by reusing the
+/// slots of evicted blocks; item 10's dirty block sits in slot 31.
+void DirtyThreeItemsOutOfSlabOrder(CacheHarness* h) {
+  for (int b = 0; b < 32; ++b) h->Read(10, b * 4096, 4096);  // slots 0..31
+  h->Write(10, 31 * 4096, 4096);  // hit: slot 31 dirty
+  h->Write(30, 0, 4096);          // evicts slot 0 (item 10 block 0), reuses it
+  h->Write(20, 0, 4096);          // evicts slot 1 (item 10 block 1), reuses it
+  ASSERT_EQ(h->cache.general_dirty_blocks(), 3);
+}
+
+// Destage demands are first-touch ordered by ascending slab slot. The
+// differential test normalizes demand order, so this pins it directly.
+TEST(StorageCacheTest, FlushAllDestagesInSlabOrder) {
+  CacheHarness h(SmallCache());
+  DirtyThreeItemsOutOfSlabOrder(&h);
+  auto demands = h.cache.FlushAll();
+  EXPECT_EQ(DemandItems(demands), (std::vector<DataItemId>{30, 20, 10}));
+  EXPECT_EQ(TotalBlocks(demands), 3);
+  EXPECT_EQ(h.cache.general_dirty_blocks(), 0);
+  // A second flush finds nothing dirty.
+  EXPECT_TRUE(h.cache.FlushAll().empty());
+}
+
+TEST(StorageCacheTest, DirtyRatioDestagesInSlabOrder) {
+  CacheHarness h(SmallCache());
+  DirtyThreeItemsOutOfSlabOrder(&h);
+  // Four more write hits on item 10 (slots 20..23) reach 7 dirty blocks;
+  // the fifth (slot 10) reaches the threshold of 8 and destages them all.
+  for (int b : {20, 21, 22, 23}) {
+    h.Write(10, b * 4096, 4096);
+    ASSERT_TRUE(h.scratch.empty());
+  }
+  h.Write(10, 10 * 4096, 4096);
+  ASSERT_EQ(h.scratch.size(), 3u);
+  EXPECT_EQ(DemandItems(h.scratch), (std::vector<DataItemId>{30, 20, 10}));
+  EXPECT_EQ(h.scratch[0].blocks, 1);
+  EXPECT_EQ(h.scratch[1].blocks, 1);
+  EXPECT_EQ(h.scratch[2].blocks, 6);
+  EXPECT_EQ(h.scratch[2].bytes, 6 * 4096);
+  EXPECT_EQ(h.cache.general_dirty_blocks(), 0);
+}
+
 // Property: dirty counters never go negative and never exceed area
 // capacities under random op sequences.
 class CachePropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -80,6 +80,35 @@ TEST(TraceCsvTest, RejectsMalformedRows) {
   EXPECT_FALSE(ReadLogicalCsv(bad_seq).ok());
 }
 
+// Fields wider than their record type are rejected, not wrapped: item
+// 2^32 would otherwise read back as item 0 and size 2^32 + 8192 as 8192.
+TEST(TraceCsvTest, RejectsOutOfRangeFields) {
+  std::istringstream item_high("1,4294967296,0,8192,R,0,0\n");
+  EXPECT_FALSE(ReadLogicalCsv(item_high).ok());
+  std::istringstream item_low("1,-2147483649,0,8192,R,0,0\n");
+  EXPECT_FALSE(ReadLogicalCsv(item_low).ok());
+  std::istringstream size_high("1,2,0,4294975488,R,0,0\n");
+  EXPECT_FALSE(ReadLogicalCsv(size_high).ok());
+  std::istringstream size_negative("1,2,0,-1,R,0,0\n");
+  EXPECT_FALSE(ReadLogicalCsv(size_negative).ok());
+  std::istringstream offset_negative("1,2,-8192,8192,R,0,0\n");
+  EXPECT_FALSE(ReadLogicalCsv(offset_negative).ok());
+  std::istringstream tag_high("1,2,0,8192,R,0,4294967296\n");
+  EXPECT_FALSE(ReadLogicalCsv(tag_high).ok());
+}
+
+TEST(TraceCsvTest, AcceptsFieldsAtTheirLimits) {
+  std::istringstream in(
+      "1,2147483647,9223372036854775807,2147483647,W,1,-2147483648\n");
+  auto parsed = ReadLogicalCsv(in);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed.value().size(), 1u);
+  EXPECT_EQ(parsed.value()[0].item, 2147483647);
+  EXPECT_EQ(parsed.value()[0].offset, INT64_MAX);
+  EXPECT_EQ(parsed.value()[0].size, 2147483647);
+  EXPECT_EQ(parsed.value()[0].tag, -2147483648LL);
+}
+
 TEST(TraceCsvTest, EmptyInputIsEmptyTrace) {
   std::istringstream in("");
   auto parsed = ReadLogicalCsv(in);
