@@ -2,8 +2,8 @@
 // synthetic cloud block-storage workload (DESIGN.md §12, EXPERIMENTS.md).
 // Default shape is 10,000 enclosures / 1,000,000 items — two orders of
 // magnitude past the paper's testbed — exercising the indexed planner
-// structures and the incremental re-plan path at the scale they were
-// built for. ECOSTORE_QUICK=1 shrinks to a 120-enclosure smoke fleet
+// structures and the streaming classifier at the scale they were built
+// for. ECOSTORE_QUICK=1 shrinks to a 120-enclosure smoke fleet
 // (the CI capture gate's configuration).
 
 #include <cstdio>
@@ -25,13 +25,17 @@ workload::CloudBlockConfig FleetConfig(int argc, char** argv) {
   workload::CloudBlockConfig wl;
   wl.num_enclosures = bench::QuickMode() ? 120 : 10000;
   const std::string enc = bench::ParseFlagValue(argc, argv, "--enclosures=");
-  if (!enc.empty()) wl.num_enclosures = std::stoi(enc);
+  if (!enc.empty()) {
+    wl.num_enclosures = bench::ParseIntOrExit("--enclosures", enc);
+  }
   wl.volumes_per_enclosure = 10;
   wl.items_per_volume = 10;
   wl.duration = bench::MaybeShorten(1 * kHour, 30 * kMinute);
   const std::string mins =
       bench::ParseFlagValue(argc, argv, "--duration-min=");
-  if (!mins.empty()) wl.duration = std::stoi(mins) * kMinute;
+  if (!mins.empty()) {
+    wl.duration = bench::ParseIntOrExit("--duration-min", mins) * kMinute;
+  }
   return wl;
 }
 
@@ -97,7 +101,7 @@ int main(int argc, char** argv) {
   replay::ExperimentConfig config;
   core::PowerManagementConfig pm;
   // The policy is constructed directly (not through PaperPolicySet) so
-  // the incremental re-plan counters stay inspectable after the run.
+  // its planning and classifier counters stay inspectable after the run.
   core::EcoStoragePolicy policy(pm);
   replay::Experiment experiment(workload.value().get(), &policy, config);
   auto metrics = experiment.Run();
@@ -119,17 +123,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(m.item_migrations),
               static_cast<double>(m.migrated_bytes) / (1024.0 * 1024.0 *
                                                        1024.0));
-  std::printf("[planning]   %lld placement determinations: %lld "
-              "incremental (%lld skipped placement entirely), %lld full\n",
-              static_cast<long long>(policy.placement_determinations()),
-              static_cast<long long>(policy.incremental_replans()),
-              static_cast<long long>(policy.placements_skipped()),
-              static_cast<long long>(policy.placement_determinations() -
-                                     policy.incremental_replans()));
-  std::printf("[monitor]    streaming classification %s, trace capture "
-              "%s, classifier peak state %.2f MiB\n",
-              policy.streaming_active() ? "on" : "off",
-              experiment.application_monitor().capture() ? "on" : "off",
+  std::printf("[planning]   %lld placement determinations\n",
+              static_cast<long long>(policy.placement_determinations()));
+  std::printf("[monitor]    classifier peak state %.2f MiB\n",
               static_cast<double>(policy.classifier_peak_state_bytes()) /
                   (1024.0 * 1024.0));
   std::printf("[host]       %.2f s wall, %lld sim events\n",

@@ -853,7 +853,7 @@ PlannerScaleCase RunPlannerScaleCase(int n_enclosures,
 // enclosures / 1M items), legacy full-trace replay vs streaming
 // finalisation (DESIGN.md §13). The streaming classifier pays the
 // interval analysis during ingest — amortised into monitoring — so its
-// period-end cost is the sharded catalog scan alone, while the frozen
+// period-end cost is the frontier finalise alone, while the frozen
 // reference (bench/legacy_classifier.h) replays the whole captured trace
 // and heap-allocates per episodic item. Gated on the two producing
 // bit-identical classifications AND identical placement plans

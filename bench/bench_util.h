@@ -3,15 +3,42 @@
 
 // Shared helpers for the figure-reproduction benchmarks.
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "common/logging.h"
 #include "common/sim_time.h"
 
 namespace ecostore::bench {
+
+/// Parses the whole of `text` as a base-10 int. Returns false, leaving
+/// `*out` untouched, when `text` is empty, malformed, has trailing
+/// characters, or is out of the int range.
+inline bool ParseInt(std::string_view text, int* out) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
+/// ParseInt for the value of a command-line flag: a value it rejects
+/// prints a message naming `flag` and exits with status 2.
+inline int ParseIntOrExit(const std::string& flag, std::string_view text) {
+  int value = 0;
+  if (!ParseInt(text, &value)) {
+    std::cerr << flag << ": expected a whole number within the int range, "
+              << "got '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
 
 /// Parses a `--threads=N` argument (default 1 == today's serial
 /// behaviour). `--threads=0` means "all hardware threads". Unknown
@@ -22,7 +49,8 @@ inline int ParseThreadsFlag(int argc, char** argv) {
     std::string arg(argv[i]);
     const std::string prefix = "--threads=";
     if (arg.rfind(prefix, 0) == 0) {
-      threads = std::atoi(arg.c_str() + prefix.size());
+      threads = ParseIntOrExit("--threads",
+                               std::string_view(arg).substr(prefix.size()));
     }
   }
   if (threads <= 0) {

@@ -10,16 +10,19 @@ namespace ecostore::core {
 
 void EcoStoragePolicy::Start(const storage::StorageSystem& system,
                              policies::PolicyActuator* actuator) {
-  actuator_ = actuator;
   function_ = std::make_unique<PowerManagementFunction>(config_, system);
-  // Fleet-scale monitoring mode (DESIGN.md §13): feed the classifier from
-  // the monitor's logical I/O stream so period ends only finalise.
-  // Runtimes without sink support (bare test actuators) fall back to
-  // replaying the captured trace, which wants_logical_trace() then
-  // requests — identical classifications either way.
-  streaming_ = actuator->AttachLogicalIoSink(function_->classifier());
-  if (streaming_) {
+  // The classifier folds the period analysis into ingest through the
+  // monitor's logical I/O stream, so period ends only finalise
+  // (DESIGN.md §13). Without that stream the method has nothing to
+  // classify: it never plans, and no enclosure ever spins down.
+  if (actuator->AttachLogicalIoSink(function_->classifier())) {
+    actuator_ = actuator;
     function_->classifier()->BeginPeriod(actuator->Now());
+  } else {
+    ECOSTORE_LOG(kError) << "proposed: the runtime cannot attach a logical "
+                            "I/O sink; the method sees no I/O and will not "
+                            "plan";
+    function_.reset();
   }
   current_period_ = config_.initial_period;
   period_start_ = actuator->Now();
@@ -37,22 +40,13 @@ SimDuration EcoStoragePolicy::OnPeriodEnd(
     const monitor::MonitorSnapshot& snapshot,
     const storage::StorageSystem& system,
     policies::PolicyActuator* actuator) {
-  // A §V-D trigger caused this period end iff the flag is still up: that
-  // is direct evidence of a sudden pattern change, so the management
-  // function must re-plan from scratch rather than incrementally.
-  last_plan_ =
-      function_->Run(snapshot, system, current_period_,
-                     /*force_full=*/triggered_this_period_,
-                     /*streaming_ingest=*/streaming_);
-  if (streaming_) {
-    // The engine resets the application monitor right after this hook
-    // returns, both at Now(): no record can arrive in between, so the
-    // classifier's next period aligns exactly with the monitor's.
-    function_->classifier()->BeginPeriod(actuator->Now());
-  }
+  if (function_ == nullptr) return current_period_;  // no sink (Start)
+  last_plan_ = function_->Run(snapshot, system, current_period_);
+  // The engine resets the application monitor right after this hook
+  // returns, both at Now(): no record can arrive in between, so the
+  // classifier's next period aligns exactly with the monitor's.
+  function_->classifier()->BeginPeriod(actuator->Now());
   placement_determinations_++;
-  if (last_plan_.incremental) incremental_replans_++;
-  if (last_plan_.placement_skipped) placements_skipped_++;
   pattern_history_.push_back(last_plan_.classification->pattern_counts);
 
   // Publish the plan epoch — 1-based, so epoch 0 means "no plan yet" —
@@ -222,10 +216,6 @@ SimDuration EcoStoragePolicy::OnPeriodEnd(
                        << " migrations=" << last_plan_.migrations.size()
                        << " wd=" << last_plan_.cache.write_delay.size()
                        << " preload=" << last_plan_.cache.preload.size()
-                       << (last_plan_.placement_skipped
-                               ? " [incremental: skipped]"
-                               : last_plan_.incremental ? " [incremental]"
-                                                        : "")
                        << " next=" << FormatDuration(current_period_);
   return current_period_;
 }

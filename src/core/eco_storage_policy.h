@@ -47,16 +47,8 @@ class EcoStoragePolicy : public policies::StoragePolicy {
     return placement_determinations_;
   }
 
-  /// Only the no-sink fallback replays the captured trace; with a
-  /// streaming sink attached the engine retains none (DESIGN.md §13).
-  bool wants_logical_trace() const override { return !streaming_; }
-
-  /// Whether Start() attached the classifier to the monitor's I/O stream.
-  bool streaming_active() const { return streaming_; }
-
   /// High-water mark of the streaming classifier's running state in
-  /// bytes (per-item states, P3 bucket pool, pattern/dirty tables) — the
-  /// fleet-scale replacement for the per-period trace buffer.
+  /// bytes (per-item states, P3 bucket pool, pattern/dirty tables).
   size_t classifier_peak_state_bytes() const {
     return function_ != nullptr
                ? function_->classifier()->peak_state_bytes()
@@ -73,21 +65,22 @@ class EcoStoragePolicy : public policies::StoragePolicy {
   /// The most recent plan (inspection/testing).
   const ManagementPlan& last_plan() const { return last_plan_; }
 
-  /// How many period ends took the incremental re-plan path, and how many
-  /// of those skipped placement entirely (DESIGN.md §12).
-  int64_t incremental_replans() const { return incremental_replans_; }
-  int64_t placements_skipped() const { return placements_skipped_; }
+  /// Always 0: the incremental re-plan path these counted is gone. They
+  /// remain only because the benchmark harness (perfbench/harness.cc)
+  /// still reads them.
+  int64_t incremental_replans() const { return 0; }
+  int64_t placements_skipped() const { return 0; }
 
  private:
   PowerManagementConfig config_;
+  /// Null when the runtime could not attach a logical I/O sink (Start).
   std::unique_ptr<PowerManagementFunction> function_;
+  /// Set only with a sink attached; the §V-D triggers need it.
   policies::PolicyActuator* actuator_ = nullptr;
 
   SimDuration current_period_ = 0;
   SimTime period_start_ = 0;
   bool triggered_this_period_ = false;
-  /// Classifier ingests via the monitor sink (set in Start()).
-  bool streaming_ = false;
 
   /// Latest hot/cold view for the §V-D triggers.
   std::vector<bool> is_hot_;
@@ -102,8 +95,6 @@ class EcoStoragePolicy : public policies::StoragePolicy {
 
   ManagementPlan last_plan_;
   int64_t placement_determinations_ = 0;
-  int64_t incremental_replans_ = 0;
-  int64_t placements_skipped_ = 0;
   std::vector<std::array<int64_t, kNumIoPatterns>> pattern_history_;
 
   /// Per-period scratch, member-owned so steady state allocates nothing.

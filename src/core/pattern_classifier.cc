@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 #include <limits>
-#include <thread>
-
-#include "common/thread_pool.h"
 
 namespace ecostore::core {
 
 PatternClassifier::PatternClassifier(const Options& options)
     : options_(options), epoch_(1) {}
-
-PatternClassifier::~PatternClassifier() = default;
 
 void PatternClassifier::BeginPeriod(SimTime period_start) {
   period_start_ = period_start;
@@ -141,82 +135,6 @@ void PatternClassifier::WriteQuietRow(
   cls.pattern = IoPattern::kP0;
 }
 
-void PatternClassifier::FinalizeRange(
-    const size_t* idxs, size_t count, SimTime period_end,
-    double period_seconds, size_t n_buckets, bool track_dirty,
-    ShardAccum* accum) {
-  const SimDuration full_period = period_end - period_start_;
-  for (size_t k = 0; k < count; ++k) {
-    const size_t i = idxs[k];
-    ItemClassification& cls = result_.items[i];
-    const ItemState& st = state_[i];
-    IoPattern pattern;
-    if (st.epoch != epoch_ || st.reads + st.writes == 0) {
-      // Resident last period, quiet now: the row returns to its quiet
-      // form (single full-period Long Interval, P0) and leaves the
-      // frontier after this finalise.
-      cls.reads = 0;
-      cls.writes = 0;
-      cls.read_bytes = 0;
-      cls.write_bytes = 0;
-      cls.io_sequences = 0;
-      cls.avg_iops = 0.0;
-      cls.long_interval_count = 1;
-      accum->long_interval_sum += full_period;
-      accum->long_interval_count++;
-      pattern = IoPattern::kP0;
-    } else {
-      cls.reads = st.reads;
-      cls.writes = st.writes;
-      cls.read_bytes = st.read_bytes;
-      cls.write_bytes = st.write_bytes;
-      cls.io_sequences = st.sequences;
-      int64_t li_count = st.long_intervals;
-      int64_t li_sum = st.long_interval_sum;
-      SimDuration trailing = period_end - st.last_time;
-      if (trailing > options_.break_even) {
-        li_count++;
-        li_sum += trailing;
-      }
-      cls.long_interval_count = li_count;
-      cls.avg_iops =
-          period_seconds > 0
-              ? static_cast<double>(cls.total_ios()) / period_seconds
-              : 0.0;
-      accum->long_interval_sum += li_sum;
-      accum->long_interval_count += li_count;
-      // Paper §IV-B Step 3.
-      if (li_count == 0) {
-        pattern = IoPattern::kP3;
-        if (!accum->any_p3) {
-          accum->any_p3 = true;
-          accum->p3_buckets.assign(n_buckets, 0);
-        }
-        for (int32_t c = st.chunk_head; c >= 0;
-             c = pool_[static_cast<size_t>(c)].next) {
-          const IopsChunk& chunk = pool_[static_cast<size_t>(c)];
-          for (int32_t k = 0; k < chunk.n; ++k) {
-            auto b = static_cast<size_t>(chunk.bucket[k]);
-            if (b >= n_buckets) b = n_buckets - 1;
-            accum->p3_buckets[b] += chunk.count[k];
-          }
-        }
-      } else if (cls.reads * 2 > cls.total_ios()) {
-        pattern = IoPattern::kP1;
-      } else {
-        pattern = IoPattern::kP2;
-      }
-    }
-    cls.pattern = pattern;
-    accum->pattern_counts[static_cast<size_t>(pattern)]++;
-    auto pb = static_cast<uint8_t>(pattern);
-    if (track_dirty && prev_patterns_[i] != pb) {
-      accum->dirty.push_back(static_cast<DataItemId>(i));
-    }
-    prev_patterns_[i] = pb;
-  }
-}
-
 const ClassificationResult& PatternClassifier::Finalize(
     const storage::DataItemCatalog& catalog, SimTime period_end) {
   assert(period_end >= period_start_);
@@ -250,7 +168,8 @@ const ClassificationResult& PatternClassifier::Finalize(
   result_.p3_max_iops = 0.0;
   result_.mean_long_interval = 0;
 
-  const double period_seconds = ToSeconds(period_end - period_start_);
+  const SimDuration full_period = period_end - period_start_;
+  const double period_seconds = ToSeconds(full_period);
   const SimDuration width = options_.iops_bucket;
   // Bucket count of the legacy IopsSeries(start, max(end, start+1), w).
   auto n_buckets = static_cast<size_t>(
@@ -260,10 +179,10 @@ const ClassificationResult& PatternClassifier::Finalize(
 
   // The frontier: items touched this period plus rows still carrying
   // last period's activity (they must be reset to quiet form). Sorted
-  // merge keeps every downstream artifact — rows, dirty set, shard
-  // slices — in ascending item order. Ingest may have touched indices
-  // beyond the catalog (unknown items); they stay out of the frontier
-  // until the catalog covers them.
+  // merge keeps every downstream artifact — rows and the dirty set — in
+  // ascending item order. Ingest may have touched indices beyond the
+  // catalog (unknown items); they stay out of the frontier until the
+  // catalog covers them.
   std::sort(touched_.begin(), touched_.end());
   auto ta = touched_.begin();
   auto te = std::lower_bound(touched_.begin(), touched_.end(), n_items);
@@ -284,85 +203,83 @@ const ClassificationResult& PatternClassifier::Finalize(
   frontier_.insert(frontier_.end(), ra, re);
   const size_t n_front = frontier_.size();
 
-  int shards = options_.finalize_shards;
-  if (shards <= 0) {
-    shards = static_cast<int>((static_cast<int64_t>(n_front) +
-                               options_.items_per_shard - 1) /
-                              options_.items_per_shard);
-  }
-  shards = std::clamp(shards, 1, 16);
-
-  shard_accums_.resize(static_cast<size_t>(shards));
-  for (ShardAccum& a : shard_accums_) {
-    a.pattern_counts = {0, 0, 0, 0};
-    a.long_interval_sum = 0;
-    a.long_interval_count = 0;
-    a.any_p3 = false;
-    a.dirty.clear();
-    a.p3_buckets.clear();
-  }
-
-  const size_t per_shard =
-      shards > 1 ? (n_front + static_cast<size_t>(shards) - 1) /
-                       static_cast<size_t>(shards)
-                 : n_front;
-  if (shards > 1) {
-    if (finalize_pool_ == nullptr) {
-      auto hw = std::max(1u, std::thread::hardware_concurrency());
-      int threads = static_cast<int>(
-          std::min<unsigned>(static_cast<unsigned>(shards - 1), hw));
-      finalize_pool_ = std::make_unique<ThreadPool>(threads);
-    }
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<size_t>(shards) - 1);
-    for (int s = 1; s < shards; ++s) {
-      size_t lo = static_cast<size_t>(s) * per_shard;
-      size_t hi = std::min(n_front, lo + per_shard);
-      if (lo >= hi) break;
-      futures.push_back(finalize_pool_->Submit(
-          [this, lo, hi, period_end, period_seconds, n_buckets, track_dirty,
-           s] {
-            FinalizeRange(frontier_.data() + lo, hi - lo, period_end,
-                          period_seconds, n_buckets, track_dirty,
-                          &shard_accums_[static_cast<size_t>(s)]);
-          }));
-    }
-    FinalizeRange(frontier_.data(), std::min(n_front, per_shard), period_end,
-                  period_seconds, n_buckets, track_dirty, &shard_accums_[0]);
-    for (std::future<void>& f : futures) f.get();
-  } else {
-    FinalizeRange(frontier_.data(), n_front, period_end, period_seconds,
-                  n_buckets, track_dirty, &shard_accums_[0]);
-  }
-
-  // Deterministic merge: shards cover ascending frontier slices and every
-  // cross-shard reduction below is integral, so the result is identical
-  // for any shard/worker count — and to the serial (1-shard) pass. The
-  // quiet remainder (rows outside the frontier) contributes in closed
-  // form: n_quiet single full-period Long Intervals and n_quiet P0s,
-  // the same integers a per-item pass would add one by one.
+  // One pass over the frontier. Every reduction is integral, so the
+  // quiet remainder (rows outside the frontier) joins in closed form:
+  // n_quiet single full-period Long Intervals and n_quiet P0s, the same
+  // integers a per-item pass would add one by one.
   const auto n_quiet = static_cast<int64_t>(n_items - n_front);
   result_.pattern_counts[static_cast<size_t>(IoPattern::kP0)] += n_quiet;
-  int64_t li_sum = n_quiet * (period_end - period_start_);
+  int64_t li_sum = n_quiet * full_period;
   int64_t li_count = n_quiet;
+  bool any_p3 = false;
   dirty_.clear();
-  std::vector<int64_t>* p3_total = nullptr;
-  for (ShardAccum& a : shard_accums_) {
-    for (size_t p = 0; p < result_.pattern_counts.size(); ++p) {
-      result_.pattern_counts[p] += a.pattern_counts[p];
-    }
-    li_sum += a.long_interval_sum;
-    li_count += a.long_interval_count;
-    dirty_.insert(dirty_.end(), a.dirty.begin(), a.dirty.end());
-    if (a.any_p3) {
-      if (p3_total == nullptr) {
-        p3_total = &a.p3_buckets;
-      } else {
-        for (size_t b = 0; b < n_buckets; ++b) {
-          (*p3_total)[b] += a.p3_buckets[b];
+  for (const size_t i : frontier_) {
+    ItemClassification& cls = result_.items[i];
+    const ItemState& st = state_[i];
+    IoPattern pattern;
+    if (st.epoch != epoch_ || st.reads + st.writes == 0) {
+      // Resident last period, quiet now: the row returns to its quiet
+      // form (single full-period Long Interval, P0) and leaves the
+      // frontier after this finalise.
+      cls.reads = 0;
+      cls.writes = 0;
+      cls.read_bytes = 0;
+      cls.write_bytes = 0;
+      cls.io_sequences = 0;
+      cls.avg_iops = 0.0;
+      cls.long_interval_count = 1;
+      li_sum += full_period;
+      li_count++;
+      pattern = IoPattern::kP0;
+    } else {
+      cls.reads = st.reads;
+      cls.writes = st.writes;
+      cls.read_bytes = st.read_bytes;
+      cls.write_bytes = st.write_bytes;
+      cls.io_sequences = st.sequences;
+      int64_t item_li_count = st.long_intervals;
+      int64_t item_li_sum = st.long_interval_sum;
+      SimDuration trailing = period_end - st.last_time;
+      if (trailing > options_.break_even) {
+        item_li_count++;
+        item_li_sum += trailing;
+      }
+      cls.long_interval_count = item_li_count;
+      cls.avg_iops =
+          period_seconds > 0
+              ? static_cast<double>(cls.total_ios()) / period_seconds
+              : 0.0;
+      li_sum += item_li_sum;
+      li_count += item_li_count;
+      // Paper §IV-B Step 3.
+      if (item_li_count == 0) {
+        pattern = IoPattern::kP3;
+        if (!any_p3) {
+          any_p3 = true;
+          p3_buckets_.assign(n_buckets, 0);
         }
+        for (int32_t c = st.chunk_head; c >= 0;
+             c = pool_[static_cast<size_t>(c)].next) {
+          const IopsChunk& chunk = pool_[static_cast<size_t>(c)];
+          for (int32_t k = 0; k < chunk.n; ++k) {
+            auto b = static_cast<size_t>(chunk.bucket[k]);
+            if (b >= n_buckets) b = n_buckets - 1;
+            p3_buckets_[b] += chunk.count[k];
+          }
+        }
+      } else if (cls.reads * 2 > cls.total_ios()) {
+        pattern = IoPattern::kP1;
+      } else {
+        pattern = IoPattern::kP2;
       }
     }
+    cls.pattern = pattern;
+    result_.pattern_counts[static_cast<size_t>(pattern)]++;
+    auto pb = static_cast<uint8_t>(pattern);
+    if (track_dirty && prev_patterns_[i] != pb) {
+      dirty_.push_back(static_cast<DataItemId>(i));
+    }
+    prev_patterns_[i] = pb;
   }
   if (li_count > 0) {
     // Long-Interval sums are exact in int64 µs and below 2^53 in every
@@ -371,9 +288,9 @@ const ClassificationResult& PatternClassifier::Finalize(
     result_.mean_long_interval = static_cast<SimDuration>(
         static_cast<double>(li_sum) / static_cast<double>(li_count));
   }
-  if (p3_total != nullptr) {
+  if (any_p3) {
     int64_t best = 0;
-    for (int64_t c : *p3_total) best = std::max(best, c);
+    for (int64_t c : p3_buckets_) best = std::max(best, c);
     result_.p3_max_iops = static_cast<double>(best) / ToSeconds(width);
   }
 
@@ -412,11 +329,8 @@ size_t PatternClassifier::state_bytes() const {
                  result_.items.capacity() * sizeof(ItemClassification) +
                  (touched_.capacity() + resident_.capacity() +
                   frontier_.capacity()) *
-                     sizeof(size_t);
-  for (const ShardAccum& a : shard_accums_) {
-    bytes += sizeof(ShardAccum) + a.dirty.capacity() * sizeof(DataItemId) +
-             a.p3_buckets.capacity() * sizeof(int64_t);
-  }
+                     sizeof(size_t) +
+                 p3_buckets_.capacity() * sizeof(int64_t);
   return bytes;
 }
 

@@ -3,8 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -14,10 +12,6 @@
 #include "monitor/io_sink.h"
 #include "storage/data_item.h"
 #include "trace/trace_buffer.h"
-
-namespace ecostore {
-class ThreadPool;
-}  // namespace ecostore
 
 namespace ecostore::core {
 
@@ -83,11 +77,11 @@ struct ClassificationResult {
 /// Classification runs continuously: interval analysis is folded into
 /// ingest, so each logical I/O updates a compact per-item running state
 /// (Long-Interval count/sum, I/O-Sequence count, byte counters) the moment
-/// the monitor observes it — either through the ApplicationMonitor sink
-/// (OnLogicalIo) or by replaying a captured trace buffer (Classify). The
-/// period end therefore only finalises trailing intervals, buckets the P3
-/// IOPS series for I_max, and emits the result — and no per-period trace
-/// needs to be retained.
+/// the monitor observes it — through the ApplicationMonitor sink
+/// (OnLogicalIo), or, in tests and benches, by replaying a trace buffer
+/// (Classify). The period end therefore only finalises trailing
+/// intervals, buckets the P3 IOPS series for I_max, and emits the result
+/// — and no per-period trace needs to be retained.
 ///
 /// The result table is owned by the classifier and maintained
 /// incrementally: a quiet item's row has no field that depends on the
@@ -99,17 +93,15 @@ struct ClassificationResult {
 /// so regrouping is exact). Period-end cost thus scales with activity,
 /// not catalog size.
 ///
-/// Finalisation is sharded by contiguous slices of the (item-ordered)
-/// frontier across a common::ThreadPool with a deterministic item-ordered
-/// merge: every cross-shard reduction is integral, so the result is
-/// bit-identical for any shard or worker count, and bit-identical to the
+/// Finalisation is one serial pass over the (item-ordered) frontier.
+/// Every reduction is integral, so the result is bit-identical to the
 /// pre-streaming classifier preserved in bench/legacy_classifier.h (the
 /// differential oracle).
 ///
 /// Across periods the classifier keeps the previous pattern table and
 /// emits the dirty set — items whose pattern changed, which includes
-/// newly-quiet P3s — feeding the incremental re-plan without an O(catalog)
-/// diff in the management function.
+/// newly-quiet P3s — which keeps the management function's enclosure-of
+/// cache current without an O(catalog) diff.
 ///
 /// Not safe for concurrent ingest; one instance serves one experiment
 /// (see DESIGN.md §5).
@@ -120,16 +112,9 @@ class PatternClassifier : public monitor::LogicalIoSink {
     SimDuration break_even = 52 * kSecond;
     /// Bucket width for the aggregate P3 IOPS series used for I_max.
     SimDuration iops_bucket = 1 * kSecond;
-    /// Finalisation shard count; 0 picks one shard per
-    /// `items_per_shard` frontier items (serial below one shard's worth).
-    /// Any value yields bit-identical results.
-    int finalize_shards = 0;
-    /// Auto-sharding granularity.
-    int64_t items_per_shard = 1 << 17;
   };
 
   explicit PatternClassifier(const Options& options);
-  ~PatternClassifier() override;
 
   const Options& options() const { return options_; }
 
@@ -156,7 +141,7 @@ class PatternClassifier : public monitor::LogicalIoSink {
   void Finalize(const storage::DataItemCatalog& catalog, SimTime period_end,
                 ClassificationResult* result);
 
-  // --- Replay convenience (tests, policies without a sink attachment) ---
+  // --- Replay convenience (tests and benches) ---
 
   /// BeginPeriod + ingest of `buffer` + Finalize in one call. Replaces
   /// any in-flight streaming period.
@@ -217,23 +202,10 @@ class PatternClassifier : public monitor::LogicalIoSink {
     int32_t count[kEntries];
   };
 
-  /// Deterministic per-shard reduction, merged in item/shard order.
-  struct ShardAccum {
-    std::array<int64_t, kNumIoPatterns> pattern_counts = {0, 0, 0, 0};
-    int64_t long_interval_sum = 0;
-    int64_t long_interval_count = 0;
-    bool any_p3 = false;
-    std::vector<DataItemId> dirty;
-    std::vector<int64_t> p3_buckets;
-  };
-
   ItemState& StateFor(size_t idx);
   void AppendBucket(ItemState* st, int64_t bucket);
   void ReleaseChunks(ItemState* st);
   void WriteQuietRow(size_t i, const storage::DataItemCatalog& catalog);
-  void FinalizeRange(const size_t* idxs, size_t count, SimTime period_end,
-                     double period_seconds, size_t n_buckets,
-                     bool track_dirty, ShardAccum* accum);
   void NotePeak();
 
   Options options_;
@@ -257,8 +229,7 @@ class PatternClassifier : public monitor::LogicalIoSink {
   std::vector<size_t> resident_;   ///< sorted: rows currently non-quiet
   std::vector<size_t> frontier_;   ///< scratch: touched ∪ resident, sorted
 
-  std::vector<ShardAccum> shard_accums_;
-  std::unique_ptr<ThreadPool> finalize_pool_;
+  std::vector<int64_t> p3_buckets_;  ///< scratch: aggregate P3 IOPS series
   size_t peak_state_bytes_ = 0;
 };
 

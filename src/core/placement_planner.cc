@@ -7,9 +7,7 @@ namespace ecostore::core {
 
 PlacementPlan PlacementPlanner::Plan(
     const ClassificationResult& classification,
-    const storage::BlockVirtualization& virt,
-    const std::vector<DataItemId>* candidates,
-    std::vector<DataItemId>* p3_on_cold) {
+    const storage::BlockVirtualization& virt) {
   int n = virt.num_enclosures();
   PlacementPlan plan;
   int min_hot = 0;
@@ -19,13 +17,12 @@ PlacementPlan PlacementPlanner::Plan(
       // Everything is hot: no cold enclosures, nothing to move (and no
       // power saving this period).
       plan.migrations.clear();
-      if (p3_on_cold != nullptr) p3_on_cold->clear();
       return plan;
     }
     evictions_scratch_.clear();
     p3_moves_scratch_.clear();
-    if (TryPlace(classification, virt, plan.partition, candidates,
-                 &evictions_scratch_, &p3_moves_scratch_, p3_on_cold)) {
+    if (TryPlace(classification, virt, plan.partition, &evictions_scratch_,
+                 &p3_moves_scratch_)) {
       plan.migrations.reserve(evictions_scratch_.size() +
                               p3_moves_scratch_.size());
       plan.migrations.assign(evictions_scratch_.begin(),
@@ -43,10 +40,8 @@ PlacementPlan PlacementPlanner::Plan(
 bool PlacementPlanner::TryPlace(const ClassificationResult& classification,
                                 const storage::BlockVirtualization& virt,
                                 const HotColdPartition& partition,
-                                const std::vector<DataItemId>* candidates,
                                 std::vector<Migration>* evictions,
-                                std::vector<Migration>* p3_moves,
-                                std::vector<DataItemId>* p3_on_cold) {
+                                std::vector<Migration>* p3_moves) {
   const double kO = options_.max_enclosure_iops;
   const int64_t kS = options_.enclosure_capacity > 0
                          ? options_.enclosure_capacity
@@ -162,36 +157,13 @@ bool PlacementPlanner::TryPlace(const ClassificationResult& classification,
   };
 
   // Algorithm 2: move P3 items off cold enclosures, most demanding
-  // (IOPS per byte) first. The incremental path hands in a candidate
-  // superset instead of scanning the whole catalog; the filter below
-  // makes both forms select the identical mover set.
+  // (IOPS per byte) first.
   movers_.clear();
-  auto consider = [&](const ItemClassification& cls) {
+  for (const ItemClassification& cls : classification.items) {
     if (cls.pattern == IoPattern::kP3 &&
         !partition.IsHot(state.where[static_cast<size_t>(cls.item)]) &&
         !virt.catalog().item(cls.item).pinned) {
       movers_.push_back(&cls);
-    }
-  };
-  if (candidates == nullptr) {
-    for (const ItemClassification& cls : classification.items) {
-      consider(cls);
-    }
-  } else {
-    for (DataItemId id : *candidates) {
-      if (id < 0 || static_cast<size_t>(id) >= classification.items.size()) {
-        continue;
-      }
-      consider(classification.items[static_cast<size_t>(id)]);
-    }
-  }
-  if (p3_on_cold != nullptr) {
-    // Captured before the density sort: the candidate/filter pass visits
-    // items in ascending id order, which is the order the residue keeps.
-    p3_on_cold->clear();
-    p3_on_cold->reserve(movers_.size());
-    for (const ItemClassification* cls : movers_) {
-      p3_on_cold->push_back(cls->item);
     }
   }
   std::stable_sort(movers_.begin(), movers_.end(),

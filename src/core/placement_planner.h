@@ -58,20 +58,8 @@ class PlacementPlanner {
   /// Computes the placement. Non-const: scratch buffers (working state,
   /// heaps, movable buckets) persist across periods so steady-state
   /// planning allocates nothing.
-  ///
-  /// \param candidates when non-null, restricts Algorithm 2's mover list
-  ///        to these item ids (ascending, deduplicated) — the incremental
-  ///        re-plan path. The caller must guarantee the list is a superset
-  ///        of every item that is currently P3-and-on-cold (see
-  ///        PowerManagementFunction); the plan then equals the full one.
-  /// \param p3_on_cold when non-null, receives the ids (ascending) of the
-  ///        P3-on-cold movable items the returned plan actually placed —
-  ///        the residue the incremental path folds into the next period's
-  ///        candidate set.
   PlacementPlan Plan(const ClassificationResult& classification,
-                     const storage::BlockVirtualization& virt,
-                     const std::vector<DataItemId>* candidates = nullptr,
-                     std::vector<DataItemId>* p3_on_cold = nullptr);
+                     const storage::BlockVirtualization& virt);
 
  private:
   /// Mutable per-enclosure load/space model used while planning. Starts
@@ -96,10 +84,8 @@ class PlacementPlanner {
   bool TryPlace(const ClassificationResult& classification,
                 const storage::BlockVirtualization& virt,
                 const HotColdPartition& partition,
-                const std::vector<DataItemId>* candidates,
                 std::vector<Migration>* evictions,
-                std::vector<Migration>* p3_moves,
-                std::vector<DataItemId>* p3_on_cold);
+                std::vector<Migration>* p3_moves);
 
   Options options_;
   const HotColdPlanner* hot_cold_;

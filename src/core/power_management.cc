@@ -1,17 +1,13 @@
 #include "core/power_management.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "telemetry/profile/profiler.h"
 
 namespace ecostore::core {
 
 namespace {
-
-bool SamePartition(const HotColdPartition& a, const HotColdPartition& b) {
-  return a.n_hot == b.n_hot && a.is_hot == b.is_hot;
-}
 
 PowerManagementConfig FillDefaults(PowerManagementConfig config,
                                    const storage::StorageSystem& system) {
@@ -65,25 +61,14 @@ PowerManagementFunction::PowerManagementFunction(
 
 ManagementPlan PowerManagementFunction::Run(
     const monitor::MonitorSnapshot& snapshot,
-    const storage::StorageSystem& system,
-    SimDuration current_period, bool force_full, bool streaming_ingest) {
+    const storage::StorageSystem& system, SimDuration current_period) {
   ManagementPlan plan;
   const storage::BlockVirtualization& virt = system.virtualization();
 
-  // Algorithm 1 line: determine Logical I/O pattern of data items. With
-  // streaming ingest the interval analysis already happened as the I/Os
-  // arrived; the period end only finalises (DESIGN.md §13). The replay
-  // path feeds the captured trace through the same state machine, so
-  // both produce bit-identical classifications.
-  if (streaming_ingest) {
-    assert(classifier_.period_start() == snapshot.period_start);
-  } else {
-    classifier_.BeginPeriod(snapshot.period_start);
-    for (const trace::LogicalIoRecord& rec :
-         snapshot.application->buffer().records()) {
-      classifier_.OnLogicalIo(rec);
-    }
-  }
+  // Algorithm 1 line: determine Logical I/O pattern of data items. The
+  // interval analysis already happened as the I/Os arrived through the
+  // monitor sink; the period end only finalises (DESIGN.md §13).
+  assert(classifier_.period_start() == snapshot.period_start);
   const ClassificationResult* classification_ptr;
   {
     telemetry::profile::ScopedPhase classify_span(
@@ -157,80 +142,9 @@ ManagementPlan PowerManagementFunction::Run(
 
   // Determine hot/cold enclosures + data placement.
   if (config_.enable_placement) {
-    const size_t n_items = classification.items.size();
-    bool planned = false;
-
-    // Incremental path (DESIGN.md §12). Sound because every item that can
-    // be P3-and-on-cold *now* is reachable from one of three facts: its
-    // pattern changed since the last plan (dirty), its residency changed
-    // since the last plan (move journal — in-flight migrations commit
-    // between periods), or it was already P3-on-cold at the last plan
-    // (residue). Anything else kept both its pattern and its enclosure,
-    // and under an unchanged partition an unchanged P3 item still sits
-    // hot. A partition shift invalidates that last step, so it falls back
-    // to the full plan.
-    if (config_.enable_incremental_replan && !force_full && have_prev_ &&
-        classifier_.has_previous() &&
-        classifier_.patterns().size() == n_items &&
-        journal_cursor_ <= virt.move_log_size()) {
-      // The dirty set (pattern-changed items, including newly-quiet P3s)
-      // fell out of the classifier's finalisation — activity-sized, no
-      // full-catalog diff (DESIGN.md §13).
-      const std::vector<DataItemId>& dirty = classifier_.dirty_items();
-      candidate_scratch_.assign(dirty.begin(), dirty.end());
-      plan.dirty_items = static_cast<int64_t>(candidate_scratch_.size());
-      const std::vector<DataItemId>& log = virt.move_log();
-      candidate_scratch_.insert(candidate_scratch_.end(),
-                                log.begin() + static_cast<ptrdiff_t>(
-                                                  journal_cursor_),
-                                log.end());
-      candidate_scratch_.insert(candidate_scratch_.end(),
-                                prev_p3_cold_.begin(), prev_p3_cold_.end());
-      std::sort(candidate_scratch_.begin(), candidate_scratch_.end());
-      candidate_scratch_.erase(std::unique(candidate_scratch_.begin(),
-                                           candidate_scratch_.end()),
-                               candidate_scratch_.end());
-      plan.replan_candidates =
-          static_cast<int64_t>(candidate_scratch_.size());
-
-      HotColdPartition fresh = hot_cold_.Plan(classification, virt);
-      if (SamePartition(fresh, prev_partition_)) {
-        if (candidate_scratch_.empty()) {
-          // Fast path: nothing can have become P3-on-cold, so the full
-          // planner would compute an empty mover list and no migrations.
-          plan.partition = std::move(fresh);
-          plan.migrations.clear();
-          prev_p3_cold_.clear();
-          plan.incremental = true;
-          plan.placement_skipped = true;
-          planned = true;
-        } else {
-          PlacementPlan placement =
-              placement_.Plan(classification, virt,
-                              &candidate_scratch_, &prev_p3_cold_);
-          plan.partition = std::move(placement.partition);
-          plan.migrations = std::move(placement.migrations);
-          plan.incremental = true;
-          planned = true;
-        }
-      }
-    }
-
-    if (!planned) {
-      PlacementPlan placement =
-          placement_.Plan(classification, virt, nullptr,
-                          &prev_p3_cold_);
-      plan.partition = std::move(placement.partition);
-      plan.migrations = std::move(placement.migrations);
-    }
-
-    // Snapshot the state the next period's incremental decision needs:
-    // the settled partition *before* the safety net below mutates it and
-    // the consumed journal prefix (the pattern table already lives in
-    // the classifier).
-    prev_partition_ = plan.partition;
-    journal_cursor_ = virt.move_log_size();
-    have_prev_ = true;
+    PlacementPlan placement = placement_.Plan(classification, virt);
+    plan.partition = std::move(placement.partition);
+    plan.migrations = std::move(placement.migrations);
   } else {
     plan.partition = hot_cold_.Plan(classification, virt);
     // Items stay put; cold enclosures may still hold P3 items. Such

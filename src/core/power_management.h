@@ -44,14 +44,6 @@ struct PowerManagementConfig {
   bool enable_write_delay = true;
   bool enable_adaptive_period = true;
   bool enable_pattern_change_triggers = true;
-  /// Incremental re-planning (DESIGN.md §12): when the hot/cold partition
-  /// is unchanged since the last period, Algorithm 2 only considers items
-  /// whose classified pattern changed, that moved enclosure since the last
-  /// plan, or that were P3-on-cold last time — and skips placement
-  /// entirely when that union is empty. Plans are provably identical to
-  /// full re-planning, so this is safe to leave on; the flag exists for
-  /// ablation and the equivalence tests.
-  bool enable_incremental_replan = true;
 
   Status Validate() const;
 };
@@ -72,26 +64,17 @@ struct ManagementPlan {
   /// Per-enclosure spin-down permission (true = cold, may power off).
   std::vector<bool> spin_down_allowed;
   SimDuration next_period = 0;
-
-  /// Incremental re-plan audit (DESIGN.md §12). `incremental` is true
-  /// when Algorithm 2 ran against the candidate set instead of the full
-  /// catalog; `placement_skipped` when the empty-candidate fast path
-  /// bypassed placement entirely (migrations trivially empty).
-  bool incremental = false;
-  bool placement_skipped = false;
-  int64_t dirty_items = 0;        ///< pattern changes since the last period
-  int64_t replan_candidates = 0;  ///< dirty ∪ moved ∪ residue handed over
 };
 
 /// \brief The power-management function (paper Algorithm 1): classify
 /// patterns, split hot/cold, plan placement, pick write-delay and preload
 /// items, configure power-off, and adapt the monitoring period.
 ///
-/// Stateful across invocations: it remembers the previous period's
-/// pattern table, the partition the placement settled on, the residual
-/// P3-on-cold set and a cursor into the virtualization layer's move
-/// journal, which together drive the incremental re-plan path
-/// (DESIGN.md §12). One instance serves one experiment run.
+/// Stateful across invocations: the streaming classifier carries the
+/// period's ingest, and an item → enclosure cache follows the
+/// virtualization layer's move journal so the P3-on-cold safety net and
+/// the cache planner never walk the catalog (DESIGN.md §12). One
+/// instance serves one experiment run.
 class PowerManagementFunction {
  public:
   /// \param config method parameters; zero-valued capacity/cache fields
@@ -101,21 +84,13 @@ class PowerManagementFunction {
 
   const PowerManagementConfig& config() const { return config_; }
 
-  /// Runs one management decision over a period snapshot.
-  ///
-  /// \param force_full bypass the incremental path for this invocation
-  ///        (the §V-D sudden-change triggers request this: the trigger
-  ///        itself is evidence the pattern landscape shifted).
-  /// \param streaming_ingest the period's I/O already reached the
-  ///        classifier through the monitor sink (DESIGN.md §13): only
-  ///        finalise — never replay snapshot.application->buffer(). The
-  ///        caller owns the BeginPeriod()/ingest lifecycle. When false,
-  ///        the captured trace buffer is replayed into the classifier,
-  ///        which yields the identical result.
+  /// Runs one management decision over a period snapshot. The period's
+  /// I/O must already have reached classifier() through the monitor sink
+  /// (DESIGN.md §13): Run only finalises it. The caller owns the
+  /// BeginPeriod()/ingest lifecycle.
   ManagementPlan Run(const monitor::MonitorSnapshot& snapshot,
                      const storage::StorageSystem& system,
-                     SimDuration current_period, bool force_full = false,
-                     bool streaming_ingest = false);
+                     SimDuration current_period);
 
   /// The streaming classifier: policies attach it as the monitor's
   /// logical I/O sink and drive BeginPeriod() around Run().
@@ -128,20 +103,6 @@ class PowerManagementFunction {
   PlacementPlanner placement_;
   CachePlanner cache_;
   MonitoringPeriodController period_;
-
-  // ---- incremental re-plan state (DESIGN.md §12) ----
-  // The pattern table and its period-over-period diff live in the
-  // classifier, which emits the dirty set as a finalisation by-product —
-  // no O(catalog) diff here (DESIGN.md §13).
-  bool have_prev_ = false;
-  /// Partition the last placement settled on (pre safety-net).
-  HotColdPartition prev_partition_;
-  /// Residue: items that were P3-on-cold at the last placement (their
-  /// migrations may still be in flight or may have failed).
-  std::vector<DataItemId> prev_p3_cold_;
-  /// Consumed prefix of BlockVirtualization::move_log().
-  size_t journal_cursor_ = 0;
-  std::vector<DataItemId> candidate_scratch_;
 
   // ---- enclosure-of cache (frontier-sized period ends) ----
   // Invariant between Run()s: final_enclosure_[i] is where item i ends
@@ -157,8 +118,7 @@ class PowerManagementFunction {
   std::vector<EnclosureId> final_enclosure_;  ///< item → post-plan enclosure
   std::vector<uint8_t> cached_is_p3_;         ///< item → pattern == P3
   std::vector<int64_t> p3_final_count_;       ///< enclosure → cached P3 items
-  /// Consumed move_log() prefix — separate from journal_cursor_, which
-  /// only advances on the enable_placement path.
+  /// Consumed move_log() prefix.
   size_t enclosure_cache_cursor_ = 0;
   /// Items overlaid with the last plan's migration targets (reverted to
   /// journal truth at the next Run).

@@ -68,8 +68,9 @@ class PolicyActuator {
   /// Attaches `sink` to the Application Monitor's logical I/O stream so
   /// the policy can fold its period analysis into ingest (DESIGN.md §13).
   /// Returns true when the runtime supports streaming ingest; the default
-  /// (false) keeps the policy on the captured-trace path. Call from
-  /// StoragePolicy::Start(); the sink must outlive the run.
+  /// (false) means the policy sees no logical I/O stream and must not
+  /// plan on one. Call from StoragePolicy::Start(); the sink must outlive
+  /// the run.
   virtual bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) {
     (void)sink;
     return false;

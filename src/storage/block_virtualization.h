@@ -55,11 +55,11 @@ class BlockVirtualization {
   }
 
   /// Append-only residency journal: one entry per committed MoveItem that
-  /// actually changed an item's enclosure, in commit order. The
-  /// incremental re-planner reads the suffix past its cursor to learn
-  /// which items moved since the last plan (stale in-flight migrations
-  /// can land an item on a cold enclosure between periods); see
-  /// DESIGN.md §12. Cleared by PlaceInitial.
+  /// actually changed an item's enclosure, in commit order. The power-
+  /// management function's enclosure-of cache reads the suffix past its
+  /// cursor to learn which items moved since the last plan (stale
+  /// in-flight migrations can land an item on a cold enclosure between
+  /// periods); see DESIGN.md §12. Cleared by PlaceInitial.
   const std::vector<DataItemId>& move_log() const { return move_log_; }
   size_t move_log_size() const { return move_log_.size(); }
 

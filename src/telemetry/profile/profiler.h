@@ -54,7 +54,7 @@ enum class Phase : uint16_t {
 
   kIngest,           ///< one replay batch: generate + submit + account
   kClassifyFinalize, ///< PatternClassifier::Finalize at a period end
-  kPlan,             ///< placement / cache planning (incremental or full)
+  kPlan,             ///< placement / cache planning
   kMigrate,          ///< migration requests enacted from one plan
   kFlush,            ///< write-delay / preload / spin-down enactment
   kLedgerPump,       ///< mid-run telemetry pump into stream consumers

@@ -1,5 +1,5 @@
 // Differential tests for the streaming classifier (DESIGN.md §13): the
-// streaming/sharded core::PatternClassifier must produce bit-identical
+// streaming core::PatternClassifier must produce bit-identical
 // results to the frozen pre-streaming reference in
 // bench/legacy_classifier.h across randomized traces — including §V-D
 // sudden-change periods that end early mid-traffic, empty and quiet
@@ -21,11 +21,10 @@ namespace {
 
 constexpr SimDuration kBreakEven = 52 * kSecond;
 
-PatternClassifier::Options ClassifierOptions(int shards) {
+PatternClassifier::Options ClassifierOptions() {
   PatternClassifier::Options opt;
   opt.break_even = kBreakEven;
   opt.iops_bucket = 1 * kSecond;
-  opt.finalize_shards = shards;
   return opt;
 }
 
@@ -155,18 +154,18 @@ TEST_P(ClassifierDifferentialTest, StreamingMatchesLegacy) {
   storage::DataItemCatalog catalog = MakeCatalog(shape.n_items, &rng);
   trace::LogicalTraceBuffer buffer = MakeTrace(shape, &rng);
 
-  bench::LegacyPatternClassifier legacy(ClassifierOptions(0));
+  bench::LegacyPatternClassifier legacy(ClassifierOptions());
   ClassificationResult expected = legacy.Classify(
       buffer, catalog, shape.period_start, shape.period_end);
 
-  // Replay path (Classify), as used by non-streaming policies.
-  PatternClassifier replay(ClassifierOptions(0));
+  // Replay convenience (Classify), as tests and benches use it.
+  PatternClassifier replay(ClassifierOptions());
   ClassificationResult via_replay = replay.Classify(
       buffer, catalog, shape.period_start, shape.period_end);
   ExpectResultsIdentical(expected, via_replay, "replay");
 
   // Streaming sink path: ingest record by record, finalise once.
-  PatternClassifier streaming(ClassifierOptions(0));
+  PatternClassifier streaming(ClassifierOptions());
   streaming.BeginPeriod(shape.period_start);
   for (const trace::LogicalIoRecord& rec : buffer.records()) {
     streaming.OnLogicalIo(rec);
@@ -174,20 +173,6 @@ TEST_P(ClassifierDifferentialTest, StreamingMatchesLegacy) {
   ClassificationResult via_stream;
   streaming.Finalize(catalog, shape.period_end, &via_stream);
   ExpectResultsIdentical(expected, via_stream, "streaming");
-
-  // Sharded finalisation must be bit-identical to serial for any shard
-  // count (all cross-shard reductions are integral).
-  for (int shards : {2, 4, 7}) {
-    PatternClassifier sharded(ClassifierOptions(shards));
-    sharded.BeginPeriod(shape.period_start);
-    for (const trace::LogicalIoRecord& rec : buffer.records()) {
-      sharded.OnLogicalIo(rec);
-    }
-    ClassificationResult via_shards;
-    sharded.Finalize(catalog, shape.period_end, &via_shards);
-    ExpectResultsIdentical(expected, via_shards,
-                           "shards=" + std::to_string(shards));
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClassifierDifferentialTest,
@@ -206,8 +191,7 @@ TEST_P(DirtySetTest, DirtySetEqualsFullDiffAcrossPeriods) {
   const int n_items = 1 + static_cast<int>(seed % 2) * 96;
   storage::DataItemCatalog catalog = MakeCatalog(n_items, &rng);
 
-  PatternClassifier classifier(ClassifierOptions(
-      /*shards=*/seed % 3 == 0 ? 4 : 0));
+  PatternClassifier classifier(ClassifierOptions());
   EXPECT_FALSE(classifier.has_previous());
 
   std::vector<uint8_t> prev_table;
@@ -216,7 +200,7 @@ TEST_P(DirtySetTest, DirtySetEqualsFullDiffAcrossPeriods) {
     TraceShape shape;
     shape.n_items = n_items;
     // Period 3 is quiet (every previously-P3 item goes newly quiet, the
-    // case the incremental re-plan must see); period 4 ends early (§V-D).
+    // case the enclosure-of cache must see); period 4 ends early (§V-D).
     shape.n_records =
         period == 3 ? 0
                     : static_cast<int>(rng.UniformInt(int64_t{20},
@@ -287,8 +271,8 @@ TEST(ClassifierEdgeTest, EmptyCatalogWithStrayRecords) {
     rec.type = IoType::kRead;
     buffer.Append(rec);
   }
-  bench::LegacyPatternClassifier legacy(ClassifierOptions(0));
-  PatternClassifier streaming(ClassifierOptions(4));
+  bench::LegacyPatternClassifier legacy(ClassifierOptions());
+  PatternClassifier streaming(ClassifierOptions());
   ClassificationResult expected =
       legacy.Classify(buffer, catalog, 0, 520 * kSecond);
   streaming.BeginPeriod(0);
@@ -306,8 +290,8 @@ TEST(ClassifierEdgeTest, QuietCatalogAllP0) {
   Xoshiro256 rng(11);
   storage::DataItemCatalog catalog = MakeCatalog(50, &rng);
   trace::LogicalTraceBuffer buffer;
-  bench::LegacyPatternClassifier legacy(ClassifierOptions(0));
-  PatternClassifier streaming(ClassifierOptions(4));
+  bench::LegacyPatternClassifier legacy(ClassifierOptions());
+  PatternClassifier streaming(ClassifierOptions());
   ClassificationResult expected =
       legacy.Classify(buffer, catalog, 0, 520 * kSecond);
   streaming.BeginPeriod(0);
@@ -323,7 +307,7 @@ TEST(ClassifierEdgeTest, StateReleasedWhenP3CandidacyLost) {
   // chunks mid-period: peak state stays bounded by live candidates.
   Xoshiro256 rng(13);
   storage::DataItemCatalog catalog = MakeCatalog(1, &rng);
-  PatternClassifier classifier(ClassifierOptions(0));
+  PatternClassifier classifier(ClassifierOptions());
   classifier.BeginPeriod(0);
   trace::LogicalIoRecord rec;
   rec.item = 0;

@@ -11,7 +11,9 @@
 namespace ecostore::core {
 namespace {
 
-struct MockActuator : public policies::PolicyActuator {
+/// Records every action; keeps PolicyActuator's AttachLogicalIoSink, so
+/// it offers no logical I/O stream.
+struct BareActuator : public policies::PolicyActuator {
   SimTime now = 0;
   std::vector<std::pair<DataItemId, EnclosureId>> migrations;
   std::unordered_set<DataItemId> write_delay;
@@ -39,6 +41,18 @@ struct MockActuator : public policies::PolicyActuator {
     spin_down[static_cast<size_t>(enclosure)] = allowed;
   }
   void TriggerImmediatePeriodEnd() override { immediate_triggers++; }
+};
+
+/// Streams the test's Application Monitor into the policy, as the replay
+/// engine does.
+struct MockActuator : public BareActuator {
+  explicit MockActuator(monitor::ApplicationMonitor* app_monitor)
+      : app_monitor(app_monitor) {}
+  bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) override {
+    app_monitor->SetSink(sink);
+    return true;
+  }
+  monitor::ApplicationMonitor* app_monitor;
 };
 
 class EcoPolicyTest : public ::testing::Test {
@@ -99,7 +113,7 @@ class EcoPolicyTest : public ::testing::Test {
 TEST_F(EcoPolicyTest, StartDisablesSpinDownEverywhere) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   ASSERT_EQ(actuator.spin_down.size(), 2u);
   EXPECT_FALSE(actuator.spin_down[0]);
@@ -110,7 +124,7 @@ TEST_F(EcoPolicyTest, StartDisablesSpinDownEverywhere) {
 TEST_F(EcoPolicyTest, PeriodEndEnactsPlan) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -135,10 +149,32 @@ TEST_F(EcoPolicyTest, PeriodEndEnactsPlan) {
             1);
 }
 
+TEST_F(EcoPolicyTest, WithoutSinkNeverPlansOrSpinsDown) {
+  EcoStoragePolicy policy(PowerManagementConfig{});
+  BareActuator actuator;
+  policy.Start(*system_, &actuator);
+  FillPeriodTraffic(520 * kSecond);
+  actuator.now = 520 * kSecond;
+  SimDuration next = policy.OnPeriodEnd(MakeSnapshot(0, 520 * kSecond),
+                                        *system_, &actuator);
+  EXPECT_EQ(next, PowerManagementConfig{}.initial_period);
+  EXPECT_EQ(policy.placement_determinations(), 0);
+  EXPECT_TRUE(actuator.migrations.empty());
+  EXPECT_TRUE(actuator.preload.empty());
+  EXPECT_TRUE(actuator.write_delay.empty());
+  // Start()'s "no spin-down" stands on both enclosures.
+  ASSERT_EQ(actuator.spin_down.size(), 2u);
+  EXPECT_FALSE(actuator.spin_down[0]);
+  EXPECT_FALSE(actuator.spin_down[1]);
+  // Nor do the §V-D triggers force period ends it would not plan for.
+  policy.OnIdleGapEnd(0, actuator.now + 600 * kSecond, 60 * kSecond);
+  EXPECT_EQ(actuator.immediate_triggers, 0);
+}
+
 TEST_F(EcoPolicyTest, HotEnclosureLongGapTriggersReplan) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -159,7 +195,7 @@ TEST_F(EcoPolicyTest, HotEnclosureLongGapTriggersReplan) {
 TEST_F(EcoPolicyTest, ColdGapDoesNotTrigger) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -171,7 +207,7 @@ TEST_F(EcoPolicyTest, ColdGapDoesNotTrigger) {
 TEST_F(EcoPolicyTest, ColdPowerOnStormTriggersReplan) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -190,7 +226,7 @@ TEST_F(EcoPolicyTest, TriggersCanBeDisabled) {
   PowerManagementConfig pm;
   pm.enable_pattern_change_triggers = false;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -207,7 +243,7 @@ TEST_F(EcoPolicyTest, FeatureFlagsSuppressCacheActions) {
   pm.enable_preload = false;
   pm.enable_write_delay = false;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -220,7 +256,7 @@ TEST_F(EcoPolicyTest, AdaptivePeriodCanBeDisabled) {
   PowerManagementConfig pm;
   pm.enable_adaptive_period = false;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;

@@ -1,9 +1,9 @@
 // Differential tests for the fleet-scale planners (DESIGN.md §12):
 // the indexed/heap/nth_element implementations in src/core must produce
 // bit-identical plans to the frozen stable_sort reference in
-// bench/legacy_planner.h across randomized fleets, and the incremental
-// re-plan path of PowerManagementFunction must be indistinguishable from
-// full re-planning period after period.
+// bench/legacy_planner.h across randomized fleets, and
+// PowerManagementFunction's enclosure-of cache must plan exactly as full
+// item-table walks do, period after period.
 
 #include <gtest/gtest.h>
 
@@ -207,34 +207,12 @@ TEST(PlannerDifferentialTest, RepeatedPlansAreIdentical) {
   }
 }
 
-/// The candidate-driven path must reproduce the full plan whenever the
-/// candidate list covers every P3-on-cold item — here fed the exact
-/// P3-on-cold residue of a fresh full plan.
-TEST(PlannerDifferentialTest, CandidatePlanMatchesFullPlan) {
-  for (uint64_t seed : {1ull, 9ull, 14ull, 22ull}) {
-    RandomFleet fleet = MakeFleet(seed);
-    HotColdPlanner hot_cold(HotColdPlanner::Options{900.0, kCap});
-    PlacementPlanner planner(PlacementPlanner::Options{900.0, kCap},
-                             &hot_cold);
-    std::vector<DataItemId> residue;
-    PlacementPlan full = planner.Plan(fleet.result, *fleet.virt, nullptr,
-                                      &residue);
-    // `residue` is exactly the P3-on-cold set, in ascending item order —
-    // a valid candidate list by construction.
-    std::vector<DataItemId> residue2;
-    PlacementPlan incremental =
-        planner.Plan(fleet.result, *fleet.virt, &residue, &residue2);
-    ExpectSamePlan(incremental, full, seed);
-    ASSERT_EQ(residue2, residue) << "seed " << seed;
-  }
-}
-
 // ---------------------------------------------------------------------
-// Incremental vs full re-planning through PowerManagementFunction, with
+// The enclosure-of cache through PowerManagementFunction, with
 // migrations committing (partially!) between periods.
 // ---------------------------------------------------------------------
 
-class IncrementalEquivalenceTest : public ::testing::Test {
+class EnclosureCacheTest : public ::testing::Test {
  protected:
   static constexpr int kEnclosures = 8;
   static constexpr int kItemsPerEnclosure = 6;
@@ -335,85 +313,42 @@ class IncrementalEquivalenceTest : public ::testing::Test {
   bool pin_first_items_ = false;
 };
 
-class PinnedEquivalenceTest : public IncrementalEquivalenceTest {
+class PinnedEnclosureCacheTest : public EnclosureCacheTest {
  protected:
-  PinnedEquivalenceTest() { pin_first_items_ = true; }
+  PinnedEnclosureCacheTest() { pin_first_items_ = true; }
 };
 
-void ExpectSameManagementPlan(const ManagementPlan& inc,
-                              const ManagementPlan& full, uint64_t round) {
-  ASSERT_EQ(inc.partition.n_hot, full.partition.n_hot) << "round " << round;
-  ASSERT_EQ(inc.partition.is_hot, full.partition.is_hot)
+void ExpectSameManagementPlan(const ManagementPlan& got,
+                              const ManagementPlan& want, uint64_t round) {
+  ASSERT_EQ(got.partition.n_hot, want.partition.n_hot) << "round " << round;
+  ASSERT_EQ(got.partition.is_hot, want.partition.is_hot)
       << "round " << round;
-  ASSERT_EQ(inc.migrations.size(), full.migrations.size())
+  ASSERT_EQ(got.migrations.size(), want.migrations.size())
       << "round " << round;
-  for (size_t i = 0; i < inc.migrations.size(); ++i) {
-    EXPECT_EQ(inc.migrations[i].item, full.migrations[i].item)
+  for (size_t i = 0; i < got.migrations.size(); ++i) {
+    EXPECT_EQ(got.migrations[i].item, want.migrations[i].item)
         << "round " << round;
-    EXPECT_EQ(inc.migrations[i].to, full.migrations[i].to)
-        << "round " << round;
-  }
-  EXPECT_EQ(inc.cache.write_delay, full.cache.write_delay)
-      << "round " << round;
-  ASSERT_EQ(inc.cache.preload.size(), full.cache.preload.size())
-      << "round " << round;
-  for (size_t i = 0; i < inc.cache.preload.size(); ++i) {
-    EXPECT_EQ(inc.cache.preload[i], full.cache.preload[i])
+    EXPECT_EQ(got.migrations[i].to, want.migrations[i].to)
         << "round " << round;
   }
-  EXPECT_EQ(inc.spin_down_allowed, full.spin_down_allowed)
+  EXPECT_EQ(got.cache.write_delay, want.cache.write_delay)
       << "round " << round;
-  EXPECT_EQ(inc.next_period, full.next_period) << "round " << round;
-}
-
-TEST_F(IncrementalEquivalenceTest, MatchesFullReplanAcrossPeriods) {
-  PowerManagementConfig inc_config;
-  inc_config.enable_incremental_replan = true;
-  PowerManagementConfig full_config;
-  full_config.enable_incremental_replan = false;
-  PowerManagementFunction incremental(inc_config, *system_);
-  PowerManagementFunction full(full_config, *system_);
-
-  const SimTime period_end = 520 * kSecond;
-  Xoshiro256 apply_rng(99);
-  bool saw_incremental = false;
-  bool saw_skip = false;
-  // Rounds 4/5 repeat round 3's traffic so the pattern table goes static:
-  // by round 5 every migration has committed, the journal suffix is empty
-  // and the residue is gone — the empty-candidate fast path must engage.
-  const uint64_t traffic_round[] = {0, 1, 2, 3, 3, 3};
-  for (uint64_t round = 0; round < 6; ++round) {
-    app_monitor_.ResetPeriod(0);
-    FillPeriod(traffic_round[round], period_end);
-    monitor::MonitorSnapshot snapshot = Snapshot(period_end);
-
-    ManagementPlan inc_plan =
-        incremental.Run(snapshot, *system_, 520 * kSecond);
-    ManagementPlan full_plan = full.Run(snapshot, *system_, 520 * kSecond);
-    ExpectSameManagementPlan(inc_plan, full_plan, round);
-    saw_incremental |= inc_plan.incremental;
-    saw_skip |= inc_plan.placement_skipped;
-
-    // Commit a random subset of the planned migrations (the migration
-    // engine never finishes everything within a period; stale moves can
-    // also land after the next classification — the move journal covers
-    // both). Later rounds apply everything so the system converges.
-    for (const Migration& mig : inc_plan.migrations) {
-      if (round >= 3 || apply_rng.NextDouble() < 0.6) {
-        ASSERT_TRUE(
-            system_->virtualization().MoveItem(mig.item, mig.to).ok());
-      }
-    }
+  ASSERT_EQ(got.cache.preload.size(), want.cache.preload.size())
+      << "round " << round;
+  for (size_t i = 0; i < got.cache.preload.size(); ++i) {
+    EXPECT_EQ(got.cache.preload[i], want.cache.preload[i])
+        << "round " << round;
   }
-  EXPECT_TRUE(saw_incremental);
-  EXPECT_TRUE(saw_skip);
+  EXPECT_EQ(got.spin_down_allowed, want.spin_down_allowed)
+      << "round " << round;
+  EXPECT_EQ(got.next_period, want.next_period) << "round " << round;
 }
 
 /// Full-walk oracle for PowerManagementFunction's enclosure-of cache: the
 /// plan a period would get if the post-migration item → enclosure map and
 /// the P3-on-cold safety net were rebuilt by walking the whole item table.
-/// Placement is re-run in full (the incremental path is proven equal to
-/// it above); next_period does not depend on the cache and is copied.
+/// Placement is re-run with the same planner; next_period does not
+/// depend on the cache and is copied.
 class EnclosureWalkOracle {
  public:
   EnclosureWalkOracle(const PowerManagementConfig& config,
@@ -477,16 +412,18 @@ class EnclosureWalkOracle {
 /// must produce plans identical to the full walks, including across
 /// partially committed migrations and stale journal entries. Returns
 /// whether the oracle's safety net ever forced an enclosure hot.
-bool IncrementalEquivalenceTest::ExpectEnclosureCacheMatchesWalk() {
+bool EnclosureCacheTest::ExpectEnclosureCacheMatchesWalk() {
   PowerManagementConfig config;
   PowerManagementFunction cached(config, *system_);
   EnclosureWalkOracle walk(config, *system_);
+  app_monitor_.SetSink(cached.classifier());
 
   const SimTime period_end = 520 * kSecond;
   Xoshiro256 apply_rng(1234);
   const uint64_t traffic_round[] = {0, 1, 2, 3, 3, 3};
   for (uint64_t round = 0; round < 6; ++round) {
     app_monitor_.ResetPeriod(0);
+    cached.classifier()->BeginPeriod(0);
     FillPeriod(traffic_round[round], period_end);
     monitor::MonitorSnapshot snapshot = Snapshot(period_end);
 
@@ -504,38 +441,13 @@ bool IncrementalEquivalenceTest::ExpectEnclosureCacheMatchesWalk() {
   return walk.safety_net_fired();
 }
 
-TEST_F(IncrementalEquivalenceTest, EnclosureCacheMatchesLegacyWalk) {
+TEST_F(EnclosureCacheTest, EnclosureCacheMatchesLegacyWalk) {
   ExpectEnclosureCacheMatchesWalk();
 }
 
-TEST_F(PinnedEquivalenceTest, EnclosureCacheMatchesLegacyWalkWithPinnedP3) {
+TEST_F(PinnedEnclosureCacheTest,
+       EnclosureCacheMatchesLegacyWalkWithPinnedP3) {
   EXPECT_TRUE(ExpectEnclosureCacheMatchesWalk());
-}
-
-/// force_full must bypass the incremental path even when it would apply.
-TEST_F(IncrementalEquivalenceTest, ForceFullBypassesIncremental) {
-  PowerManagementConfig config;
-  PowerManagementFunction function(config, *system_);
-  const SimTime period_end = 520 * kSecond;
-
-  app_monitor_.ResetPeriod(0);
-  FillPeriod(0, period_end);
-  ManagementPlan first =
-      function.Run(Snapshot(period_end), *system_, 520 * kSecond);
-  EXPECT_FALSE(first.incremental);
-
-  app_monitor_.ResetPeriod(0);
-  FillPeriod(0, period_end);
-  ManagementPlan second =
-      function.Run(Snapshot(period_end), *system_, 520 * kSecond,
-                   /*force_full=*/true);
-  EXPECT_FALSE(second.incremental);
-
-  app_monitor_.ResetPeriod(0);
-  FillPeriod(0, period_end);
-  ManagementPlan third =
-      function.Run(Snapshot(period_end), *system_, 520 * kSecond);
-  EXPECT_TRUE(third.incremental);
 }
 
 }  // namespace

@@ -37,6 +37,13 @@ class PowerManagementTest : public ::testing::Test {
     ASSERT_TRUE(system_->Init().ok());
   }
 
+  /// Streams the monitor into `function`'s classifier from time 0, as
+  /// EcoStoragePolicy does through its actuator.
+  void Attach(PowerManagementFunction* function) {
+    app_monitor_.SetSink(function->classifier());
+    function->classifier()->BeginPeriod(0);
+  }
+
   /// Continuous traffic -> P3; one touch -> P1.
   void Fill(SimTime period_end) {
     auto add = [&](DataItemId item, SimTime t, IoType type) {
@@ -47,7 +54,6 @@ class PowerManagementTest : public ::testing::Test {
       rec.type = type;
       app_monitor_.Record(rec);
     };
-    std::vector<trace::LogicalIoRecord> records;
     for (SimTime t = 0; t < period_end; t += 10 * kSecond) {
       add(busy_, t, IoType::kRead);
       add(stray_, t + kSecond, IoType::kRead);
@@ -92,8 +98,9 @@ TEST_F(PowerManagementTest, FillsZeroDefaultsFromStorageConfig) {
 }
 
 TEST_F(PowerManagementTest, FullPlanConsolidatesAndProtectsPinned) {
-  Fill(520 * kSecond);
   PowerManagementFunction function(PowerManagementConfig{}, *system_);
+  Attach(&function);
+  Fill(520 * kSecond);
   ManagementPlan plan =
       function.Run(Snapshot(520 * kSecond), *system_, 520 * kSecond);
 
@@ -121,10 +128,11 @@ TEST_F(PowerManagementTest, FullPlanConsolidatesAndProtectsPinned) {
 }
 
 TEST_F(PowerManagementTest, NoPlacementKeepsP3EnclosuresHot) {
-  Fill(520 * kSecond);
   PowerManagementConfig pm;
   pm.enable_placement = false;
   PowerManagementFunction function(pm, *system_);
+  Attach(&function);
+  Fill(520 * kSecond);
   ManagementPlan plan =
       function.Run(Snapshot(520 * kSecond), *system_, 520 * kSecond);
   EXPECT_TRUE(plan.migrations.empty());
@@ -136,6 +144,7 @@ TEST_F(PowerManagementTest, NoPlacementKeepsP3EnclosuresHot) {
 
 TEST_F(PowerManagementTest, EmptyPeriodYieldsAllP0AllCold) {
   PowerManagementFunction function(PowerManagementConfig{}, *system_);
+  Attach(&function);
   ManagementPlan plan =
       function.Run(Snapshot(520 * kSecond), *system_, 520 * kSecond);
   EXPECT_EQ(plan.classification->pattern_counts[0], 4);  // all P0
