@@ -559,6 +559,7 @@ struct ReplayFigure {
   double lios_per_sec = 0.0;
   uint64_t fingerprint = 0;
   int64_t rolling_windows = 0;  ///< kLiveConsumer runs: windows folded
+  int64_t rolling_off_windows = 0;  ///< kLiveConsumer runs: off-windows
   int64_t sim_events_executed = 0;
   int64_t sim_peak_heap_depth = 0;
 };
@@ -626,7 +627,10 @@ ReplayFigure MeasureReplayThroughput(
     } else {
       config.telemetry = &local_recorder;
       if (instrument == ReplayInstrument::kLiveConsumer) {
+        // The ledger sizes its per-enclosure table from the meta alone;
+        // without num_enclosures it would skip every power event.
         telemetry::ExportMeta pre_meta;
+        pre_meta.num_enclosures = workload.value()->info().num_enclosures;
         pre_meta.duration = wl.duration;
         telemetry::analysis::RollingSummary::Options ropt;
         ropt.window_us = kMinute;
@@ -650,6 +654,10 @@ ReplayFigure MeasureReplayThroughput(
     figure.fingerprint = bench::MetricsFingerprint(metrics.value());
     figure.rolling_windows =
         rolling != nullptr ? rolling->windows_closed() : 0;
+    figure.rolling_off_windows =
+        rolling != nullptr
+            ? static_cast<int64_t>(rolling->ledger().exact().off_windows.size())
+            : 0;
   };
 
   const double runs_per_sec = RunsPerSecond(run_once);
@@ -1447,6 +1455,12 @@ int WriteBenchPerfJson(const char* path_override) {
           std::fprintf(stderr,
                        "BENCH_perf: live consumer closed no rolling windows "
                        "— the stream pump is not wired\n");
+          std::exit(1);
+        }
+        if (telemetry::Recorder::kEnabled && on.rolling_off_windows <= 0) {
+          std::fprintf(stderr,
+                       "BENCH_perf: live ledger folded no off-windows — "
+                       "its meta does not size the enclosure table\n");
           std::exit(1);
         }
         *count = on.rolling_windows;

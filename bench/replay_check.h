@@ -205,6 +205,15 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   std::vector<SweepSection> sections = SweepSections(wl);
   std::vector<replay::ExperimentJob> jobs = SweepJobs(sections);
   std::vector<std::string> labels = SweepJobLabels(sections);
+  // Enclosure count per job, in SweepJobs order (base, eco per row): the
+  // rolling ledger sizes its per-enclosure table from its meta alone.
+  std::vector<int> job_enclosures;
+  for (const SweepSection& section : sections) {
+    for (const SweepRowSpec& row : section.rows) {
+      job_enclosures.push_back(row.wl.num_enclosures);
+      job_enclosures.push_back(row.wl.num_enclosures);
+    }
+  }
 
   // Every gate job runs with a telemetry recorder attached (full class
   // mask) AND a latency book, so passing the gate proves an instrumented
@@ -234,7 +243,8 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   streams.reserve(jobs.size());
   rollers.reserve(jobs.size());
   profilers.reserve(jobs.size());
-  for (replay::ExperimentJob& job : jobs) {
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    replay::ExperimentJob& job = jobs[j];
     telemetry::Recorder::Options options;
     options.mask = telemetry::kClassAll;
     recorders.push_back(std::make_unique<telemetry::Recorder>(options));
@@ -242,7 +252,8 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
     job.config.telemetry = recorders.back().get();
     job.config.latency_book = books.back().get();
 
-    telemetry::ExportMeta pre_meta;  // identity filled post-run; unused here
+    telemetry::ExportMeta pre_meta;
+    pre_meta.num_enclosures = job_enclosures[j];
     pre_meta.duration = kReplayCheckDuration;
     telemetry::analysis::RollingSummary::Options ropt;
     ropt.window_us = 5 * kMinute;
@@ -264,6 +275,17 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   // what it could itself be testing).
   auto runs = replay::RunExperiments(jobs, replay::SuiteOptions{1});
   if (!runs.ok()) return runs.status();
+  // The proposed-method rows spin enclosures down, so the live ledgers
+  // must have folded off-windows; none means they skipped every power
+  // event and the gate would cover far less than it claims.
+  size_t off_windows = 0;
+  for (const auto& roller : rollers) {
+    off_windows += roller->ledger().exact().off_windows.size();
+  }
+  if (telemetry::Recorder::kEnabled && off_windows == 0) {
+    return Status::Internal(
+        "replay check: the rolling ledgers folded no off-windows");
+  }
 
   const char* dump = std::getenv("ECOSTORE_REPLAY_DUMP");
   std::vector<ReplayCheckRun> out;

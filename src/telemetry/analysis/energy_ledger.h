@@ -3,7 +3,9 @@
 
 // Energy-attribution ledger: walks a drained telemetry stream (in-process
 // or parsed back from a JSONL capture) and charges joules to the
-// individual decisions that caused them.
+// individual decisions that caused them. The walker itself is
+// IncrementalEnergyLedger (incremental_ledger.h); BuildLedger below is
+// its fold over a whole stream.
 //
 // The exact account is the *off-window* ledger. Every kPowerState event
 // carries the enclosure's cumulative energy counter at the event instant,
@@ -115,21 +117,21 @@ struct EnergyLedger {
   int64_t preloads = 0;
   int64_t write_delays = 0;
 
-  // Per-item write-delay attribution (DESIGN.md §10). True when the
-  // capture carries kWriteDelayAdmit/kWriteDelayFlush membership deltas;
-  // advisory kWriteDelay entries are then per item with a real enclosure
-  // (so the avoided-spin-up credit model applies). Captures from builds
-  // that only emitted the set-level kWriteDelaySet aggregate fall back to
-  // one enclosure-less advisory entry per set update.
-  bool per_item_write_delay = false;
+  // Per-item write-delay membership (DESIGN.md §10): each
+  // kWriteDelayAdmit becomes one advisory kWriteDelay entry on the item's
+  // enclosure. The set-level kWriteDelaySet events only count toward
+  // write_delays and seed the per-plan occupancy debit.
   int64_t write_delay_admits = 0;
   int64_t write_delay_flushes = 0;
   int64_t write_delay_flush_bytes = 0;
 };
 
-/// Builds the ledger from a time-ordered event stream. `meta` must carry
-/// the power model (has_power_model); otherwise only the stream tallies
-/// are filled.
+/// Builds the ledger from a time-ordered event stream: folds every event
+/// into an IncrementalEnergyLedger and takes its Snapshot(), with the
+/// energies and duration read from `meta` as given. `meta` must carry the
+/// power model (has_power_model); otherwise only the stream tallies are
+/// filled. Events naming an enclosure outside [0, meta.num_enclosures)
+/// are ignored.
 EnergyLedger BuildLedger(const ExportMeta& meta,
                          const std::vector<Event>& events);
 

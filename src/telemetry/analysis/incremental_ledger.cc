@@ -22,9 +22,13 @@ void IncrementalEnergyLedger::AdvanceTo(SimTime frontier) {
   if (!group_.empty() && group_time_ < frontier) ProcessGroup();
 }
 
+void IncrementalEnergyLedger::Flush() {
+  if (!group_.empty()) ProcessGroup();
+}
+
 void IncrementalEnergyLedger::Finish(const StreamFinal& final) {
   if (finished_) return;
-  if (!group_.empty()) ProcessGroup();
+  Flush();
   if (final.has_energy) {
     meta_.enclosure_energy_j = final.enclosure_energy_j;
     meta_.controller_energy_j = final.controller_energy_j;
@@ -36,9 +40,12 @@ void IncrementalEnergyLedger::Finish(const StreamFinal& final) {
 void IncrementalEnergyLedger::ProbeWake(size_t i, EnclosureId enclosure,
                                         WakeCause* cause,
                                         DataItemId* item) const {
-  // BuildLedger's probe_wake scans the same-timestamp neighborhood of
-  // events[i] in both directions; since the stream is time-sorted, that
-  // neighborhood is exactly the buffered group.
+  // Scans the same-timestamp neighborhood of group_[i] in both
+  // directions for events that identify why the enclosure woke up (flush
+  // / preload destaging beats an active migration beats a plain demand
+  // miss), and for the kPhysicalIo detail event naming the item whose I/O
+  // forced the wake. The stream is time-sorted, so that neighborhood is
+  // exactly the buffered group.
   *cause = enc_[static_cast<size_t>(enclosure)].active_migrations > 0
                ? WakeCause::kMigration
                : WakeCause::kDemand;
@@ -101,12 +108,7 @@ void IncrementalEnergyLedger::ProcessOne(size_t i) {
   const int n = static_cast<int>(enc_.size());
   switch (e.kind) {
     case EventKind::kPowerState: {
-      if (e.power.enclosure < 0) break;
-      if (e.power.enclosure >= n) {
-        // BuildLedger pre-scans to size the table; grow on sight instead
-        // (see the header's documented deviation).
-        enc_.resize(static_cast<size_t>(e.power.enclosure) + 1);
-      }
+      if (e.power.enclosure < 0 || e.power.enclosure >= n) break;
       EncState& s = enc_[static_cast<size_t>(e.power.enclosure)];
       if (e.power.state == 0) {  // Off
         s.off = true;
@@ -167,10 +169,9 @@ void IncrementalEnergyLedger::ProcessOne(size_t i) {
                                       e.cache.plan, e.cache.bytes});
       break;
     case EventKind::kWriteDelaySet: {
+      // The set-level aggregate: counted, and it opens the plan's
+      // occupancy window even when no item is admitted.
       base_.write_delays++;
-      legacy_wd_.push_back(PendingCache{AdvisoryEntry::Kind::kWriteDelay,
-                                        e.cache.item, e.cache.enclosure,
-                                        e.time, e.cache.plan, e.cache.bytes});
       auto [it, inserted] = first_wd_in_plan_.emplace(e.cache.plan, e.time);
       if (!inserted) it->second = std::min(it->second, e.time);
       break;
@@ -201,21 +202,15 @@ void IncrementalEnergyLedger::ProcessGroup() {
 
 EnergyLedger IncrementalEnergyLedger::Snapshot() const {
   EnergyLedger ledger = base_;
-  const int n = static_cast<int>(enc_.size());
 
   ledger.plans = plan_start_.empty()
                      ? 0
                      : static_cast<int64_t>(plan_start_.rbegin()->first);
 
-  // Per-item write-delay attribution (BuildLedger's legacy fallback).
-  std::vector<PendingCache> pending = pending_;
-  ledger.per_item_write_delay = ledger.write_delay_admits > 0;
-  if (!ledger.per_item_write_delay) {
-    pending.insert(pending.end(), legacy_wd_.begin(), legacy_wd_.end());
-  }
-
-  // Reconciliation against the measured totals (identical arithmetic).
-  bool all_finals = controller_final_ && n > 0;
+  // Reconciliation: the per-component cumulative counters at the horizon
+  // must telescope to the run's measured totals. %.17g round-trips, so a
+  // capture/parse cycle keeps this exact.
+  bool all_finals = controller_final_ && !enc_.empty();
   double sum_final = 0.0;
   for (const EncState& s : enc_) {
     all_finals = all_finals && s.has_final;
@@ -232,7 +227,7 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
     ledger.reconcile_rel_err = std::fabs(accounted - measured) / denom;
   }
 
-  // Advisory resolution (same documented model as BuildLedger).
+  // Advisory resolution (documented model; excluded from reconciliation).
   auto plan_end = [&](int32_t plan) -> SimTime {
     auto it = plan_start_.upper_bound(plan);
     return it != plan_start_.end() ? it->second : meta_.duration;
@@ -249,7 +244,7 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
   };
   const double cache_bytes =
       std::max<double>(1.0, static_cast<double>(meta_.cache_total_bytes));
-  for (const PendingCache& p : pending) {
+  for (const PendingCache& p : pending_) {
     AdvisoryEntry a;
     a.kind = p.kind;
     a.item = p.item;
@@ -258,6 +253,9 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
     a.plan = p.plan;
     const SimTime end = std::max(plan_end(p.plan), p.time);
     const int64_t later_off = off_windows_after(p.enclosure, p.time, end);
+    // Credit at most one avoided spin-up per entry, and only when the
+    // enclosure actually went off later in the plan (otherwise holding
+    // the data in cache avoided nothing).
     a.credit_j = later_off > 0 ? spin_extra_j_ : 0.0;
     if (p.kind == AdvisoryEntry::Kind::kPreload) {
       a.debit_j = meta_.controller_power_w *
@@ -268,6 +266,8 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
     ledger.advisory_debit_j += a.debit_j;
     ledger.advisory.push_back(a);
   }
+  // Write-delay occupancy: one debit per plan for the reserved area, not
+  // per item (the area is shared by the plan's whole write-delay set).
   for (const auto& [plan, first_t] : first_wd_in_plan_) {
     AdvisoryEntry a;
     a.kind = AdvisoryEntry::Kind::kWriteDelayOccupancy;

@@ -1,32 +1,29 @@
 #ifndef ECOSTORE_TELEMETRY_ANALYSIS_INCREMENTAL_LEDGER_H_
 #define ECOSTORE_TELEMETRY_ANALYSIS_INCREMENTAL_LEDGER_H_
 
-// Incremental form of BuildLedger (energy_ledger.cc): folds the telemetry
-// stream event-by-event so a running replay exposes a live energy ledger.
-// Batch BuildLedger stays the differential oracle — tests assert exact
-// (bitwise-double) equality at every window boundary.
+// The energy-ledger walker (energy_ledger.h): folds the telemetry stream
+// event-by-event so a running replay exposes a live energy ledger, and
+// batch BuildLedger is the same fold over a whole stream followed by
+// Snapshot(). tests/streaming_ledger_test.cc checks both against the
+// frozen pre-fold batch ledger (bench/legacy_ledger.h), bitwise at every
+// window boundary.
 //
-// Equivalence argument (DESIGN.md §14). BuildLedger is a single forward
-// walk whose only non-local step is probe_wake, which inspects the
-// same-timestamp neighborhood of a SpinningUp edge. The incremental
-// ledger therefore buffers the current same-timestamp group and replays
-// the identical switch over the group once a later-time event (or an
-// AdvanceTo frontier) proves the group complete; probe_wake's backward
-// and forward scans are exactly a scan over that group. Every remaining
-// BuildLedger output is a pure function of walker state plus the meta
-// (plan tallies, advisory resolution, reconciliation), computed by
-// Snapshot() on copies without disturbing the stream state. A frontier B
-// never splits a timestamp group (frontiers are exclusive), so after
-// AdvanceTo(B), Snapshot() == BuildLedger(meta, {e : e.time < B})
-// field-for-field, doubles bitwise.
+// Why a fold can match a batch walk (DESIGN.md §14). The only non-local
+// step of the walk is ProbeWake, which inspects the same-timestamp
+// neighborhood of a SpinningUp edge. The ledger therefore buffers the
+// current same-timestamp group and runs the per-kind step over the group
+// once a later-time event (or an AdvanceTo frontier) proves the group
+// complete; ProbeWake's backward and forward scans are exactly a scan
+// over that group. Every remaining output is a pure function of walker
+// state plus the meta (plan tallies, advisory resolution,
+// reconciliation), computed by Snapshot() on copies without disturbing
+// the stream state. A frontier B never splits a timestamp group
+// (frontiers are exclusive), so after AdvanceTo(B), Snapshot() ==
+// BuildLedger(meta, {e : e.time < B}) field-for-field, doubles bitwise.
 //
-// One documented deviation: BuildLedger pre-scans the whole input to size
-// the per-enclosure table off out-of-range kPowerState events; the
-// incremental walker grows the table when the kPowerState arrives. The
-// two differ only for captures where an event references an enclosure
-// above meta.num_enclosures *before* that enclosure's first kPowerState —
-// impossible for engine-produced captures, whose meta always covers the
-// fleet.
+// The per-enclosure table is sized from meta.num_enclosures; events that
+// name an enclosure outside it are ignored for every kind (parsed
+// captures reject such ids, see CaptureTailParser).
 
 #include <cstdint>
 #include <unordered_map>
@@ -38,8 +35,8 @@
 
 namespace ecostore::telemetry::analysis {
 
-/// \brief Streaming BuildLedger: Consume events in time-sorted drain
-/// order, Snapshot at any frontier. Also a StreamConsumer so it can hang
+/// \brief The ledger walker: Consume events in time-sorted drain order,
+/// Snapshot at any frontier. Also a StreamConsumer so it can hang
 /// directly off a StreamDispatcher.
 class IncrementalEnergyLedger : public StreamConsumer {
  public:
@@ -53,14 +50,18 @@ class IncrementalEnergyLedger : public StreamConsumer {
   /// the buffered group if it lies below the frontier.
   void AdvanceTo(SimTime frontier);
 
+  /// Declares that no event at the buffered group's time will follow, and
+  /// folds the group (BuildLedger's end of stream).
+  void Flush();
+
   /// End of stream: flushes everything and installs the measured final
   /// energies into the meta so Snapshot() reconciles.
   void Finish(const StreamFinal& final);
 
-  /// The full batch-equivalent ledger for the events processed so far
-  /// (call AdvanceTo first so the current group is included). Runs the
-  /// BuildLedger tail passes — plan tallies, reconciliation, advisory
-  /// resolution — on copies; O(off_windows + cache entries).
+  /// The full ledger for the events processed so far (call AdvanceTo or
+  /// Flush first so the current group is included). Runs the tail passes
+  /// — plan tallies, reconciliation, advisory resolution — on copies;
+  /// O(off_windows + cache entries).
   EnergyLedger Snapshot() const;
 
   /// The exact-account running state without the tail passes: off-window
@@ -78,7 +79,7 @@ class IncrementalEnergyLedger : public StreamConsumer {
   void OnFinish(const StreamFinal& final) override { Finish(final); }
 
  private:
-  /// Per-enclosure walker state, identical to BuildLedger's.
+  /// Per-enclosure walker state.
   struct EncState {
     bool off = false;
     SimTime off_since = 0;
@@ -89,7 +90,7 @@ class IncrementalEnergyLedger : public StreamConsumer {
     double final_j = 0.0;
   };
 
-  /// Unresolved advisory raw material (BuildLedger's PendingCache).
+  /// Unresolved advisory raw material, resolved by Snapshot().
   struct PendingCache {
     AdvisoryEntry::Kind kind;
     DataItemId item;
@@ -119,7 +120,6 @@ class IncrementalEnergyLedger : public StreamConsumer {
   std::map<int32_t, SimTime> plan_start_;
   std::unordered_map<DataItemId, DecisionPayload> last_decision_;
   std::vector<PendingCache> pending_;
-  std::vector<PendingCache> legacy_wd_;
   std::map<int32_t, SimTime> first_wd_in_plan_;
 
   EnergyLedger base_;  ///< exact account + stream tallies (see exact())

@@ -46,8 +46,7 @@ void PrintKVI(std::FILE* f, const char* indent, const char* key, int64_t value,
 
 }  // namespace
 
-Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
-                     EnergyLedger* out_ledger) {
+Summary SummaryFromLedger(const ExportMeta& meta, const EnergyLedger& ledger) {
   Summary s;
   s.workload = meta.workload;
   s.policy = meta.policy;
@@ -56,8 +55,6 @@ Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
   s.enclosure_energy_j = meta.enclosure_energy_j;
   s.controller_energy_j = meta.controller_energy_j;
   s.total_energy_j = meta.enclosure_energy_j + meta.controller_energy_j;
-
-  EnergyLedger ledger = BuildLedger(meta, events);
   s.has_ledger = meta.has_power_model && ledger.has_finals;
   s.ledger_enclosure_j = ledger.ledger_enclosure_j;
   s.reconcile_rel_err = ledger.reconcile_rel_err;
@@ -98,7 +95,13 @@ Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
     row.mean_us = slot->hist.Mean();
     s.latency.push_back(row);
   }
+  return s;
+}
 
+Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
+                     EnergyLedger* out_ledger) {
+  EnergyLedger ledger = BuildLedger(meta, events);
+  Summary s = SummaryFromLedger(meta, ledger);
   if (out_ledger != nullptr) *out_ledger = std::move(ledger);
   return s;
 }
@@ -278,8 +281,8 @@ void CompareField(std::vector<SummaryDiff>* diffs, const char* field, double a,
 
 }  // namespace
 
-std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
-                                          double tolerance) {
+std::vector<SummaryDiff> CompareAccounts(const Summary& a, const Summary& b,
+                                         double tolerance) {
   std::vector<SummaryDiff> diffs;
   CompareField(&diffs, "energy.enclosure_j", a.enclosure_energy_j,
                b.enclosure_energy_j, tolerance);
@@ -287,10 +290,20 @@ std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
                b.controller_energy_j, tolerance);
   CompareField(&diffs, "energy.total_j", a.total_energy_j, b.total_energy_j,
                tolerance);
+  CompareField(&diffs, "energy.off_credit_j", a.off_credit_j, b.off_credit_j,
+               tolerance);
+  CompareField(&diffs, "energy.off_debit_j", a.off_debit_j, b.off_debit_j,
+               tolerance);
   CompareField(&diffs, "energy.net_saving_j", a.net_saving_j, b.net_saving_j,
                tolerance);
   CompareField(&diffs, "energy.mispredict_loss_j", a.mispredict_loss_j,
                b.mispredict_loss_j, tolerance);
+  CompareField(&diffs, "energy.advisory_credit_j", a.advisory_credit_j,
+               b.advisory_credit_j, tolerance);
+  CompareField(&diffs, "energy.advisory_debit_j", a.advisory_debit_j,
+               b.advisory_debit_j, tolerance);
+  CompareField(&diffs, "energy.reconcile_rel_err", a.reconcile_rel_err,
+               b.reconcile_rel_err, tolerance);
   CompareField(&diffs, "plans.plans", static_cast<double>(a.plans),
                static_cast<double>(b.plans), tolerance);
   CompareField(&diffs, "plans.decisions", static_cast<double>(a.decisions),
@@ -306,7 +319,12 @@ std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
   CompareField(&diffs, "plans.write_delays",
                static_cast<double>(a.write_delays),
                static_cast<double>(b.write_delays), tolerance);
+  return diffs;
+}
 
+std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
+                                          double tolerance) {
+  std::vector<SummaryDiff> diffs = CompareAccounts(a, b, tolerance);
   auto row_key = [](const LatencyRow& r) {
     return std::string(PatternSlotName(r.pattern)) + "/" +
            IoOutcomeName(r.outcome);

@@ -3,7 +3,8 @@
 
 // Machine-readable run summary: the stable-field-order JSON written by
 // `--telemetry-summary=<path>` and by `eco_report score --summary=...`,
-// and the numeric comparison behind `eco_report regress` (the CI gate).
+// and the numeric comparisons behind the CI gates `eco_report regress`
+// and `eco_report tail --reconcile`.
 //
 // The writer emits every scalar on its own line in a fixed order, so the
 // file is both human-diffable and parseable by the same flat line scanner
@@ -67,6 +68,11 @@ struct Summary {
   std::vector<LatencyRow> latency;
 };
 
+/// The summary of a run whose ledger is already built: identity and
+/// measured energies from `meta`, the account and tallies from `ledger`,
+/// latency digests from meta.latency.
+Summary SummaryFromLedger(const ExportMeta& meta, const EnergyLedger& ledger);
+
 /// Builds the summary from a capture (meta + events). When `out_ledger`
 /// is non-null the full ledger is copied out for detailed reporting.
 Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
@@ -86,9 +92,15 @@ struct SummaryDiff {
   double rel_err = 0.0;
 };
 
-/// Compares the gate-relevant numeric fields of two summaries with a
-/// relative tolerance (floored at 1.0 absolute units so zero-valued
-/// counters compare exactly). Empty result == no regression.
+/// Compares the energy account and plan tallies of two summaries — every
+/// field a rolling_final line carries — with a relative tolerance
+/// (floored at 1.0 absolute units so zero-valued counters compare
+/// exactly). This is `eco_report tail --reconcile`. Empty == no diff.
+std::vector<SummaryDiff> CompareAccounts(const Summary& a, const Summary& b,
+                                         double tolerance);
+
+/// CompareAccounts plus the latency rows, under the same rule. This is
+/// `eco_report regress`. Empty result == no regression.
 std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
                                           double tolerance);
 

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "telemetry/analysis/energy_ledger.h"
 #include "telemetry/flat_json.h"
@@ -114,19 +116,38 @@ void AppendEventJson(std::string* out, const Event& e) {
   *out += "}\n";
 }
 
-Event EventFromJson(const FlatJson& json, EventKind kind) {
+/// Parses the payload of one event line into `*out`. Enclosure ids are
+/// range-checked before they are narrowed to EnclosureId: each must be
+/// kInvalidEnclosure or name one of the meta's `num_enclosures`
+/// enclosures. (A decision's enclosure is an int16 display field, never
+/// an index, and is not checked.)
+Status EventFromJson(const FlatJson& json, EventKind kind, int num_enclosures,
+                     Event* out) {
   Event e = MakeEvent(json.Int("t"), kind);
+  Status status;
+  auto enclosure = [&](const char* key) {
+    const int64_t id = json.Int(key);
+    if (id >= kInvalidEnclosure && id < num_enclosures) {
+      return static_cast<EnclosureId>(id);
+    }
+    if (status.ok()) {
+      status = Status::InvalidArgument(
+          std::string(key) + " " + std::to_string(id) + " outside [-1, " +
+          std::to_string(num_enclosures) + ")");
+    }
+    return kInvalidEnclosure;
+  };
   switch (kind) {
     case EventKind::kPowerState:
     case EventKind::kEnergyFinal:
-      e.power.enclosure = static_cast<EnclosureId>(json.Int("enclosure"));
+      e.power.enclosure = enclosure("enclosure");
       e.power.state = static_cast<uint8_t>(json.Int("state"));
       e.power.spinup_us = json.Int("spinup_us");
       e.power.joules = json.Dbl("joules");
       e.power.plan = static_cast<int32_t>(json.Int("plan"));
       break;
     case EventKind::kIdleGap:
-      e.idle.enclosure = static_cast<EnclosureId>(json.Int("enclosure"));
+      e.idle.enclosure = enclosure("enclosure");
       e.idle.gap = json.Int("gap_us");
       break;
     case EventKind::kCacheFlush:
@@ -138,7 +159,7 @@ Event EventFromJson(const FlatJson& json, EventKind kind) {
     case EventKind::kPreloadDone:
     case EventKind::kPhysicalIo:
       e.cache.item = static_cast<DataItemId>(json.Int("item"));
-      e.cache.enclosure = static_cast<EnclosureId>(json.Int("enclosure"));
+      e.cache.enclosure = enclosure("enclosure");
       e.cache.blocks = json.Int("blocks");
       e.cache.bytes = json.Int("bytes");
       e.cache.plan = static_cast<int32_t>(json.Int("plan"));
@@ -148,8 +169,8 @@ Event EventFromJson(const FlatJson& json, EventKind kind) {
     case EventKind::kMigrationEnd:
     case EventKind::kBlockMove:
       e.migration.item = static_cast<DataItemId>(json.Int("item"));
-      e.migration.from = static_cast<EnclosureId>(json.Int("from"));
-      e.migration.to = static_cast<EnclosureId>(json.Int("to"));
+      e.migration.from = enclosure("from");
+      e.migration.to = enclosure("to");
       e.migration.bytes = json.Int("bytes");
       break;
     case EventKind::kDecision:
@@ -191,7 +212,8 @@ Event EventFromJson(const FlatJson& json, EventKind kind) {
     case EventKind::kNone:
       break;
   }
-  return e;
+  *out = e;
+  return status;
 }
 
 struct FileCloser {
@@ -323,7 +345,14 @@ Status CaptureTailParser::Consume(const std::string& raw) {
     if (json.Has("events")) declared_events_ = json.Int("events");
     meta_.workload = json.Str("workload");
     meta_.policy = json.Str("policy");
-    meta_.num_enclosures = static_cast<int>(json.Int("num_enclosures"));
+    const int64_t num_enclosures = json.Int("num_enclosures");
+    if (num_enclosures < 0 ||
+        num_enclosures > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("num_enclosures " +
+                                     std::to_string(num_enclosures) +
+                                     " outside [0, 2^31)");
+    }
+    meta_.num_enclosures = static_cast<int>(num_enclosures);
     meta_.duration = json.Int("duration_us");
     meta_.has_power_model = json.Int("has_power_model") != 0;
     if (meta_.has_power_model) {
@@ -361,7 +390,10 @@ Status CaptureTailParser::Consume(const std::string& raw) {
     if (kind == EventKind::kNone) {
       return Status::InvalidArgument("unknown event kind");
     }
-    events_.push_back(EventFromJson(json, kind));
+    Event event;
+    ECOSTORE_RETURN_NOT_OK(
+        EventFromJson(json, kind, meta_.num_enclosures, &event));
+    events_.push_back(event);
     consumed_events_++;
     return Status::OK();
   }
@@ -446,14 +478,7 @@ Status ParseJsonl(const std::string& path, ExportMeta* meta,
 
 std::vector<PowerSegment> BuildPowerTimeline(
     const ExportMeta& meta, const std::vector<Event>& events) {
-  int n = meta.num_enclosures;
-  if (n <= 0) {
-    for (const Event& e : events) {
-      if (e.kind == EventKind::kPowerState && e.power.enclosure >= n) {
-        n = e.power.enclosure + 1;
-      }
-    }
-  }
+  const int n = std::max(meta.num_enclosures, 0);
   std::vector<PowerSegment> segments;
   // Every enclosure starts On at t = 0 (the array boots powered up).
   std::vector<SimTime> seg_start(static_cast<size_t>(n), 0);

@@ -73,8 +73,10 @@ Status WriteJsonl(const std::string& path, const ExportMeta& meta,
 /// Parses a WriteJsonl file back (the eco_report / round-trip-test
 /// reader). Unknown *type* values are skipped so the format can grow, but
 /// structurally broken input — a line that is not a JSON object, an event
-/// line with an unknown kind, or a file whose event count disagrees with
-/// the meta header (truncation) — fails with the offending line number.
+/// line with an unknown kind or an enclosure id outside the meta's range
+/// (see CaptureTailParser::Consume), or a file whose event count
+/// disagrees with the meta header (truncation) — fails with the offending
+/// line number.
 Status ParseJsonl(const std::string& path, ExportMeta* meta,
                   std::vector<Event>* events);
 
@@ -109,8 +111,10 @@ Status ReadJsonlChunk(const std::string& path, int64_t offset,
 class CaptureTailParser {
  public:
   /// Consumes one newline-stripped line. Blank lines are ignored; unknown
-  /// "type" values are skipped (format growth). Errors carry no position
-  /// — the caller knows the line/offset and adds that context.
+  /// "type" values are skipped (format growth). A negative
+  /// num_enclosures, or an event whose enclosure / from / to id lies
+  /// outside [-1, num_enclosures), is an InvalidArgument. Errors carry no
+  /// position — the caller knows the line/offset and adds that context.
   Status Consume(const std::string& line);
 
   bool have_meta() const { return have_meta_; }
@@ -152,7 +156,8 @@ struct PowerSegment {
 const char* PowerSegmentStateName(uint8_t state);
 
 /// Reconstructs every enclosure's Off / SpinningUp / On dwell timeline
-/// from the kPowerState events (all enclosures start On at t = 0).
+/// from the kPowerState events (all enclosures start On at t = 0), for
+/// enclosures [0, meta.num_enclosures); events naming others are skipped.
 std::vector<PowerSegment> BuildPowerTimeline(const ExportMeta& meta,
                                              const std::vector<Event>& events);
 

@@ -1,6 +1,7 @@
 // Tests for the live observability pipeline: randomized differential
-// equivalence of the IncrementalEnergyLedger against batch BuildLedger
-// (the oracle) at every window boundary of the replay engine,
+// equivalence of the IncrementalEnergyLedger, and of BuildLedger (its
+// fold), against the frozen batch ledger in bench/legacy_ledger.h (the
+// oracle) at every window boundary of the replay engine,
 // RollingSummary window/cumulative consistency, and the
 // in-flight capture reader (ReadJsonlChunk + CaptureTailParser) on
 // byte-truncated files.
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/legacy_ledger.h"
 #include "bench/telemetry_capture.h"
 #include "core/eco_storage_policy.h"
 #include "policies/basic_policies.h"
@@ -46,7 +48,8 @@ void WriteFileBytes(const std::string& path, const std::string& content) {
 
 // The acceptance bar is rel err 0: every double compared with EXPECT_EQ
 // (bitwise for all values the ledger can produce).
-void ExpectSameLedger(const EnergyLedger& live, const EnergyLedger& batch,
+void ExpectSameLedger(const EnergyLedger& live,
+                      const legacy::EnergyLedger& batch,
                       const std::string& where) {
   SCOPED_TRACE(where);
   ASSERT_EQ(live.off_windows.size(), batch.off_windows.size());
@@ -102,7 +105,6 @@ void ExpectSameLedger(const EnergyLedger& live, const EnergyLedger& batch,
   EXPECT_EQ(live.migrations, batch.migrations);
   EXPECT_EQ(live.preloads, batch.preloads);
   EXPECT_EQ(live.write_delays, batch.write_delays);
-  EXPECT_EQ(live.per_item_write_delay, batch.per_item_write_delay);
   EXPECT_EQ(live.write_delay_admits, batch.write_delay_admits);
   EXPECT_EQ(live.write_delay_flushes, batch.write_delay_flushes);
   EXPECT_EQ(live.write_delay_flush_bytes, batch.write_delay_flush_bytes);
@@ -152,11 +154,11 @@ CapturedRun RunInstrumentedSerial(uint64_t seed, bool eco,
 }
 
 // Replays the capture into an IncrementalEnergyLedger, pausing at every
-// multiple of `window` to compare Snapshot() against the batch oracle
-// over the same exclusive prefix; then finishes and compares the full
-// run. The boundary comparisons pass `meta` to both sides, so every
-// field — including reconciliation once the finals arrive — must match
-// bitwise.
+// multiple of `window` to compare Snapshot() — and BuildLedger over the
+// same exclusive prefix — against the frozen batch oracle; then finishes
+// and compares the full run. The boundary comparisons pass `meta` to all
+// sides, so every field — including reconciliation once the finals
+// arrive — must match bitwise.
 void CheckIncrementalMatchesBatch(const CapturedRun& run,
                                   SimDuration window) {
   IncrementalEnergyLedger inc(run.meta);
@@ -168,9 +170,11 @@ void CheckIncrementalMatchesBatch(const CapturedRun& run,
     }
     inc.AdvanceTo(b);
     std::vector<Event> prefix(run.events.begin(), run.events.begin() + i);
-    ExpectSameLedger(inc.Snapshot(), BuildLedger(run.meta, prefix),
-                     "window=" + std::to_string(window) +
-                         " boundary=" + std::to_string(b));
+    const std::string where = "window=" + std::to_string(window) +
+                              " boundary=" + std::to_string(b);
+    const legacy::EnergyLedger oracle = legacy::BuildLedger(run.meta, prefix);
+    ExpectSameLedger(inc.Snapshot(), oracle, "incremental " + where);
+    ExpectSameLedger(BuildLedger(run.meta, prefix), oracle, "fold " + where);
     boundaries++;
   }
   EXPECT_GT(boundaries, 0);
@@ -182,8 +186,11 @@ void CheckIncrementalMatchesBatch(const CapturedRun& run,
   fin.has_energy = true;
   inc.Finish(fin);
   EXPECT_TRUE(inc.finished());
-  ExpectSameLedger(inc.Snapshot(), BuildLedger(run.meta, run.events),
-                   "end-of-run window=" + std::to_string(window));
+  const legacy::EnergyLedger oracle = legacy::BuildLedger(run.meta, run.events);
+  ExpectSameLedger(inc.Snapshot(), oracle,
+                   "incremental end-of-run window=" + std::to_string(window));
+  ExpectSameLedger(BuildLedger(run.meta, run.events), oracle,
+                   "fold end-of-run window=" + std::to_string(window));
 }
 
 TEST(IncrementalLedgerTest, MatchesBatchAtEveryBoundarySerialRandomized) {
@@ -195,7 +202,13 @@ TEST(IncrementalLedgerTest, MatchesBatchAtEveryBoundarySerialRandomized) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     CapturedRun run = RunInstrumentedSerial(seed, /*eco=*/true,
                                             20 * kMinute);
-    EXPECT_GT(BuildLedger(run.meta, run.events).off_windows.size(), 0u);
+    const legacy::EnergyLedger oracle =
+        legacy::BuildLedger(run.meta, run.events);
+    EXPECT_GT(oracle.off_windows.size(), 0u);
+    // The oracle's set-level write-delay fallback only runs on streams
+    // without per-item admits; engine captures always carry them.
+    EXPECT_GT(oracle.write_delay_admits, 0);
+    EXPECT_TRUE(oracle.per_item_write_delay);
     for (SimDuration window :
          {47 * kSecond, 3 * kMinute + 1, 311 * kSecond}) {
       CheckIncrementalMatchesBatch(run, window);
@@ -209,6 +222,66 @@ TEST(IncrementalLedgerTest, MatchesBatchWithoutPowerSavingPolicy) {
   CapturedRun run = RunInstrumentedSerial(7ull, /*eco=*/false,
                                           10 * kMinute);
   CheckIncrementalMatchesBatch(run, kMinute);
+}
+
+// A stream whose write-delay set updates admit no item. Engine captures
+// always carry per-item admits; this is the case the oracle answers with
+// its set-level fallback. The ledger makes no per-item kWriteDelay entry
+// for it, and each plan's occupancy debit is the oracle's.
+TEST(IncrementalLedgerTest, WriteDelaySetWithoutAdmitsOnlyDebitsOccupancy) {
+  ExportMeta meta;
+  meta.num_enclosures = 2;
+  meta.duration = 1000 * kSecond;
+  meta.has_power_model = true;
+  meta.idle_power_w = 100.0;
+  meta.spinup_power_w = 200.0;
+  meta.spinup_time_us = 12 * kSecond;
+  meta.controller_power_w = 50.0;
+  meta.cache_total_bytes = int64_t{1} << 30;
+  meta.write_delay_area_bytes = int64_t{1} << 28;
+  std::vector<Event> events;
+  for (int32_t plan : {1, 2}) {
+    const SimTime t = plan == 1 ? 100 * kSecond : 600 * kSecond;
+    DecisionPayload d;
+    d.item = 7;
+    d.plan = plan;
+    events.push_back(MakeDecisionEvent(t, d));
+    events.push_back(MakeCacheEvent(t, EventKind::kWriteDelaySet,
+                                    kInvalidDataItem, kInvalidEnclosure, 3,
+                                    0, plan));
+  }
+
+  const EnergyLedger ledger = BuildLedger(meta, events);
+  const legacy::EnergyLedger oracle = legacy::BuildLedger(meta, events);
+  EXPECT_EQ(ledger.write_delays, 2);
+  EXPECT_EQ(ledger.write_delay_admits, 0);
+  std::vector<AdvisoryEntry> occupancy;
+  for (const AdvisoryEntry& a : ledger.advisory) {
+    EXPECT_NE(a.kind, AdvisoryEntry::Kind::kWriteDelay);
+    if (a.kind == AdvisoryEntry::Kind::kWriteDelayOccupancy) {
+      occupancy.push_back(a);
+    }
+  }
+  std::vector<AdvisoryEntry> oracle_occupancy;
+  int64_t oracle_fallback = 0;
+  for (const AdvisoryEntry& a : oracle.advisory) {
+    if (a.kind == AdvisoryEntry::Kind::kWriteDelay) oracle_fallback++;
+    if (a.kind == AdvisoryEntry::Kind::kWriteDelayOccupancy) {
+      oracle_occupancy.push_back(a);
+    }
+  }
+  EXPECT_EQ(oracle_fallback, 2);  // the oracle does take its fallback
+  ASSERT_EQ(occupancy.size(), 2u);
+  ASSERT_EQ(oracle_occupancy.size(), occupancy.size());
+  for (size_t i = 0; i < occupancy.size(); ++i) {
+    EXPECT_EQ(occupancy[i].plan, oracle_occupancy[i].plan);
+    EXPECT_EQ(occupancy[i].time, oracle_occupancy[i].time);
+    EXPECT_EQ(occupancy[i].debit_j, oracle_occupancy[i].debit_j);
+  }
+  // Plan 1 holds the quarter-cache area for its 500 s.
+  EXPECT_EQ(occupancy[0].debit_j, 50.0 * 0.25 * 500.0);
+  EXPECT_EQ(ledger.advisory_credit_j, oracle.advisory_credit_j);
+  EXPECT_EQ(ledger.advisory_debit_j, oracle.advisory_debit_j);
 }
 
 // --- rolling summary ------------------------------------------------------
@@ -287,7 +360,8 @@ TEST(RollingSummaryTest, WindowsTileTheRunAndTelescopeToTheTotal) {
             static_cast<int64_t>(full.off_windows.size()));
   EXPECT_EQ(windows.back().cum_mispredicts, full.mispredicts);
   // The final ledger behind the summary is the batch ledger.
-  ExpectSameLedger(rolling.FinalLedger(), BuildLedger(run.meta, run.events),
+  ExpectSameLedger(rolling.FinalLedger(),
+                   legacy::BuildLedger(run.meta, run.events),
                    "rolling final ledger");
   // The run's latency book flowed through the per-window deltas intact.
   int64_t book_count = 0;

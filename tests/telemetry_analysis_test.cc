@@ -218,13 +218,46 @@ TEST(SummaryTest, CaptureRoundTripPreservesTheSummary) {
   EXPECT_TRUE(CompareSummaries(a, b, 0.0).empty());
 }
 
+// Each account field is a gate field on its own: a summary that moves
+// only an advisory or off-window figure is a regression too.
+TEST(SummaryTest, CompareSummariesFlagsEveryAccountField) {
+  Summary a;
+  a.off_credit_j = 1000.0;
+  a.advisory_debit_j = 40.0;
+  EXPECT_TRUE(CompareSummaries(a, a, 0.0).empty());
+
+  Summary advisory = a;
+  advisory.advisory_debit_j = 41.0;
+  std::vector<SummaryDiff> diffs = CompareSummaries(a, advisory, 1e-6);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_EQ(diffs[0].field, "energy.advisory_debit_j");
+
+  Summary off = a;
+  off.off_credit_j = 1001.0;
+  diffs = CompareSummaries(a, off, 1e-6);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_EQ(diffs[0].field, "energy.off_credit_j");
+  // The account comparator behind `tail --reconcile` sees the same.
+  EXPECT_EQ(CompareAccounts(a, off, 1e-6).size(), 1u);
+}
+
+TEST(SummaryTest, CompareAccountsIgnoresLatency) {
+  Summary a;
+  Summary b;
+  LatencyRow row;
+  row.count = 10;
+  b.latency.push_back(row);
+  EXPECT_TRUE(CompareAccounts(a, b, 0.0).empty());
+  EXPECT_FALSE(CompareSummaries(a, b, 0.0).empty());
+}
+
 // --- hardened capture parsing ---------------------------------------------
 
 TEST(ParseJsonlTest, TruncatedLineReportsLineNumber) {
   std::string path = TempPath("trunc.jsonl");
   WriteFile(path,
             "{\"type\":\"meta\",\"workload\":\"w\",\"policy\":\"p\","
-            "\"enclosures\":1,\"duration_us\":1000,\"events\":1}\n"
+            "\"num_enclosures\":1,\"duration_us\":1000,\"events\":1}\n"
             "{\"type\":\"event\",\"kind\":\"idle_gap\",\"t\":5\n");
   ExportMeta meta;
   std::vector<Event> events;
@@ -238,9 +271,9 @@ TEST(ParseJsonlTest, MissingEventsReportsTruncation) {
   std::string path = TempPath("short.jsonl");
   WriteFile(path,
             "{\"type\":\"meta\",\"workload\":\"w\",\"policy\":\"p\","
-            "\"enclosures\":1,\"duration_us\":1000,\"events\":3}\n"
+            "\"num_enclosures\":1,\"duration_us\":1000,\"events\":3}\n"
             "{\"type\":\"event\",\"kind\":\"idle_gap\",\"t\":5,"
-            "\"enc\":0,\"gap_us\":5}\n");
+            "\"enclosure\":0,\"gap_us\":5}\n");
   ExportMeta meta;
   std::vector<Event> events;
   Status st = ParseJsonl(path, &meta, &events);
@@ -253,7 +286,7 @@ TEST(ParseJsonlTest, GarbageLineReportsLineNumber) {
   std::string path = TempPath("garbage.jsonl");
   WriteFile(path,
             "{\"type\":\"meta\",\"workload\":\"w\",\"policy\":\"p\","
-            "\"enclosures\":1,\"duration_us\":1000,\"events\":0}\n"
+            "\"num_enclosures\":1,\"duration_us\":1000,\"events\":0}\n"
             "this is not json\n");
   ExportMeta meta;
   std::vector<Event> events;
@@ -266,14 +299,86 @@ TEST(ParseJsonlTest, UnknownTypeLinesAreSkippedForForwardCompat) {
   std::string path = TempPath("forward.jsonl");
   WriteFile(path,
             "{\"type\":\"meta\",\"workload\":\"w\",\"policy\":\"p\","
-            "\"enclosures\":1,\"duration_us\":1000,\"events\":1}\n"
+            "\"num_enclosures\":1,\"duration_us\":1000,\"events\":1}\n"
             "{\"type\":\"future_section\",\"x\":1}\n"
             "{\"type\":\"event\",\"kind\":\"idle_gap\",\"t\":5,"
-            "\"enc\":0,\"gap_us\":5}\n");
+            "\"enclosure\":0,\"gap_us\":5}\n");
   ExportMeta meta;
   std::vector<Event> events;
   ASSERT_TRUE(ParseJsonl(path, &meta, &events).ok());
   EXPECT_EQ(events.size(), 1u);
+}
+
+std::string MetaLine(const std::string& num_enclosures, int events) {
+  return "{\"type\":\"meta\",\"workload\":\"w\",\"policy\":\"p\","
+         "\"num_enclosures\":" + num_enclosures +
+         ",\"duration_us\":1000,\"events\":" + std::to_string(events) + "}";
+}
+
+std::string PowerLine(const std::string& enclosure) {
+  return "{\"type\":\"event\",\"kind\":\"power_state\",\"t\":5,"
+         "\"enclosure\":" + enclosure +
+         ",\"state\":0,\"spinup_us\":0,\"joules\":0,\"plan\":1}";
+}
+
+std::string MigrationLine(const std::string& from, const std::string& to) {
+  return "{\"type\":\"event\",\"kind\":\"migration_begin\",\"t\":5,"
+         "\"item\":3,\"from\":" + from + ",\"to\":" + to +
+         ",\"bytes\":4096}";
+}
+
+// Enclosure ids are checked against the meta before they are narrowed to
+// int32: the id just past the range and one that would wrap to an
+// in-range id (2^32 + 1 -> 1) both fail, with the line number.
+TEST(ParseJsonlTest, EnclosureIdsOutsideTheMetaAreRejected) {
+  const std::string path = TempPath("enclosure_range.jsonl");
+  for (const std::string& bad : {std::string("2"), std::string("4294967297"),
+                                 std::string("-2")}) {
+    SCOPED_TRACE("enclosure " + bad);
+    for (const std::string& line :
+         {PowerLine(bad), MigrationLine("0", bad), MigrationLine(bad, "1")}) {
+      WriteFile(path, MetaLine("2", 1) + "\n" + line + "\n");
+      ExportMeta meta;
+      std::vector<Event> events;
+      Status st = ParseJsonl(path, &meta, &events);
+      ASSERT_FALSE(st.ok()) << line;
+      EXPECT_NE(st.ToString().find(":2:"), std::string::npos)
+          << st.ToString();
+      EXPECT_NE(st.ToString().find("outside [-1, 2)"), std::string::npos)
+          << st.ToString();
+    }
+  }
+  // The edges of the range parse.
+  WriteFile(path, MetaLine("2", 3) + "\n" + PowerLine("1") + "\n" +
+                      PowerLine("-1") + "\n" + MigrationLine("-1", "1") +
+                      "\n");
+  ExportMeta meta;
+  std::vector<Event> events;
+  Status st = ParseJsonl(path, &meta, &events);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].power.enclosure, 1);
+  EXPECT_EQ(events[2].migration.to, 1);
+}
+
+TEST(CaptureTailParserRangeTest, RejectsBadIdsAndNegativeEnclosureCounts) {
+  CaptureTailParser parser;
+  ASSERT_TRUE(parser.Consume(MetaLine("2", 2)).ok());
+  EXPECT_TRUE(parser.Consume(PowerLine("0")).ok());
+  Status st = parser.Consume(PowerLine("4294967297"));
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("enclosure 4294967297"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(parser.Consume(MigrationLine("2", "0")).ok());
+  EXPECT_EQ(parser.consumed_events(), 1);
+
+  for (const std::string& count : {std::string("-1"),
+                                   std::string("4294967297")}) {
+    CaptureTailParser negative;
+    st = negative.Consume(MetaLine(count, 0));
+    ASSERT_FALSE(st.ok()) << count;
+    EXPECT_NE(st.message().find("num_enclosures"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include <array>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -386,13 +385,11 @@ int RunScore(const std::string& path, const std::string& summary_out) {
       }
     }
 
-    if (ledger.per_item_write_delay) {
-      std::printf("\nwrite-delay membership (per-item attribution): "
-                  "%" PRId64 " admits, %" PRId64 " flushes "
-                  "(%" PRId64 " bytes destaged on exit)\n",
-                  ledger.write_delay_admits, ledger.write_delay_flushes,
-                  ledger.write_delay_flush_bytes);
-    }
+    std::printf("\nwrite-delay membership (per-item attribution): "
+                "%" PRId64 " admits, %" PRId64 " flushes "
+                "(%" PRId64 " bytes destaged on exit)\n",
+                ledger.write_delay_admits, ledger.write_delay_flushes,
+                ledger.write_delay_flush_bytes);
 
     if (!ledger.advisory.empty()) {
       std::printf("\nadvisory entries (model estimates, not reconciled)\n");
@@ -465,87 +462,38 @@ void PrintRollingWindow(const char* prefix, int64_t index, SimTime start,
               static_cast<long long>(cum_mispredicts));
 }
 
-/// The final cumulative account of a streamed run — built either from a
-/// rolling_final JSONL line or from the live consumer's final ledger —
-/// reconciled against a golden summary by `tail --reconcile=`.
-struct FinalAccount {
-  int64_t windows = 0;
-  double enclosure_energy_j = 0.0;
-  double controller_energy_j = 0.0;
-  double total_energy_j = 0.0;
-  double off_credit_j = 0.0;
-  double off_debit_j = 0.0;
-  double net_saving_j = 0.0;
-  double mispredict_loss_j = 0.0;
-  double advisory_credit_j = 0.0;
-  double advisory_debit_j = 0.0;
-  int64_t plans = 0;
-  int64_t decisions = 0;
-  int64_t off_windows = 0;
-  int64_t mispredicts = 0;
-  int64_t migrations = 0;
-  int64_t preloads = 0;
-  int64_t write_delays = 0;
-  bool has_finals = false;
-  double reconcile_rel_err = 0.0;
-};
-
-FinalAccount AccountFromRollingFinal(const FlatJson& json) {
-  FinalAccount a;
-  a.windows = json.Int("windows");
-  a.enclosure_energy_j = json.Dbl("enclosure_energy_j");
-  a.controller_energy_j = json.Dbl("controller_energy_j");
-  a.total_energy_j = json.Dbl("total_energy_j");
-  a.off_credit_j = json.Dbl("off_credit_j");
-  a.off_debit_j = json.Dbl("off_debit_j");
-  a.net_saving_j = json.Dbl("net_saving_j");
-  a.mispredict_loss_j = json.Dbl("mispredict_loss_j");
-  a.advisory_credit_j = json.Dbl("advisory_credit_j");
-  a.advisory_debit_j = json.Dbl("advisory_debit_j");
-  a.plans = json.Int("plans");
-  a.decisions = json.Int("decisions");
-  a.off_windows = json.Int("off_windows");
-  a.mispredicts = json.Int("mispredicts");
-  a.migrations = json.Int("migrations");
-  a.preloads = json.Int("preloads");
-  a.write_delays = json.Int("write_delays");
-  a.has_finals = json.Int("has_finals") != 0;
-  a.reconcile_rel_err = json.Dbl("reconcile_rel_err");
-  return a;
+/// The account of a rolling_final JSONL line. The line carries no
+/// latency, so only the fields CompareAccounts reads are filled.
+analysis::Summary SummaryFromRollingFinal(const FlatJson& json) {
+  analysis::Summary s;
+  s.enclosure_energy_j = json.Dbl("enclosure_energy_j");
+  s.controller_energy_j = json.Dbl("controller_energy_j");
+  s.total_energy_j = json.Dbl("total_energy_j");
+  s.has_ledger = json.Int("has_finals") != 0;
+  s.reconcile_rel_err = json.Dbl("reconcile_rel_err");
+  s.off_credit_j = json.Dbl("off_credit_j");
+  s.off_debit_j = json.Dbl("off_debit_j");
+  s.net_saving_j = json.Dbl("net_saving_j");
+  s.advisory_credit_j = json.Dbl("advisory_credit_j");
+  s.advisory_debit_j = json.Dbl("advisory_debit_j");
+  s.mispredict_loss_j = json.Dbl("mispredict_loss_j");
+  s.plans = json.Int("plans");
+  s.decisions = json.Int("decisions");
+  s.off_windows = json.Int("off_windows");
+  s.mispredicts = json.Int("mispredicts");
+  s.migrations = json.Int("migrations");
+  s.preloads = json.Int("preloads");
+  s.write_delays = json.Int("write_delays");
+  return s;
 }
 
-FinalAccount AccountFromLedger(const analysis::EnergyLedger& ledger,
-                               const ExportMeta& meta, int64_t windows) {
-  FinalAccount a;
-  a.windows = windows;
-  a.enclosure_energy_j = meta.enclosure_energy_j;
-  a.controller_energy_j = meta.controller_energy_j;
-  a.total_energy_j = meta.enclosure_energy_j + meta.controller_energy_j;
-  a.off_credit_j = ledger.off_credit_j;
-  a.off_debit_j = ledger.off_debit_j;
-  a.net_saving_j = ledger.off_credit_j - ledger.off_debit_j;
-  a.mispredict_loss_j = ledger.mispredict_loss_j;
-  a.advisory_credit_j = ledger.advisory_credit_j;
-  a.advisory_debit_j = ledger.advisory_debit_j;
-  a.plans = ledger.plans;
-  a.decisions = ledger.decisions;
-  a.off_windows = static_cast<int64_t>(ledger.off_windows.size());
-  a.mispredicts = ledger.mispredicts;
-  a.migrations = ledger.migrations;
-  a.preloads = ledger.preloads;
-  a.write_delays = ledger.write_delays;
-  a.has_finals = ledger.has_finals;
-  a.reconcile_rel_err = ledger.reconcile_rel_err;
-  return a;
-}
-
-void PrintFinalAccount(const FinalAccount& a) {
+void PrintFinalAccount(int64_t windows, const analysis::Summary& a) {
   std::printf("\nfinal: %" PRId64 " windows  net saving %.1f J "
               "(credit %.1f debit %.1f)  mispredicts %" PRId64
               " (loss %.1f J)\n",
-              a.windows, a.net_saving_j, a.off_credit_j, a.off_debit_j,
+              windows, a.net_saving_j, a.off_credit_j, a.off_debit_j,
               a.mispredicts, a.mispredict_loss_j);
-  if (a.has_finals) {
+  if (a.has_ledger) {
     std::printf("       measured %.1f + %.1f J, ledger reconcile rel err "
                 "%.3g\n",
                 a.enclosure_energy_j, a.controller_energy_j,
@@ -554,71 +502,28 @@ void PrintFinalAccount(const FinalAccount& a) {
 }
 
 /// CI gate: the streamed final account must agree with the golden batch
-/// summary. Same floored-relative rule as CompareSummaries.
-int ReconcileAccount(const FinalAccount& a, const std::string& golden_path,
-                     double tolerance) {
+/// summary on every CompareAccounts field.
+int ReconcileAccount(const analysis::Summary& live,
+                     const std::string& golden_path, double tolerance) {
   analysis::Summary golden;
   Status st = analysis::ParseSummaryFile(golden_path, &golden);
   if (!st.ok()) {
     std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
     return 1;
   }
-  struct Row {
-    const char* field;
-    double live;
-    double golden;
-  };
-  const Row rows[] = {
-      {"energy.enclosure_j", a.enclosure_energy_j, golden.enclosure_energy_j},
-      {"energy.controller_j", a.controller_energy_j,
-       golden.controller_energy_j},
-      {"energy.total_j", a.total_energy_j, golden.total_energy_j},
-      {"energy.off_credit_j", a.off_credit_j, golden.off_credit_j},
-      {"energy.off_debit_j", a.off_debit_j, golden.off_debit_j},
-      {"energy.net_saving_j", a.net_saving_j, golden.net_saving_j},
-      {"energy.mispredict_loss_j", a.mispredict_loss_j,
-       golden.mispredict_loss_j},
-      {"energy.advisory_credit_j", a.advisory_credit_j,
-       golden.advisory_credit_j},
-      {"energy.advisory_debit_j", a.advisory_debit_j,
-       golden.advisory_debit_j},
-      {"energy.reconcile_rel_err", a.reconcile_rel_err,
-       golden.reconcile_rel_err},
-      {"plans.plans", static_cast<double>(a.plans),
-       static_cast<double>(golden.plans)},
-      {"plans.decisions", static_cast<double>(a.decisions),
-       static_cast<double>(golden.decisions)},
-      {"plans.off_windows", static_cast<double>(a.off_windows),
-       static_cast<double>(golden.off_windows)},
-      {"plans.mispredicts", static_cast<double>(a.mispredicts),
-       static_cast<double>(golden.mispredicts)},
-      {"plans.migrations", static_cast<double>(a.migrations),
-       static_cast<double>(golden.migrations)},
-      {"plans.preloads", static_cast<double>(a.preloads),
-       static_cast<double>(golden.preloads)},
-      {"plans.write_delays", static_cast<double>(a.write_delays),
-       static_cast<double>(golden.write_delays)},
-  };
-  size_t failures = 0;
-  for (const Row& r : rows) {
-    const double denom =
-        std::max({std::fabs(r.live), std::fabs(r.golden), 1.0});
-    const double rel = std::fabs(r.live - r.golden) / denom;
-    if (rel > tolerance) {
-      if (failures == 0) {
-        std::printf("\nreconcile vs %s (tolerance %g)\n", golden_path.c_str(),
-                    tolerance);
-        std::printf("  %-28s %16s %16s %12s\n", "field", "live", "golden",
-                    "rel err");
-      }
-      failures++;
-      std::printf("  %-28s %16.6g %16.6g %12.3g\n", r.field, r.live,
-                  r.golden, rel);
+  const std::vector<analysis::SummaryDiff> diffs =
+      analysis::CompareAccounts(live, golden, tolerance);
+  if (!diffs.empty()) {
+    std::printf("\nreconcile vs %s (tolerance %g)\n", golden_path.c_str(),
+                tolerance);
+    std::printf("  %-28s %16s %16s %12s\n", "field", "live", "golden",
+                "rel err");
+    for (const analysis::SummaryDiff& d : diffs) {
+      std::printf("  %-28s %16.6g %16.6g %12.3g\n", d.field.c_str(), d.a,
+                  d.b, d.rel_err);
     }
-  }
-  if (failures > 0) {
     std::printf("RECONCILE FAIL: %zu field(s) differ beyond tolerance\n",
-                failures);
+                diffs.size());
     return 1;
   }
   std::printf("RECONCILE PASS: live rolling account matches %s\n",
@@ -675,9 +580,8 @@ int RunScoreWindows(const std::string& path, SimDuration window_us,
                   f.wake_item != kInvalidDataItem ? " (item)" : "");
     }
   }
-  FinalAccount account = AccountFromLedger(rolling->FinalLedger(), meta,
-                                           rolling->windows_closed());
-  PrintFinalAccount(account);
+  PrintFinalAccount(rolling->windows_closed(),
+                    analysis::SummaryFromLedger(meta, rolling->FinalLedger()));
   if (!summary_out.empty()) {
     analysis::Summary summary = analysis::BuildSummary(meta, events);
     Status st = analysis::WriteSummaryJson(summary_out, summary);
@@ -706,7 +610,8 @@ int RunTail(const std::string& path, const TailOptions& opt) {
   int64_t offset = 0;
   CaptureTailParser parser;  // capture mode
   std::unique_ptr<analysis::RollingSummary> rolling;  // capture mode
-  FinalAccount account;
+  analysis::Summary account;
+  int64_t windows = 0;
   bool saw_final = false;
 
   while (true) {
@@ -749,7 +654,8 @@ int RunTail(const std::string& path, const TailOptions& opt) {
                              json.Int("mispredicts"), json.Dbl("cum_net_j"),
                              json.Int("cum_mispredicts"));
         } else if (type == "rolling_final") {
-          account = AccountFromRollingFinal(json);
+          account = SummaryFromRollingFinal(json);
+          windows = json.Int("windows");
           saw_final = true;
         }
         // Unknown types are skipped (format growth).
@@ -788,8 +694,8 @@ int RunTail(const std::string& path, const TailOptions& opt) {
       fin.controller_energy_j = meta.controller_energy_j;
       fin.has_energy = meta.has_power_model;
       rolling->OnFinish(fin);
-      account = AccountFromLedger(rolling->FinalLedger(), meta,
-                                  rolling->windows_closed());
+      account = analysis::SummaryFromLedger(meta, rolling->FinalLedger());
+      windows = rolling->windows_closed();
       saw_final = true;
     }
     if (saw_final || opt.once) break;
@@ -798,7 +704,7 @@ int RunTail(const std::string& path, const TailOptions& opt) {
   }
 
   if (saw_final) {
-    PrintFinalAccount(account);
+    PrintFinalAccount(windows, account);
   } else {
     std::printf("(no final record yet — capture still in flight, resume "
                 "offset %lld)\n",
