@@ -41,9 +41,7 @@ replay::PolicyFactory Variant(core::PowerManagementConfig pm,
 int main(int argc, char** argv) {
   bench::InitBenchLogging();
   const int threads = bench::ParseThreadsFlag(argc, argv);
-  const std::string telemetry_base = bench::ParseTelemetryFlag(argc, argv);
-  const std::string summary_path =
-      bench::ParseTelemetrySummaryFlag(argc, argv);
+  const bench::CaptureFlags capture = bench::ParseCaptureFlags(argc, argv);
   bench::PrintHeader("Ablation — proposed method feature contributions",
                      "design-choice study (DESIGN.md); no paper analogue");
 
@@ -115,7 +113,7 @@ int main(int argc, char** argv) {
   std::cout << "\nmovement:\n";
   replay::PrintMigrationTable(std::cout, runs.value());
 
-  if (!telemetry_base.empty()) {
+  if (!capture.telemetry_base.empty()) {
     // One extra instrumented run of the full proposed variant, after the
     // ablation tables so the capture shares nothing with them.
     replay::ExperimentJob job;
@@ -127,8 +125,7 @@ int main(int argc, char** argv) {
     };
     job.policy = Variant(full, "proposed_full");
     job.config = replay::ExperimentConfig{};
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path);
+    return bench::CaptureTelemetry(capture, std::move(job));
   }
   return 0;
 }

@@ -20,20 +20,7 @@ using namespace ecostore;  // NOLINT
 
 int main(int argc, char** argv) {
   bench::InitBenchLogging();
-  const std::string telemetry_base = bench::ParseTelemetryFlag(argc, argv);
-  const std::string summary_path =
-      bench::ParseTelemetrySummaryFlag(argc, argv);
-  // --rolling-summary=<path> streams live rolling windows from the
-  // instrumented capture run (tailable mid-run via `eco_report tail`).
-  const std::string rolling_path = bench::ParseRollingSummaryFlag(argc, argv);
-  const SimDuration rolling_window = bench::ParseRollingWindowFlag(argc, argv);
-  // --profile=<base> attaches the wall-clock phase profiler to the
-  // instrumented capture run (requires --telemetry).
-  const std::string profile_base = bench::ParseProfileFlag(argc, argv);
-  // --capture-only skips the four-policy figure suite and runs just the
-  // instrumented capture: what the CI regression gate wants.
-  const bool capture_only =
-      bench::HasFlag(argc, argv, "--capture-only") && !telemetry_base.empty();
+  const bench::CaptureFlags capture = bench::ParseCaptureFlags(argc, argv);
   bench::PrintHeader(
       "Figs. 8-10, 17 — File Server",
       "proposed -25.8% power, best response, 23.1 GB migrated");
@@ -44,19 +31,20 @@ int main(int argc, char** argv) {
   config.power_sample_interval = 60 * kSecond;  // wall-meter sampling
   core::PowerManagementConfig pm;  // Table II defaults
 
-  if (capture_only) {
-    replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::FileServerWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
-    job.policy = replay::PaperPolicySet(pm)[1];
-    job.config = config;
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path, 1u << 21, rolling_path,
-                                   rolling_window, profile_base);
+  // --telemetry: one extra instrumented run of the proposed method
+  // (PaperPolicySet index 1), after the figures so the capture shares
+  // nothing with them; --capture-only runs just this.
+  replay::ExperimentJob capture_job;
+  capture_job.workload =
+      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
+    auto wl = workload::FileServerWorkload::Create(wl_config);
+    if (!wl.ok()) return wl.status();
+    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
+  };
+  capture_job.policy = replay::PaperPolicySet(pm)[1];
+  capture_job.config = config;
+  if (capture.capture_only) {
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
 
   auto workload = workload::FileServerWorkload::Create(wl_config);
@@ -99,21 +87,8 @@ int main(int argc, char** argv) {
     replay::PrintEnclosureTable(std::cout, *proposed);
   }
 
-  if (!telemetry_base.empty()) {
-    // One extra instrumented run of the proposed method (PaperPolicySet
-    // index 1), after the figures so the capture shares nothing with them.
-    replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::FileServerWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
-    job.policy = replay::PaperPolicySet(pm)[1];
-    job.config = config;
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path, 1u << 21, rolling_path,
-                                   rolling_window, profile_base);
+  if (!capture.telemetry_base.empty()) {
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
   return 0;
 }

@@ -43,18 +43,7 @@ workload::CloudBlockConfig FleetConfig(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   bench::InitBenchLogging();
-  const std::string telemetry_base = bench::ParseTelemetryFlag(argc, argv);
-  const std::string summary_path =
-      bench::ParseTelemetrySummaryFlag(argc, argv);
-  // --rolling-summary=<path> streams live rolling windows from the
-  // instrumented capture run (tailable mid-run via `eco_report tail`).
-  const std::string rolling_path = bench::ParseRollingSummaryFlag(argc, argv);
-  const SimDuration rolling_window = bench::ParseRollingWindowFlag(argc, argv);
-  // --profile=<base> attaches the wall-clock phase profiler to the
-  // instrumented capture run (requires --telemetry).
-  const std::string profile_base = bench::ParseProfileFlag(argc, argv);
-  const bool capture_only =
-      bench::HasFlag(argc, argv, "--capture-only") && !telemetry_base.empty();
+  const bench::CaptureFlags capture = bench::ParseCaptureFlags(argc, argv);
   bench::PrintHeader(
       "Fleet-scale planning — cloud block storage",
       "beyond the paper: 10k enclosures / 1M items, Alibaba-shaped "
@@ -68,7 +57,7 @@ int main(int argc, char** argv) {
                   wl_config.items_per_volume,
               FormatDuration(wl_config.duration).c_str());
 
-  if (capture_only) {
+  if (capture.capture_only) {
     replay::ExperimentConfig config;
     core::PowerManagementConfig pm;
     replay::ExperimentJob job;
@@ -81,9 +70,7 @@ int main(int argc, char** argv) {
     };
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path, 1u << 22, rolling_path,
-                                   rolling_window, profile_base);
+    return bench::CaptureTelemetry(capture, std::move(job));
   }
 
   auto workload = workload::CloudBlockWorkload::Create(wl_config);

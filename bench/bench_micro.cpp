@@ -1437,7 +1437,7 @@ int WriteBenchPerfJson(const char* path_override) {
       "telemetry", kSeedReplayEcoFingerprint,
       [] { return MeasureReplayThroughput(true); },
       [](int64_t* count) {
-        telemetry::Recorder recorder;  // fresh rings per repetition
+        telemetry::Recorder recorder;  // fresh buffers per repetition
         ReplayFigure on = MeasureReplayThroughput(true, &recorder);
         *count = static_cast<int64_t>(recorder.recorded());
         return on;
@@ -1734,7 +1734,7 @@ int main(int argc, char** argv) {
   // replay run and writes <base>.profile.jsonl + .profile.trace.json.
   // Implies --replay (the profiled figure is the end-to-end one).
   const std::string profile_base =
-      ecostore::bench::ParseProfileFlag(argc, argv);
+      ecostore::bench::ParseFlagValue(argc, argv, "--profile=");
   if (!profile_base.empty()) replay_only = true;
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);

@@ -53,9 +53,7 @@ void Print(const std::vector<SweepRow>& rows) {
 int main(int argc, char** argv) {
   bench::InitBenchLogging();
   const int threads = bench::ParseThreadsFlag(argc, argv);
-  const std::string telemetry_base = bench::ParseTelemetryFlag(argc, argv);
-  const std::string summary_path =
-      bench::ParseTelemetrySummaryFlag(argc, argv);
+  const bench::CaptureFlags capture = bench::ParseCaptureFlags(argc, argv);
   bench::PrintHeader("Sensitivity sweeps — proposed method",
                      "configuration study (paper \xC2\xA7IX future work); "
                      "no paper figure");
@@ -98,10 +96,10 @@ int main(int argc, char** argv) {
   std::printf("ran %zu experiments on %d thread(s) in %.1f s wall\n",
               jobs.size(), threads, wall);
 
-  if (!telemetry_base.empty()) {
+  if (!capture.telemetry_base.empty()) {
     // Captures the first row's proposed-method job (jobs come in
     // base/eco pairs, so index 1 is the eco run of row 1 of section 1).
-    return bench::CaptureTelemetry(telemetry_base, jobs[1], summary_path);
+    return bench::CaptureTelemetry(capture, jobs[1]);
   }
   return 0;
 }

@@ -20,13 +20,7 @@ using namespace ecostore;  // NOLINT
 
 int main(int argc, char** argv) {
   bench::InitBenchLogging();
-  const std::string telemetry_base = bench::ParseTelemetryFlag(argc, argv);
-  const std::string summary_path =
-      bench::ParseTelemetrySummaryFlag(argc, argv);
-  // --capture-only skips the four-policy figure suite and runs just the
-  // instrumented capture: what the CI regression gate wants.
-  const bool capture_only =
-      bench::HasFlag(argc, argv, "--capture-only") && !telemetry_base.empty();
+  const bench::CaptureFlags capture = bench::ParseCaptureFlags(argc, argv);
   bench::PrintHeader("Figs. 11-13, 18 — TPC-C (OLTP)",
                      "proposed -15.7% power at -8.5% tpmC; DDR saves "
                      "nothing");
@@ -35,22 +29,23 @@ int main(int argc, char** argv) {
   wl_config.duration = bench::MaybeShorten(
       static_cast<SimDuration>(1.8 * kHour), 30 * kMinute);
 
-  if (capture_only) {
-    replay::ExperimentConfig config;
-    core::PowerManagementConfig pm;
-    replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::OltpWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
-    job.policy = replay::PaperPolicySet(pm)[1];
-    job.config = config;
-    // The OLTP stream emits ~7.5M events in quick mode; the default 2M
-    // ring would wrap and starve the ledger of the oldest windows.
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path, 1u << 23);
+  replay::ExperimentConfig config;
+  core::PowerManagementConfig pm;
+
+  // --telemetry: one extra instrumented run of the proposed method
+  // (PaperPolicySet index 1), after the figures so the capture shares
+  // nothing with them; --capture-only runs just this.
+  replay::ExperimentJob capture_job;
+  capture_job.workload =
+      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
+    auto wl = workload::OltpWorkload::Create(wl_config);
+    if (!wl.ok()) return wl.status();
+    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
+  };
+  capture_job.policy = replay::PaperPolicySet(pm)[1];
+  capture_job.config = config;
+  if (capture.capture_only) {
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
 
   auto workload = workload::OltpWorkload::Create(wl_config);
@@ -59,8 +54,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  replay::ExperimentConfig config;
-  core::PowerManagementConfig pm;
   auto runs = replay::RunSuite(workload.value().get(),
                                replay::PaperPolicySet(pm), config);
   if (!runs.ok()) {
@@ -94,20 +87,8 @@ int main(int argc, char** argv) {
       std::cout, runs.value(),
       {10 * kSecond, 30 * kSecond, 52 * kSecond, 2 * kMinute, 5 * kMinute});
 
-  if (!telemetry_base.empty()) {
-    // One extra instrumented run of the proposed method, after the
-    // figures so the capture shares nothing with them.
-    replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::OltpWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
-    job.policy = replay::PaperPolicySet(pm)[1];
-    job.config = config;
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path);
+  if (!capture.telemetry_base.empty()) {
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
   return 0;
 }

@@ -21,13 +21,7 @@ using namespace ecostore;  // NOLINT
 int main(int argc, char** argv) {
   bench::InitBenchLogging();
   const int threads = bench::ParseThreadsFlag(argc, argv);
-  const std::string telemetry_base = bench::ParseTelemetryFlag(argc, argv);
-  const std::string summary_path =
-      bench::ParseTelemetrySummaryFlag(argc, argv);
-  // --capture-only skips the four-policy figure suite and runs just the
-  // instrumented capture: what the CI regression gate wants.
-  const bool capture_only =
-      bench::HasFlag(argc, argv, "--capture-only") && !telemetry_base.empty();
+  const bench::CaptureFlags capture = bench::ParseCaptureFlags(argc, argv);
   bench::PrintHeader("Figs. 14-16, 19 — TPC-H (DSS)",
                      "all methods save >50%; proposed & DDR ~70%, PDC "
                      "~56%; DDR's responses worst");
@@ -36,22 +30,23 @@ int main(int argc, char** argv) {
   wl_config.duration = bench::MaybeShorten(6 * kHour, 90 * kMinute);
   if (bench::QuickMode()) wl_config.scale = 0.2;
 
-  if (capture_only) {
-    replay::ExperimentConfig config;
-    core::PowerManagementConfig pm;
-    replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::DssWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
-    job.policy = replay::PaperPolicySet(pm)[1];
-    job.config = config;
-    // DSS scans are I/O-dense like OLTP: give the capture the large
-    // ring so the ledger sees the whole run.
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path, 1u << 23);
+  replay::ExperimentConfig config;
+  core::PowerManagementConfig pm;
+
+  // --telemetry: one extra instrumented run of the proposed method
+  // (PaperPolicySet index 1), after the figures so the capture shares
+  // nothing with them; --capture-only runs just this.
+  replay::ExperimentJob capture_job;
+  capture_job.workload =
+      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
+    auto wl = workload::DssWorkload::Create(wl_config);
+    if (!wl.ok()) return wl.status();
+    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
+  };
+  capture_job.policy = replay::PaperPolicySet(pm)[1];
+  capture_job.config = config;
+  if (capture.capture_only) {
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
 
   auto workload = workload::DssWorkload::Create(wl_config);
@@ -60,8 +55,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  replay::ExperimentConfig config;
-  core::PowerManagementConfig pm;
   // Serial (default) keeps the original shared-instance replay;
   // --threads=N>1 runs the four policies concurrently, each against its
   // own deterministic workload clone (identical trace, same figures).
@@ -126,20 +119,8 @@ int main(int argc, char** argv) {
       {10 * kSecond, 52 * kSecond, 2 * kMinute, 10 * kMinute,
        30 * kMinute});
 
-  if (!telemetry_base.empty()) {
-    // One extra instrumented run of the proposed method, after the
-    // figures so the capture shares nothing with them.
-    replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::DssWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
-    job.policy = replay::PaperPolicySet(pm)[1];
-    job.config = config;
-    return bench::CaptureTelemetry(telemetry_base, std::move(job),
-                                   summary_path);
+  if (!capture.telemetry_base.empty()) {
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
   return 0;
 }

@@ -4,6 +4,7 @@
 // Shared helpers for the figure-reproduction benchmarks.
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -40,6 +41,47 @@ inline int ParseIntOrExit(const std::string& flag, std::string_view text) {
   return value;
 }
 
+/// Parses the whole of `text` as a finite number greater than zero.
+/// Returns false, leaving `*out` untouched, otherwise.
+inline bool ParsePositive(std::string_view text, double* out) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value) || value <= 0) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// ParsePositive for the value of a command-line flag: a value it
+/// rejects prints a message naming `flag` and exits with status 2.
+inline double ParsePositiveOrExit(const std::string& flag,
+                                  std::string_view text) {
+  double value = 0;
+  if (!ParsePositive(text, &value)) {
+    std::cerr << flag << ": expected a positive number, got '" << text
+              << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
+
+/// ParsePositiveOrExit for a flag given in seconds, converted to sim
+/// time. A value that is not a positive number, or that rounds to less
+/// than 1 us or overflows SimDuration, exits with status 2 as well.
+inline SimDuration ParseSecondsOrExit(const std::string& flag,
+                                      std::string_view text) {
+  const double us =
+      ParsePositiveOrExit(flag, text) * static_cast<double>(kSecond);
+  if (us < 1 || us >= 9.2e18) {
+    std::cerr << flag << ": " << text << " s is outside [1e-6, 9.2e12]\n";
+    std::exit(2);
+  }
+  return static_cast<SimDuration>(us);
+}
+
 /// Parses a `--threads=N` argument (default 1 == today's serial
 /// behaviour). `--threads=0` means "all hardware threads". Unknown
 /// arguments are left alone for the caller.
@@ -61,7 +103,7 @@ inline int ParseThreadsFlag(int argc, char** argv) {
 }
 
 /// Returns the value of a `--flag=value` argument; empty when absent.
-/// `prefix` includes the '=' (e.g. "--telemetry=").
+/// `prefix` includes the '=' (e.g. "--enclosures=").
 inline std::string ParseFlagValue(int argc, char** argv,
                                   const std::string& prefix) {
   for (int i = 1; i < argc; ++i) {
@@ -79,44 +121,49 @@ inline bool HasFlag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
-/// Parses a `--telemetry=<base>` argument; empty when absent. The base
-/// names the export set written by telemetry::ExportAll
-/// (`<base>.jsonl`, `<base>.power.csv`, `<base>.trace.json`).
-inline std::string ParseTelemetryFlag(int argc, char** argv) {
-  return ParseFlagValue(argc, argv, "--telemetry=");
-}
+/// The flags of the instrumented capture run every figure bench shares
+/// (see CaptureTelemetry in bench/telemetry_capture.h).
+struct CaptureFlags {
+  /// `--telemetry=<base>`: writes `<base>.jsonl`, `<base>.power.csv` and
+  /// `<base>.trace.json`. Empty = no capture run.
+  std::string telemetry_base;
+  /// `--telemetry-summary=<path>`: the analyzer's summary JSON.
+  std::string summary_path;
+  /// `--rolling-summary=<path>`: the append-only rolling-window JSONL the
+  /// capture run streams while it executes (tailable via `eco_report
+  /// tail`). Empty = rolling mode off.
+  std::string rolling_path;
+  /// `--rolling-window=<sec>`: rolling-window length in sim time.
+  SimDuration rolling_window = kMinute;
+  /// `--profile=<base>`: attaches the wall-clock phase profiler and
+  /// writes `<base>.profile.jsonl` and `<base>.profile.trace.json`.
+  std::string profile_base;
+  /// `--capture-only` (with --telemetry): skip the figures and run just
+  /// the capture.
+  bool capture_only = false;
+};
 
-/// Parses a `--profile=<base>` argument; empty when absent. The base
-/// names the wall-clock profile export pair written by
-/// telemetry::profile::ExportProfile (`<base>.profile.jsonl` and
-/// `<base>.profile.trace.json`).
-inline std::string ParseProfileFlag(int argc, char** argv) {
-  return ParseFlagValue(argc, argv, "--profile=");
-}
-
-/// Parses a `--telemetry-summary=<path>` argument; empty when absent.
-/// Names the machine-readable summary JSON written from the capture run
-/// (requires --telemetry as the event source).
-inline std::string ParseTelemetrySummaryFlag(int argc, char** argv) {
-  return ParseFlagValue(argc, argv, "--telemetry-summary=");
-}
-
-/// Parses `--rolling-summary=<path>`: the append-only rolling-window
-/// JSONL the instrumented capture run streams while it executes
-/// (followed live by `eco_report tail <path>`). Empty when absent —
-/// rolling mode off. Requires --telemetry as the event source.
-inline std::string ParseRollingSummaryFlag(int argc, char** argv) {
-  return ParseFlagValue(argc, argv, "--rolling-summary=");
-}
-
-/// Parses `--rolling-window=<sec>`: the rolling-window length in sim
-/// seconds (default 60 s). Values <= 0 fall back to the default.
-inline SimDuration ParseRollingWindowFlag(int argc, char** argv) {
-  const std::string v = ParseFlagValue(argc, argv, "--rolling-window=");
-  if (v.empty()) return kMinute;
-  const double sec = std::atof(v.c_str());
-  if (sec <= 0) return kMinute;
-  return static_cast<SimDuration>(sec * static_cast<double>(kSecond));
+/// Fills CaptureFlags from the command line. The summary, rolling and
+/// profile outputs all come from the capture run, so they need
+/// --telemetry. A bad `--rolling-window` exits with status 2 (see
+/// ParseSecondsOrExit). Other arguments are left alone for the caller.
+inline CaptureFlags ParseCaptureFlags(int argc, char** argv) {
+  CaptureFlags flags;
+  flags.telemetry_base = ParseFlagValue(argc, argv, "--telemetry=");
+  flags.summary_path = ParseFlagValue(argc, argv, "--telemetry-summary=");
+  flags.rolling_path = ParseFlagValue(argc, argv, "--rolling-summary=");
+  flags.profile_base = ParseFlagValue(argc, argv, "--profile=");
+  const std::string prefix = "--rolling-window=";
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg(argv[i]);
+    if (arg.rfind(prefix, 0) == 0) {
+      flags.rolling_window =
+          ParseSecondsOrExit("--rolling-window", arg.substr(prefix.size()));
+    }
+  }
+  flags.capture_only = HasFlag(argc, argv, "--capture-only") &&
+                       !flags.telemetry_base.empty();
+  return flags;
 }
 
 /// True when ECOSTORE_QUICK=1: benchmarks run shortened workloads (for CI

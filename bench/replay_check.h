@@ -245,9 +245,8 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   profilers.reserve(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     replay::ExperimentJob& job = jobs[j];
-    telemetry::Recorder::Options options;
-    options.mask = telemetry::kClassAll;
-    recorders.push_back(std::make_unique<telemetry::Recorder>(options));
+    recorders.push_back(
+        std::make_unique<telemetry::Recorder>(telemetry::kClassAll));
     books.push_back(std::make_unique<telemetry::analysis::LatencyBook>());
     job.config.telemetry = recorders.back().get();
     job.config.latency_book = books.back().get();

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "replay/experiment.h"
 #include "replay/suite.h"
 #include "telemetry/analysis/rolling_summary.h"
@@ -86,36 +87,26 @@ inline telemetry::ExportMeta BuildCaptureMeta(
 }
 
 /// Runs `job` once with a telemetry recorder and latency book attached
-/// and writes `<base>.jsonl`, `<base>.power.csv` and `<base>.trace.json`.
-/// When `summary_path` is non-empty, also writes the analyzer's summary
-/// JSON there. `ring_capacity` sizes the recorder ring (events are 48
-/// bytes, so even the 8M-entry ring the OLTP/DSS captures need is only
-/// ~400 MB); a too-small ring drops the oldest events deterministically
-/// but starves the ledger. When `rolling_path` is non-empty the run also
-/// attaches the live streaming pipeline (StreamDispatcher + CaptureBuffer
-/// + RollingSummary): per-window progress lines go to stdout and the
-/// append-only rolling-summary JSONL (tailable via `eco_report tail`) is
-/// written to `rolling_path`, with `rolling_window_us` windows (0 = 1
-/// minute). When `profile_base` is non-empty the run also attaches the
-/// wall-clock phase profiler and writes `<profile_base>.profile.jsonl` +
-/// `.profile.trace.json` — a second, real-time clock domain next to the
-/// sim-time trace, correlated by period index. Returns a process exit
-/// code (0 on success) so bench mains can propagate it.
-inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
-                            const std::string& summary_path = "",
-                            uint32_t ring_capacity = 1u << 21,
-                            const std::string& rolling_path = "",
-                            SimDuration rolling_window_us = 0,
-                            const std::string& profile_base = "") {
+/// and writes `<flags.telemetry_base>.jsonl`, `.power.csv` and
+/// `.trace.json`; the recorder keeps every event of the run. With
+/// `summary_path` it also writes the analyzer's summary JSON there. With
+/// `rolling_path` the run also attaches the live streaming pipeline
+/// (StreamDispatcher + CaptureBuffer + RollingSummary): per-window
+/// progress lines go to stdout and the append-only rolling-summary JSONL
+/// (tailable via `eco_report tail`) is written to `rolling_path`, with
+/// `rolling_window` windows. With `profile_base` the run also attaches
+/// the wall-clock phase profiler and writes
+/// `<profile_base>.profile.jsonl` + `.profile.trace.json` — a second,
+/// real-time clock domain next to the sim-time trace, correlated by
+/// period index. Returns a process exit code (0 on success) so bench
+/// mains can propagate it.
+inline int CaptureTelemetry(const CaptureFlags& flags,
+                            replay::ExperimentJob job) {
+  const std::string& base = flags.telemetry_base;
   // Record every class including per-I/O detail: the ledger uses the
   // kPhysicalIo events to tie a mispredicted spin-down to the item whose
-  // demand I/O forced the wake-up. The detail classes multiply event
-  // volume, so the capture ring is larger than the default; a wrapped
-  // ring would silently lose the oldest off-windows from the ledger.
-  telemetry::Recorder::Options options;
-  options.thread_buffer_capacity = ring_capacity;
-  options.mask = telemetry::kClassAll;
-  telemetry::Recorder recorder(options);
+  // demand I/O forced the wake-up.
+  telemetry::Recorder recorder(telemetry::kClassAll);
   telemetry::analysis::LatencyBook book;
   job.config.telemetry = &recorder;
   job.config.latency_book = &book;
@@ -123,7 +114,7 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
   // reads the host clock and writes its own rings, so attaching it keeps
   // the replay bit-identical (the --check gate runs with one attached).
   telemetry::profile::Profiler profiler;
-  if (!profile_base.empty()) job.config.profiler = &profiler;
+  if (!flags.profile_base.empty()) job.config.profiler = &profiler;
   auto workload = job.workload();
   if (!workload.ok()) {
     std::fprintf(stderr, "telemetry capture workload: %s\n",
@@ -134,19 +125,19 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
 
   // --rolling-summary: attach the live streaming pipeline alongside the
   // capture. The dispatcher pumps the recorder every window, a
-  // CaptureBuffer re-materializes the full capture (pumps reset the
-  // rings), and a RollingSummary folds the stream into fixed windows,
+  // CaptureBuffer re-materializes the full capture (pumps empty the
+  // recorder), and a RollingSummary folds the stream into fixed windows,
   // printing progress lines and appending a tailable JSONL.
-  const bool rolling_on = !rolling_path.empty();
+  const bool rolling_on = !flags.rolling_path.empty();
   telemetry::StreamDispatcher dispatcher;
   telemetry::CaptureBuffer capture_buffer;
   std::unique_ptr<telemetry::analysis::RollingSummary> rolling;
   std::FILE* rolling_file = nullptr;
   if (rolling_on) {
-    rolling_file = std::fopen(rolling_path.c_str(), "w");
+    rolling_file = std::fopen(flags.rolling_path.c_str(), "w");
     if (rolling_file == nullptr) {
       std::fprintf(stderr, "rolling summary: cannot write %s\n",
-                   rolling_path.c_str());
+                   flags.rolling_path.c_str());
       return 1;
     }
     telemetry::ExportMeta pre_meta;
@@ -158,7 +149,7 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
                             : workload.value()->info().duration;
     FillPowerModel(&pre_meta, job.config.storage);
     telemetry::analysis::RollingSummary::Options ropt;
-    ropt.window_us = rolling_window_us > 0 ? rolling_window_us : kMinute;
+    ropt.window_us = flags.rolling_window;
     ropt.book = &book;
     ropt.jsonl = rolling_file;
     ropt.progress = stdout;
@@ -190,36 +181,27 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
     std::printf("rolling summary: %lld windows (%.0fs each) -> %s\n",
                 static_cast<long long>(rolling->windows_closed()),
                 ToSeconds(job.config.stream_window_us),
-                rolling_path.c_str());
+                flags.rolling_path.c_str());
   }
   Status st = telemetry::ExportAll(base, meta, events);
   if (!st.ok()) {
     std::fprintf(stderr, "telemetry export: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("\ntelemetry: %zu events (%llu dropped) -> "
-              "%s{.jsonl,.power.csv,.trace.json}\n",
-              events.size(),
-              static_cast<unsigned long long>(recorder.dropped()),
-              base.c_str());
-  if (recorder.dropped() > 0) {
-    std::fprintf(stderr,
-                 "telemetry: WARNING — %llu events dropped (ring wrapped); "
-                 "the energy ledger will miss the oldest windows\n",
-                 static_cast<unsigned long long>(recorder.dropped()));
-  }
-  if (!summary_path.empty()) {
+  std::printf("\ntelemetry: %zu events -> %s{.jsonl,.power.csv,.trace.json}\n",
+              events.size(), base.c_str());
+  if (!flags.summary_path.empty()) {
     telemetry::analysis::Summary summary =
         telemetry::analysis::BuildSummary(meta, events);
-    st = telemetry::analysis::WriteSummaryJson(summary_path, summary);
+    st = telemetry::analysis::WriteSummaryJson(flags.summary_path, summary);
     if (!st.ok()) {
       std::fprintf(stderr, "telemetry summary: %s\n", st.ToString().c_str());
       return 1;
     }
     std::printf("telemetry: summary -> %s (reconcile_rel_err=%.3g)\n",
-                summary_path.c_str(), summary.reconcile_rel_err);
+                flags.summary_path.c_str(), summary.reconcile_rel_err);
   }
-  if (!profile_base.empty()) {
+  if (!flags.profile_base.empty()) {
     telemetry::profile::ProfileMeta pmeta;
     pmeta.workload = metrics.value().workload;
     pmeta.policy = metrics.value().policy;
@@ -229,7 +211,7 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
     pmeta.dropped = profiler.dropped();
     std::vector<telemetry::profile::Span> spans = profiler.Drain();
     pmeta.spans = static_cast<int64_t>(spans.size());
-    st = telemetry::profile::ExportProfile(profile_base, pmeta, spans);
+    st = telemetry::profile::ExportProfile(flags.profile_base, pmeta, spans);
     if (!st.ok()) {
       std::fprintf(stderr, "profile export: %s\n", st.ToString().c_str());
       return 1;
@@ -237,7 +219,8 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
     std::printf("profile: %lld spans (%lld dropped) -> "
                 "%s{.profile.jsonl,.profile.trace.json}\n",
                 static_cast<long long>(pmeta.spans),
-                static_cast<long long>(pmeta.dropped), profile_base.c_str());
+                static_cast<long long>(pmeta.dropped),
+                flags.profile_base.c_str());
     if (!telemetry::profile::Profiler::kEnabled) {
       std::printf("profile: NOTE — profiler compiled out "
                   "(ECOSTORE_PROFILE=OFF); exports are empty\n");

@@ -9,12 +9,9 @@ std::atomic<LogLevel> Logger::threshold{LogLevel::kWarn};
 
 namespace {
 
-/// Thread-local logging context. Each experiment worker binds its own
-/// recorder and simulator, so the fast path needs no locks and threads
-/// never observe another worker's sink.
+/// This thread's sink (nullptr = stderr): the fast path needs no locks
+/// and threads never observe another thread's sink.
 thread_local LogSink* t_sink = nullptr;
-thread_local Logger::SimTimeFn t_clock_fn = nullptr;
-thread_local const void* t_clock_ctx = nullptr;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -45,11 +42,6 @@ LogSink* Logger::SetThreadSink(LogSink* sink) {
   return previous;
 }
 
-void Logger::SetThreadSimClock(SimTimeFn fn, const void* ctx) {
-  t_clock_fn = fn;
-  t_clock_ctx = ctx;
-}
-
 Logger::Logger(LogLevel level, const char* file, int line)
     : enabled_(level >= threshold.load(std::memory_order_relaxed) &&
                level != LogLevel::kOff),
@@ -60,10 +52,7 @@ Logger::Logger(LogLevel level, const char* file, int line)
 Logger::~Logger() {
   if (!enabled_) return;
   if (t_sink != nullptr) {
-    SimTime sim_time =
-        t_clock_fn != nullptr ? t_clock_fn(t_clock_ctx) : SimTime{-1};
-    t_sink->WriteLog(level_, sim_time, Basename(file_), line_,
-                     stream_.str());
+    t_sink->WriteLog(level_, Basename(file_), line_, stream_.str());
     return;
   }
   std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level_), Basename(file_),

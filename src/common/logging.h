@@ -5,24 +5,18 @@
 #include <sstream>
 #include <string>
 
-#include "common/sim_time.h"
-
 namespace ecostore {
 
 enum class LogLevel { kDebug = 0, kInfo, kWarn, kError, kOff };
 
 /// \brief Destination for finished log lines. The default (no sink) is
-/// stderr; the telemetry recorder installs itself per thread so library
-/// log lines are captured with *simulated* timestamps next to the event
-/// stream instead of interleaving on stderr.
+/// stderr; a test installs one per thread to observe what was logged.
 class LogSink {
  public:
   virtual ~LogSink() = default;
 
-  /// `sim_time` is the simulated clock at emission, or -1 when no
-  /// simulated clock is bound to the logging thread.
-  virtual void WriteLog(LogLevel level, SimTime sim_time, const char* file,
-                        int line, const std::string& message) = 0;
+  virtual void WriteLog(LogLevel level, const char* file, int line,
+                        const std::string& message) = 0;
 };
 
 /// \brief Minimal stream-style logger writing to stderr (or the thread's
@@ -34,27 +28,17 @@ class LogSink {
 ///
 /// Thread safety: `threshold` is atomic (relaxed — a stale read merely
 /// drops or admits a borderline line) so concurrent experiment workers
-/// can log while a driver adjusts verbosity. The sink and the simulated
-/// clock are thread-local by construction: each worker thread binds its
-/// own experiment's recorder/simulator, so no cross-thread
-/// synchronisation is needed on the logging fast path.
+/// can log while a bench main adjusts verbosity. The sink is
+/// thread-local, so the logging fast path needs no cross-thread
+/// synchronisation.
 class Logger {
  public:
   /// Global severity threshold; messages below it are dropped.
   static std::atomic<LogLevel> threshold;
 
-  /// Function-pointer clock: common/ cannot depend on sim/, so whoever
-  /// owns a simulator registers `fn(ctx) -> SimTime` for its thread.
-  using SimTimeFn = SimTime (*)(const void* ctx);
-
   /// Installs `sink` as this thread's log destination (nullptr restores
   /// stderr). Returns the previous sink.
   static LogSink* SetThreadSink(LogSink* sink);
-
-  /// Binds a simulated clock to this thread's log lines (fn == nullptr
-  /// unbinds). Returns nothing; pair with SetThreadSink via
-  /// telemetry::ScopedLoggerBridge.
-  static void SetThreadSimClock(SimTimeFn fn, const void* ctx);
 
   Logger(LogLevel level, const char* file, int line);
   ~Logger();

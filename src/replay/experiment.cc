@@ -37,13 +37,6 @@ Result<ExperimentMetrics> Experiment::Run() {
   system_->AddObserver(this);
   system_->SetTelemetry(config_.telemetry);
   system_->SetLatencyBook(config_.latency_book);
-  // Library log lines produced during the run land in the recorder with
-  // the simulated timestamp (the clock is a captureless function pointer
-  // because common/ cannot see sim/).
-  telemetry::ScopedLoggerBridge logger_bridge(
-      config_.telemetry,
-      [](const void* s) { return static_cast<const sim::Simulator*>(s)->Now(); },
-      &sim_);
   // Wall-clock profiling is bound per thread (always set, even to null,
   // so a run configured without a profiler masks any stale binding);
   // interior phases — classify-finalise, plan, migrate, flush — open

@@ -46,7 +46,7 @@ struct ExperimentConfig {
   /// alongside `telemetry`, the hot loop pumps the recorder into the
   /// dispatcher at every stream_window_us sim-time boundary the trace
   /// crosses, and once more at the horizon with the measured energies
-  /// (StreamDispatcher::Finish). Pumps reset the recorder rings, so runs
+  /// (StreamDispatcher::Finish). Pumps empty the recorder buffers, so runs
   /// that also want the full capture attach a telemetry::CaptureBuffer.
   telemetry::StreamDispatcher* stream = nullptr;
 

@@ -9,15 +9,16 @@
 // element-wise addition, which is exactly associative and commutative
 // (int64 adds), making per-thread books trivially mergeable.
 //
-// This is deliberately separate from common/histogram.h (a geometric-
-// growth histogram whose bucket boundaries depend on construction
-// parameters); the fixed layout here is what makes merge() and the
-// capture round-trip bit-stable.
+// This is deliberately separate from common/histogram.h, whose fixed
+// geometric buckets grow ~1.5x each and so are far coarser: the 16
+// sub-buckets per octave here bound the quantile error at 6.25%, and this
+// layout is the one the capture format encodes bucket by bucket.
 //
 // Header-only and dependency-free below common/ so storage/ can record
 // into a book without a new link edge.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -141,10 +142,9 @@ class LatencyHistogram {
 
   static int BucketIndex(int64_t v) {
     if (v < kLinearMax) return static_cast<int>(v);
-    // floor(log2(v)) without <bit> (kept C++17-friendly).
-    int lz = 63;
-    while (((v >> lz) & 1) == 0) lz--;
-    int shift = lz - kSubBucketBits;
+    // floor(log2(v)) is bit_width(v) - 1 for v > 0.
+    const int shift =
+        std::bit_width(static_cast<uint64_t>(v)) - 1 - kSubBucketBits;
     int64_t idx = kSubBuckets * static_cast<int64_t>(shift) + (v >> shift);
     return static_cast<int>(std::min<int64_t>(idx, kNumBuckets - 1));
   }

@@ -11,7 +11,7 @@
 namespace ecostore::telemetry {
 
 /// What happened. Every kind belongs to exactly one EventClass (below);
-/// the recorder's runtime mask filters whole classes, so a single load +
+/// the recorder's mask filters whole classes, so a single load +
 /// test decides whether an event site pays anything at all.
 enum class EventKind : uint16_t {
   kNone = 0,
@@ -221,8 +221,8 @@ struct SimStatsPayload {
 };
 
 /// \brief One fixed-size, simulated-time-stamped telemetry event. 48-byte
-/// trivially copyable POD so per-thread ring buffers are flat memcpy-able
-/// arrays and recording is one bounds check + one 48-byte store.
+/// trivially copyable POD so per-thread buffers are flat memcpy-able
+/// arrays and recording is one 48-byte append.
 struct Event {
   SimTime time = 0;
   EventKind kind = EventKind::kNone;

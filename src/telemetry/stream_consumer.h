@@ -2,7 +2,7 @@
 #define ECOSTORE_TELEMETRY_STREAM_CONSUMER_H_
 
 // Streaming telemetry: consumers fed incrementally from the per-thread
-// rings in sim-time order, without materializing the full capture.
+// recorder buffers in sim-time order, without materializing the full capture.
 //
 // Protocol. The engine pumps the dispatcher at monotonically increasing
 // sim-time frontiers. A frontier F is EXCLUSIVE and is a promise in both
@@ -15,7 +15,7 @@
 // window boundary (DESIGN.md §14).
 //
 // Ordering argument. Recorder::Drain() stable-sorts by time and the
-// engine funnels every event through rings whose record order is
+// engine funnels every event through buffers whose record order is
 // preserved per drain. The dispatcher stable-sorts the concatenation of
 // successive drains; because each drain is itself time-sorted with
 // same-time record order intact, and the frontier contract forbids late
@@ -62,7 +62,7 @@ class StreamConsumer {
 
 /// \brief Fans the incrementally drained stream out to consumers.
 ///
-/// Owns the reorder buffer that turns per-pump ring drains into the
+/// Owns the reorder buffer that turns per-pump recorder drains into the
 /// global batch order. Not thread-safe: the engine pumps from the replay
 /// thread only, with writers quiescent — the same contract as
 /// Recorder::Drain().
@@ -72,7 +72,7 @@ class StreamDispatcher {
   void AddConsumer(StreamConsumer* consumer);
 
   /// Drains `recorder` into the reorder buffer, then advances to
-  /// `frontier` (see AdvanceFrontier). Resets the recorder rings, so when
+  /// `frontier` (see AdvanceFrontier). Empties the recorder, so when
   /// a full capture is also wanted, attach a CaptureBuffer consumer.
   void Pump(Recorder* recorder, SimTime frontier);
 
@@ -102,7 +102,7 @@ class StreamDispatcher {
 
 /// \brief Consumer that re-materializes the full capture.
 ///
-/// Streaming pumps reset the recorder rings mid-run, so engines that also
+/// Streaming pumps empty the recorder mid-run, so engines that also
 /// export a complete JSONL capture accumulate it here instead of via a
 /// final Drain().
 class CaptureBuffer : public StreamConsumer {

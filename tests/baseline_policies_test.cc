@@ -59,7 +59,7 @@ class LevelSink : public LogSink {
   LevelSink() : previous_(Logger::SetThreadSink(this)) {}
   ~LevelSink() override { Logger::SetThreadSink(previous_); }
 
-  void WriteLog(LogLevel level, SimTime, const char*, int,
+  void WriteLog(LogLevel level, const char*, int,
                 const std::string&) override {
     levels.push_back(level);
   }

@@ -1,4 +1,5 @@
-// Tests for the benchmark CLIs' shared flag parsing (bench/bench_util.h).
+// Tests for the benchmark CLIs' shared flag parsing (bench/bench_util.h),
+// which eco_report uses for its number flags too.
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,73 @@ TEST(ParseThreadsFlagTest, MalformedValueExitsWithStatus2) {
   char* argv[] = {prog, bad};
   EXPECT_EXIT(ParseThreadsFlag(2, argv), ::testing::ExitedWithCode(2),
               "--threads");
+}
+
+TEST(ParsePositiveTest, AcceptsOnlyFinitePositiveNumbers) {
+  double v = -1;
+  EXPECT_TRUE(ParsePositive("1e-6", &v));
+  EXPECT_EQ(v, 1e-6);
+  EXPECT_TRUE(ParsePositive("300", &v));
+  EXPECT_EQ(v, 300.0);
+  for (const char* bad : {"", "abc", "0", "-1", "0.0", "1e-6x", " 1", "+1",
+                          "inf", "nan", "1e999"}) {
+    EXPECT_FALSE(ParsePositive(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 300.0) << "'" << bad << "'";
+  }
+}
+
+TEST(ParsePositiveTest, BadFlagValueExitsWithStatus2) {
+  EXPECT_EXIT(ParsePositiveOrExit("--tolerance", "abc"),
+              ::testing::ExitedWithCode(2),
+              "--tolerance: expected a positive number, got 'abc'");
+  EXPECT_EXIT(ParseSecondsOrExit("--window", "1e-9"),
+              ::testing::ExitedWithCode(2), "--window");
+  EXPECT_EQ(ParseSecondsOrExit("--window", "0.5"), kSecond / 2);
+}
+
+TEST(ParseCaptureFlagsTest, FillsEveryField) {
+  char prog[] = "bench";
+  char telemetry[] = "--telemetry=cap";
+  char summary[] = "--telemetry-summary=cap.json";
+  char rolling[] = "--rolling-summary=roll.jsonl";
+  char window[] = "--rolling-window=300";
+  char profile[] = "--profile=prof";
+  char capture_only[] = "--capture-only";
+  char threads[] = "--threads=2";  // someone else's flag: left alone
+  char* argv[] = {prog,   telemetry, summary,      rolling,
+                  window, profile,   capture_only, threads};
+  const CaptureFlags flags = ParseCaptureFlags(8, argv);
+  EXPECT_EQ(flags.telemetry_base, "cap");
+  EXPECT_EQ(flags.summary_path, "cap.json");
+  EXPECT_EQ(flags.rolling_path, "roll.jsonl");
+  EXPECT_EQ(flags.rolling_window, 300 * kSecond);
+  EXPECT_EQ(flags.profile_base, "prof");
+  EXPECT_TRUE(flags.capture_only);
+}
+
+TEST(ParseCaptureFlagsTest, DefaultsAndCaptureOnlyNeedsTelemetry) {
+  char prog[] = "bench";
+  char capture_only[] = "--capture-only";
+  char* argv[] = {prog, capture_only};
+  const CaptureFlags flags = ParseCaptureFlags(2, argv);
+  EXPECT_TRUE(flags.telemetry_base.empty());
+  EXPECT_TRUE(flags.summary_path.empty());
+  EXPECT_TRUE(flags.rolling_path.empty());
+  EXPECT_EQ(flags.rolling_window, kMinute);
+  EXPECT_TRUE(flags.profile_base.empty());
+  EXPECT_FALSE(flags.capture_only);
+}
+
+TEST(ParseCaptureFlagsTest, BadRollingWindowExitsWithStatus2) {
+  char prog[] = "bench";
+  for (const char* bad : {"--rolling-window=abc", "--rolling-window=0",
+                          "--rolling-window=-60", "--rolling-window="}) {
+    std::string arg = bad;
+    char* argv[] = {prog, arg.data()};
+    EXPECT_EXIT(ParseCaptureFlags(2, argv), ::testing::ExitedWithCode(2),
+                "--rolling-window: expected a positive number")
+        << bad;
+  }
 }
 
 }  // namespace

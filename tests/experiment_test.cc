@@ -1,12 +1,18 @@
 // Tests for the experiment runner, metrics, and the application
 // performance models (paper §VII-A.4/5).
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "policies/basic_policies.h"
 #include "replay/experiment.h"
 #include "replay/metrics.h"
 #include "replay/suite.h"
+#include "telemetry/recorder.h"
 #include "workload/file_server_workload.h"
 #include "workload/oltp_workload.h"
 
@@ -139,6 +145,49 @@ TEST(ExperimentTest, OptedInPolicyGetsTheLogicalTrace) {
   // Every logical I/O is in a period the policy saw or in the last one.
   EXPECT_EQ(policy.records_seen + static_cast<int64_t>(monitor.buffer().size()),
             metrics.value().logical_ios);
+}
+
+/// Asks for a preload set larger than the preload area, which the
+/// runtime rejects with a warning.
+class OversizedPreloadPolicy : public policies::NoPowerSavingPolicy {
+ public:
+  void Start(const storage::StorageSystem& system,
+             policies::PolicyActuator* actuator) override {
+    NoPowerSavingPolicy::Start(system, actuator);
+    actuator->SetPreloadItems({{DataItemId{0}, INT64_MAX}});
+  }
+};
+
+/// Collects the log lines emitted on this thread.
+class MessageSink : public LogSink {
+ public:
+  MessageSink() : previous_(Logger::SetThreadSink(this)) {}
+  ~MessageSink() override { Logger::SetThreadSink(previous_); }
+
+  void WriteLog(LogLevel level, const char*, int,
+                const std::string& message) override {
+    if (level == LogLevel::kWarn) warnings.push_back(message);
+  }
+
+  std::vector<std::string> warnings;
+
+ private:
+  LogSink* previous_;
+};
+
+TEST(ExperimentTest, InstrumentedRunLogsWarningsToTheThreadSink) {
+  auto workload = workload::FileServerWorkload::Create(TinyFsConfig());
+  ASSERT_TRUE(workload.ok());
+  OversizedPreloadPolicy policy;
+  telemetry::Recorder recorder;
+  ExperimentConfig config;
+  config.telemetry = &recorder;
+  MessageSink sink;
+  Experiment experiment(workload.value().get(), &policy, config);
+  ASSERT_TRUE(experiment.Run().ok());
+  ASSERT_EQ(sink.warnings.size(), 1u);
+  EXPECT_EQ(sink.warnings[0].rfind("SetPreloadItems: ", 0), 0u)
+      << sink.warnings[0];
 }
 
 TEST(MetricsTest, IntervalCdfSumsGapsAboveThreshold) {

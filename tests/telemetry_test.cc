@@ -1,11 +1,9 @@
-// Tests for the telemetry subsystem: recorder ring semantics (wrap +
-// overflow accounting), counters/gauges, the JSONL and Chrome-trace
-// exporters (round-trip + sim-time ordering, and old captures' retired
-// keys), the power-timeline builder,
-// the logger bridge's simulated timestamps, and the guarantee that an
-// attached recorder never changes the replay outcome.
+// Tests for the telemetry subsystem: the recorder keeps every event and
+// drains them in sim-time order (also across threads), its class mask,
+// the JSONL and Chrome-trace exporters (round-trip + sim-time ordering,
+// and old captures' retired keys), the power-timeline builder, and the
+// guarantee that an attached recorder never changes the replay outcome.
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -16,9 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "bench/replay_check.h"
+#include "common/logging.h"
 #include "core/eco_storage_policy.h"
 #include "replay/experiment.h"
-#include "sim/simulator.h"
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
 #include "workload/file_server_workload.h"
@@ -46,24 +44,26 @@ TEST(RecorderTest, DrainsMergedStreamOrderedBySimTime) {
   EXPECT_EQ(events[1].time, 20);
   EXPECT_EQ(events[2].time, 30);
   EXPECT_EQ(events[0].idle.enclosure, 2);
-  // Drain resets the rings.
+  // Drain empties the recorder.
   EXPECT_TRUE(recorder.Drain().empty());
 }
 
-TEST(RecorderTest, RingWrapKeepsNewestAndAccountsDropped) {
-  Recorder::Options options;
-  options.thread_buffer_capacity = 8;
-  Recorder recorder(options);
-  for (int i = 0; i < 20; ++i) {
-    recorder.Record(MakeIdleGapEvent(i, 0, i));
+TEST(RecorderTest, KeepsEveryEventPastTheOldDefaultCapacity) {
+  // 2^18 was the default per-thread ring capacity, past which the oldest
+  // events used to be overwritten. Recorded in reverse time order, so the
+  // drain must also reorder all of them.
+  constexpr int kEvents = (1 << 18) + 1000;
+  Recorder recorder;
+  for (int i = 0; i < kEvents; ++i) {
+    recorder.Record(MakeIdleGapEvent(kEvents - 1 - i, 0, i));
   }
-  EXPECT_EQ(recorder.recorded(), 20u);
-  EXPECT_EQ(recorder.dropped(), 12u);
+  EXPECT_EQ(recorder.recorded(), static_cast<uint64_t>(kEvents));
   std::vector<Event> events = recorder.Drain();
-  ASSERT_EQ(events.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(events[i].time, 12 + i);  // the 8 newest survive, in order
+  ASSERT_EQ(events.size(), static_cast<size_t>(kEvents));
+  for (int i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(events[i].time, i) << "i=" << i;
   }
+  EXPECT_TRUE(recorder.Drain().empty());
 }
 
 TEST(RecorderTest, WantsHonoursNullAndMask) {
@@ -72,40 +72,16 @@ TEST(RecorderTest, WantsHonoursNullAndMask) {
   EXPECT_TRUE(Wants(&recorder, kClassPower));
   // The default mask excludes the per-I/O detail class.
   EXPECT_FALSE(Wants(&recorder, kClassIoDetail));
-  recorder.set_mask(kClassAll);
-  EXPECT_TRUE(Wants(&recorder, kClassIoDetail));
-  recorder.set_mask(0);
-  EXPECT_FALSE(Wants(&recorder, kClassPower));
+  Recorder all(kClassAll);
+  EXPECT_TRUE(Wants(&all, kClassIoDetail));
+  Recorder none(0);
+  EXPECT_FALSE(Wants(&none, kClassPower));
 }
 
-TEST(RecorderTest, CountersAndGauges) {
-  Recorder recorder;
-  Counter* flushes = recorder.counter("flushes");
-  flushes->Increment();
-  flushes->Add(4);
-  EXPECT_EQ(flushes->value(), 5);
-  EXPECT_EQ(recorder.counter("flushes"), flushes);  // stable registry
-
-  Gauge* depth = recorder.gauge("heap_depth");
-  depth->Set(7);
-  depth->Max(3);  // lower: no effect
-  EXPECT_EQ(depth->value(), 7);
-  depth->Max(11);
-  EXPECT_EQ(depth->value(), 11);
-
-  auto counters = recorder.CounterValues();
-  ASSERT_EQ(counters.size(), 1u);
-  EXPECT_EQ(counters[0].first, "flushes");
-  EXPECT_EQ(counters[0].second, 5);
-  auto gauges = recorder.GaugeValues();
-  ASSERT_EQ(gauges.size(), 1u);
-  EXPECT_EQ(gauges[0].second, 11);
-}
-
-TEST(RecorderTest, ConcurrentRecordingAndLoggingIsRaceFree) {
-  // Four writer threads share one recorder: each gets its own ring, the
-  // log capture is mutex-guarded. Run under -DECOSTORE_SANITIZE=thread
-  // (the tsan CI preset) this is the telemetry race check.
+TEST(RecorderTest, ConcurrentRecordingIsRaceFree) {
+  // Four writer threads share one recorder, each with its own buffer.
+  // Run under -DECOSTORE_SANITIZE=thread (the tsan CI preset) this is
+  // the telemetry race check.
   Recorder recorder;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
@@ -116,20 +92,16 @@ TEST(RecorderTest, ConcurrentRecordingAndLoggingIsRaceFree) {
       for (int i = 0; i < kPerThread; ++i) {
         recorder.Record(MakeIdleGapEvent(i, static_cast<EnclosureId>(t), i));
       }
-      recorder.WriteLog(LogLevel::kWarn, 123, "telemetry_test.cc", 0,
-                        "worker done");
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(recorder.recorded(),
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(recorder.dropped(), 0u);
   std::vector<Event> events = recorder.Drain();
   ASSERT_EQ(events.size(), static_cast<size_t>(kThreads) * kPerThread);
   for (size_t i = 1; i < events.size(); ++i) {
     ASSERT_LE(events[i - 1].time, events[i].time);
   }
-  EXPECT_EQ(recorder.DrainLogs().size(), static_cast<size_t>(kThreads));
 }
 
 #endif  // !ECOSTORE_TELEMETRY_DISABLED
@@ -140,28 +112,6 @@ TEST(LoggerTest, ThresholdIsAtomicallyAdjustable) {
   EXPECT_EQ(Logger::threshold.load(), LogLevel::kOff);
   Logger::threshold.store(before);
 }
-
-#ifndef ECOSTORE_TELEMETRY_DISABLED
-
-TEST(LoggerBridgeTest, LogLinesCarrySimulatedTimestamps) {
-  Recorder recorder;
-  sim::Simulator sim;
-  ScopedLoggerBridge bridge(
-      &recorder,
-      [](const void* s) {
-        return static_cast<const sim::Simulator*>(s)->Now();
-      },
-      &sim);
-  sim.ScheduleAt(42, [] { ECOSTORE_LOG(kWarn) << "hello from t=42"; });
-  sim.RunAll();
-  std::vector<LogLine> logs = recorder.DrainLogs();
-  ASSERT_EQ(logs.size(), 1u);
-  EXPECT_EQ(logs[0].sim_time, 42);
-  EXPECT_EQ(logs[0].level, LogLevel::kWarn);
-  EXPECT_EQ(logs[0].message, "hello from t=42");
-}
-
-#endif  // !ECOSTORE_TELEMETRY_DISABLED
 
 // --- exporters ------------------------------------------------------------
 
@@ -391,9 +341,7 @@ TEST(TelemetryReplayTest, AttachedRecorderKeepsReplayBitIdentical) {
     return bench::MetricsFingerprint(metrics.value());
   };
 
-  Recorder::Options options;
-  options.mask = kClassAll;  // even the per-I/O detail class
-  Recorder recorder(options);
+  Recorder recorder(kClassAll);  // even the per-I/O detail class
   uint64_t with_telemetry = fingerprint(&recorder);
   uint64_t without = fingerprint(nullptr);
   EXPECT_EQ(with_telemetry, without);

@@ -27,10 +27,13 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "telemetry/analysis/energy_ledger.h"
 #include "telemetry/analysis/rolling_summary.h"
 #include "telemetry/analysis/summary.h"
@@ -906,32 +909,54 @@ int Usage() {
                "       eco_report profile <capture>\n"
                "         (capture: a --profile=<base> export base or its\n"
                "          .profile.jsonl; renders the wall-clock phase\n"
-               "          table)\n");
+               "          table)\n"
+               "An argument the command does not take, or a --window,\n"
+               "--interval or --tolerance value that is not a positive\n"
+               "number, exits 2 before any file is read.\n");
   return 2;
 }
 
+/// The value of `arg` when it is `prefix` (ending in '=') plus a value.
+std::optional<std::string_view> FlagValue(std::string_view arg,
+                                          std::string_view prefix) {
+  if (arg.substr(0, prefix.size()) != prefix) return std::nullopt;
+  return arg.substr(prefix.size());
+}
+
+/// Rejects an argument the command does not take: a misspelt gate flag
+/// must not silently turn the gate off.
+int UnknownArgument(const std::string& command, std::string_view arg) {
+  std::fprintf(stderr, "eco_report %s: unknown argument '%.*s'\n",
+               command.c_str(), static_cast<int>(arg.size()), arg.data());
+  return Usage();
+}
+
+// Every flag is checked before any file is opened: an unknown argument
+// or a value that is not a positive number exits 2 with a message.
 int Main(int argc, char** argv) {
   if (argc < 3) return Usage();
-  std::string command = argv[1];
-  if (command == "audit") return RunAudit(argv[2]);
-  if (command == "timeline") return RunTimeline(argv[2]);
-  if (command == "profile") return RunProfile(argv[2]);
-  if (command == "diff") {
-    if (argc < 4) return Usage();
+  const std::string command = argv[1];
+  const int positional = command == "diff" || command == "regress" ? 4 : 3;
+  if (argc < positional) return Usage();
+  if (command == "audit" || command == "timeline" || command == "profile" ||
+      command == "diff") {
+    if (argc > positional) return UnknownArgument(command, argv[positional]);
+    if (command == "audit") return RunAudit(argv[2]);
+    if (command == "timeline") return RunTimeline(argv[2]);
+    if (command == "profile") return RunProfile(argv[2]);
     return RunDiff(argv[2], argv[3]);
   }
   if (command == "score") {
     std::string summary_out;
     SimDuration window_us = 0;
-    for (int i = 3; i < argc; ++i) {
-      std::string arg(argv[i]);
-      const std::string prefix = "--summary=";
-      const std::string window = "--window=";
-      if (arg.rfind(prefix, 0) == 0) summary_out = arg.substr(prefix.size());
-      if (arg.rfind(window, 0) == 0) {
-        window_us = static_cast<SimDuration>(
-            std::strtod(arg.c_str() + window.size(), nullptr) *
-            static_cast<double>(kSecond));
+    for (int i = positional; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (auto v = FlagValue(arg, "--summary=")) {
+        summary_out = *v;
+      } else if (auto v = FlagValue(arg, "--window=")) {
+        window_us = bench::ParseSecondsOrExit("--window", *v);
+      } else {
+        return UnknownArgument(command, arg);
       }
     }
     if (window_us > 0) return RunScoreWindows(argv[2], window_us, summary_out);
@@ -939,39 +964,32 @@ int Main(int argc, char** argv) {
   }
   if (command == "tail") {
     TailOptions opt;
-    for (int i = 3; i < argc; ++i) {
-      std::string arg(argv[i]);
-      const std::string interval = "--interval=";
-      const std::string window = "--window=";
-      const std::string reconcile = "--reconcile=";
-      const std::string tolerance = "--tolerance=";
-      if (arg == "--once") opt.once = true;
-      if (arg.rfind(interval, 0) == 0) {
-        opt.interval_s = std::strtod(arg.c_str() + interval.size(), nullptr);
-      }
-      if (arg.rfind(window, 0) == 0) {
-        opt.window_us = static_cast<SimDuration>(
-            std::strtod(arg.c_str() + window.size(), nullptr) *
-            static_cast<double>(kSecond));
-        if (opt.window_us <= 0) opt.window_us = kMinute;
-      }
-      if (arg.rfind(reconcile, 0) == 0) {
-        opt.reconcile = arg.substr(reconcile.size());
-      }
-      if (arg.rfind(tolerance, 0) == 0) {
-        opt.tolerance = std::strtod(arg.c_str() + tolerance.size(), nullptr);
+    for (int i = positional; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "--once") {
+        opt.once = true;
+      } else if (auto v = FlagValue(arg, "--interval=")) {
+        opt.interval_s = bench::ParsePositiveOrExit("--interval", *v);
+      } else if (auto v = FlagValue(arg, "--window=")) {
+        opt.window_us = bench::ParseSecondsOrExit("--window", *v);
+      } else if (auto v = FlagValue(arg, "--reconcile=")) {
+        opt.reconcile = *v;
+      } else if (auto v = FlagValue(arg, "--tolerance=")) {
+        opt.tolerance = bench::ParsePositiveOrExit("--tolerance", *v);
+      } else {
+        return UnknownArgument(command, arg);
       }
     }
     return RunTail(argv[2], opt);
   }
   if (command == "regress") {
-    if (argc < 4) return Usage();
     double tolerance = 1e-6;
-    for (int i = 4; i < argc; ++i) {
-      std::string arg(argv[i]);
-      const std::string prefix = "--tolerance=";
-      if (arg.rfind(prefix, 0) == 0) {
-        tolerance = std::strtod(arg.c_str() + prefix.size(), nullptr);
+    for (int i = positional; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (auto v = FlagValue(arg, "--tolerance=")) {
+        tolerance = bench::ParsePositiveOrExit("--tolerance", *v);
+      } else {
+        return UnknownArgument(command, arg);
       }
     }
     return RunRegress(argv[2], argv[3], tolerance);
