@@ -57,20 +57,23 @@ int main(int argc, char** argv) {
                   wl_config.items_per_volume,
               FormatDuration(wl_config.duration).c_str());
 
+  replay::ExperimentConfig config;
+  core::PowerManagementConfig pm;
+
+  // --telemetry: one extra instrumented run of the proposed method
+  // (PaperPolicySet index 1), after the figure so the capture shares
+  // nothing with it; --capture-only runs just this.
+  replay::ExperimentJob capture_job;
+  capture_job.workload =
+      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
+    auto wl = workload::CloudBlockWorkload::Create(wl_config);
+    if (!wl.ok()) return wl.status();
+    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
+  };
+  capture_job.policy = replay::PaperPolicySet(pm)[1];
+  capture_job.config = config;
   if (capture.capture_only) {
-    replay::ExperimentConfig config;
-    core::PowerManagementConfig pm;
-    replay::ExperimentJob job;
-    job.workload =
-        [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::CloudBlockWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
-    job.policy = replay::PaperPolicySet(pm)[1];
-    job.config = config;
-    return bench::CaptureTelemetry(capture, std::move(job));
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
 
   auto workload = workload::CloudBlockWorkload::Create(wl_config);
@@ -85,8 +88,6 @@ int main(int argc, char** argv) {
               workload.value()->read_volumes(),
               workload.value()->idle_volumes());
 
-  replay::ExperimentConfig config;
-  core::PowerManagementConfig pm;
   // The policy is constructed directly (not through PaperPolicySet) so
   // its planning and classifier counters stay inspectable after the run.
   core::EcoStoragePolicy policy(pm);
@@ -118,5 +119,9 @@ int main(int argc, char** argv) {
   std::printf("[host]       %.2f s wall, %lld sim events\n",
               m.wall_seconds,
               static_cast<long long>(m.sim_events_executed));
+
+  if (!capture.telemetry_base.empty()) {
+    return bench::CaptureTelemetry(capture, std::move(capture_job));
+  }
   return 0;
 }

@@ -30,6 +30,7 @@
 #include "bench/legacy_planner.h"
 #include "bench/legacy_simulator.h"
 #include "bench/replay_check.h"
+#include "bench/telemetry_capture.h"
 #include "common/random.h"
 #include "core/eco_storage_policy.h"
 #include "core/pattern_classifier.h"
@@ -562,6 +563,10 @@ struct ReplayFigure {
   int64_t rolling_off_windows = 0;  ///< kLiveConsumer runs: off-windows
   int64_t sim_events_executed = 0;
   int64_t sim_peak_heap_depth = 0;
+  /// Events (recorder instruments) or spans (kProfiler) one run recorded.
+  int64_t instrument_count = 0;
+  /// kProfiler runs: the last run's spans.
+  std::vector<telemetry::profile::Span> spans;
 };
 
 /// Runs `run_once` once untimed, then repeatedly for at least two wall
@@ -581,21 +586,22 @@ double RunsPerSecond(RunOnce&& run_once) {
   return static_cast<double>(calls) / elapsed;
 }
 
-/// How MeasureReplayThroughput instruments the replay. The two kLive*
-/// modes construct a fresh recorder (and, for kLiveConsumer, a fresh
-/// StreamDispatcher + RollingSummary) inside every timed run so the
-/// only difference between the live_ledger_overhead arms is the
-/// streaming consumer itself.
+/// How MeasureReplayThroughput instruments the replay. Every run
+/// constructs its instruments fresh, so each run's count covers that run
+/// alone, and the only difference between the live_ledger_overhead arms
+/// is the streaming consumer itself.
 enum class ReplayInstrument {
-  kPassedRecorder,  ///< attach `recorder` (may be null): legacy behaviour
-  kLiveRecorder,    ///< fresh per-run recorder, no stream consumer
-  kLiveConsumer,    ///< fresh per-run recorder + dispatcher + RollingSummary
+  kNone,          ///< no instrument attached
+  kRecorder,      ///< a recorder with the default class mask
+  kLiveConsumer,  ///< a recorder + dispatcher + RollingSummary
+  kProfiler,      ///< a wall-clock phase profiler
 };
 
+/// Replay throughput of the 20-minute file-server trace. The replay is
+/// deterministic, so every run must record the same instrument count;
+/// the process exits 1 if two runs disagree.
 ReplayFigure MeasureReplayThroughput(
-    bool eco, telemetry::Recorder* recorder = nullptr,
-    ReplayInstrument instrument = ReplayInstrument::kPassedRecorder,
-    telemetry::profile::Profiler* profiler = nullptr) {
+    bool eco, ReplayInstrument instrument = ReplayInstrument::kNone) {
   workload::FileServerConfig wl;
   wl.duration = 20 * kMinute;
   auto workload = workload::FileServerWorkload::Create(wl);
@@ -606,10 +612,8 @@ ReplayFigure MeasureReplayThroughput(
   }
 
   ReplayFigure figure;
+  bool first_run = true;
   auto run_once = [&] {
-    // Keep only the last run's spans: the ring survives across the repeat
-    // loop, and the export/stat consumers want one run, not an overlay.
-    if (profiler != nullptr) profiler->Drain();
     std::unique_ptr<policies::StoragePolicy> policy;
     if (eco) {
       policy = std::make_unique<core::EcoStoragePolicy>(
@@ -618,29 +622,29 @@ ReplayFigure MeasureReplayThroughput(
       policy = std::make_unique<policies::NoPowerSavingPolicy>();
     }
     replay::ExperimentConfig config;
-    config.profiler = profiler;
-    telemetry::Recorder local_recorder;
+    telemetry::Recorder recorder;
+    telemetry::profile::Profiler profiler;
     telemetry::StreamDispatcher dispatcher;
     std::unique_ptr<telemetry::analysis::RollingSummary> rolling;
-    if (instrument == ReplayInstrument::kPassedRecorder) {
-      config.telemetry = recorder;
-    } else {
-      config.telemetry = &local_recorder;
-      if (instrument == ReplayInstrument::kLiveConsumer) {
-        // The ledger sizes its per-enclosure table from the meta alone;
-        // without num_enclosures it would skip every power event.
-        telemetry::ExportMeta pre_meta;
-        pre_meta.num_enclosures = workload.value()->info().num_enclosures;
-        pre_meta.duration = wl.duration;
-        telemetry::analysis::RollingSummary::Options ropt;
-        ropt.window_us = kMinute;
-        ropt.retention = 4;
-        rolling = std::make_unique<telemetry::analysis::RollingSummary>(
-            pre_meta, ropt);
-        dispatcher.AddConsumer(rolling.get());
-        config.stream = &dispatcher;
-        config.stream_window_us = ropt.window_us;
-      }
+    if (instrument == ReplayInstrument::kRecorder ||
+        instrument == ReplayInstrument::kLiveConsumer) {
+      config.telemetry = &recorder;
+    }
+    if (instrument == ReplayInstrument::kProfiler) config.profiler = &profiler;
+    if (instrument == ReplayInstrument::kLiveConsumer) {
+      // The ledger sizes its per-enclosure table from the meta alone;
+      // without num_enclosures it would skip every power event.
+      telemetry::ExportMeta pre_meta;
+      pre_meta.num_enclosures = workload.value()->info().num_enclosures;
+      pre_meta.duration = wl.duration;
+      telemetry::analysis::RollingSummary::Options ropt;
+      ropt.window_us = kMinute;
+      ropt.retention = 4;
+      rolling = std::make_unique<telemetry::analysis::RollingSummary>(
+          pre_meta, ropt);
+      dispatcher.AddConsumer(rolling.get());
+      config.stream = &dispatcher;
+      config.stream_window_us = ropt.window_us;
     }
     replay::Experiment experiment(workload.value().get(), policy.get(),
                                   config);
@@ -658,6 +662,22 @@ ReplayFigure MeasureReplayThroughput(
         rolling != nullptr
             ? static_cast<int64_t>(rolling->ledger().exact().off_windows.size())
             : 0;
+    const auto count = static_cast<int64_t>(
+        instrument == ReplayInstrument::kProfiler ? profiler.recorded()
+                                                  : recorder.recorded());
+    if (!first_run && count != figure.instrument_count) {
+      std::fprintf(stderr,
+                   "replay bench: one run recorded %lld, another %lld — "
+                   "the replay is not deterministic\n",
+                   static_cast<long long>(figure.instrument_count),
+                   static_cast<long long>(count));
+      std::exit(1);
+    }
+    first_run = false;
+    figure.instrument_count = count;
+    if (instrument == ReplayInstrument::kProfiler) {
+      figure.spans = profiler.Drain();
+    }
   };
 
   const double runs_per_sec = RunsPerSecond(run_once);
@@ -1428,29 +1448,27 @@ int WriteBenchPerfJson(const char* path_override) {
   //  - live ledger: the streaming pipeline (StreamDispatcher +
   //    RollingSummary folding 1-minute windows, the --rolling-summary
   //    configuration minus file I/O) vs the same replay with only the
-  //    recorder. Both arms construct their instruments fresh inside every
-  //    timed run, so the delta isolates the consumer: the per-window
+  //    recorder. The delta isolates the consumer: the per-window
   //    recorder pumps, the incremental ledger fold and the window closes;
   //  - profile: a wall-clock phase profiler (--profile), which only reads
-  //    the wall clock and writes its own per-thread rings.
+  //    the wall clock and appends to its own per-thread buffers.
+  // Every run constructs its instruments fresh (MeasureReplayThroughput),
+  // so each published count is one run's.
   const OverheadFigure telemetry_overhead = MeasureBracketedOverhead(
       "telemetry", kSeedReplayEcoFingerprint,
       [] { return MeasureReplayThroughput(true); },
       [](int64_t* count) {
-        telemetry::Recorder recorder;  // fresh buffers per repetition
-        ReplayFigure on = MeasureReplayThroughput(true, &recorder);
-        *count = static_cast<int64_t>(recorder.recorded());
+        ReplayFigure on =
+            MeasureReplayThroughput(true, ReplayInstrument::kRecorder);
+        *count = on.instrument_count;
         return on;
       });
   const OverheadFigure live_overhead = MeasureBracketedOverhead(
       "live-ledger", kSeedReplayEcoFingerprint,
-      [] {
-        return MeasureReplayThroughput(true, nullptr,
-                                       ReplayInstrument::kLiveRecorder);
-      },
+      [] { return MeasureReplayThroughput(true, ReplayInstrument::kRecorder); },
       [](int64_t* count) {
-        ReplayFigure on = MeasureReplayThroughput(
-            true, nullptr, ReplayInstrument::kLiveConsumer);
+        ReplayFigure on =
+            MeasureReplayThroughput(true, ReplayInstrument::kLiveConsumer);
         if (telemetry::Recorder::kEnabled && on.rolling_windows <= 0) {
           std::fprintf(stderr,
                        "BENCH_perf: live consumer closed no rolling windows "
@@ -1470,10 +1488,9 @@ int WriteBenchPerfJson(const char* path_override) {
       "profile", kSeedReplayEcoFingerprint,
       [] { return MeasureReplayThroughput(true); },
       [](int64_t* count) {
-        telemetry::profile::Profiler profiler;  // fresh rings per repetition
-        ReplayFigure on = MeasureReplayThroughput(
-            true, nullptr, ReplayInstrument::kPassedRecorder, &profiler);
-        *count = static_cast<int64_t>(profiler.recorded());
+        ReplayFigure on =
+            MeasureReplayThroughput(true, ReplayInstrument::kProfiler);
+        *count = on.instrument_count;
         return on;
       });
 
@@ -1758,11 +1775,9 @@ int main(int argc, char** argv) {
                                                           : json_path.c_str());
   }
   if (replay_only) {
-    ecostore::telemetry::profile::Profiler profiler;
-    ecostore::telemetry::profile::Profiler* attach =
-        profile_base.empty() ? nullptr : &profiler;
     ecostore::ReplayFigure eco = ecostore::MeasureReplayThroughput(
-        true, nullptr, ecostore::ReplayInstrument::kPassedRecorder, attach);
+        true, profile_base.empty() ? ecostore::ReplayInstrument::kNone
+                                   : ecostore::ReplayInstrument::kProfiler);
     ecostore::ReplayFigure base = ecostore::MeasureReplayThroughput(false);
     std::printf("replay end-to-end (file-server 20 min, %lld logical IOs "
                 "per run):\n  eco_storage      %.0f lios/s (fp %016llx)\n"
@@ -1771,31 +1786,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(eco.fingerprint),
                 base.lios_per_sec,
                 static_cast<unsigned long long>(base.fingerprint));
-    if (attach != nullptr) {
-      ecostore::telemetry::profile::ProfileMeta meta;
-      meta.workload = "file_server_20min";
-      meta.policy = "eco_storage";
-      meta.host_cpus = std::thread::hardware_concurrency();
-      meta.wall_ns = static_cast<int64_t>(
-          static_cast<double>(eco.logical_ios) / eco.lios_per_sec * 1e9);
-      meta.dropped = attach->dropped();
-      std::vector<ecostore::telemetry::profile::Span> spans =
-          attach->Drain();
-      meta.spans = static_cast<int64_t>(spans.size());
-      ecostore::Status st = ecostore::telemetry::profile::ExportProfile(
-          profile_base, meta, spans);
-      if (!st.ok()) {
-        std::fprintf(stderr, "profile export failed: %s\n",
-                     st.message().c_str());
-        return 1;
-      }
-      std::printf("profile: %lld spans (%lld dropped) -> "
-                  "%s.profile.jsonl + %s.profile.trace.json\n",
-                  static_cast<long long>(meta.spans),
-                  static_cast<long long>(meta.dropped),
-                  profile_base.c_str(), profile_base.c_str());
-    }
-    return 0;
+    if (profile_base.empty()) return 0;
+    ecostore::telemetry::profile::ProfileMeta meta;
+    meta.workload = "file_server_20min";
+    meta.policy = "eco_storage";
+    meta.wall_ns = static_cast<int64_t>(
+        static_cast<double>(eco.logical_ios) / eco.lios_per_sec * 1e9);
+    return ecostore::bench::WriteProfileCapture(profile_base, meta,
+                                                eco.spans);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

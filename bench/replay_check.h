@@ -231,8 +231,8 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   // watching a replay cannot change it.
   // Each job also attaches a wall-clock phase profiler (DESIGN.md §15):
   // the gate thereby proves that profiling a replay cannot change its
-  // results. In an ECOSTORE_PROFILE=OFF build the profilers are empty
-  // stubs and the same fingerprints must come out.
+  // results. In an ECOSTORE_TELEMETRY=OFF build the profilers are empty
+  // stubs too.
   std::vector<std::unique_ptr<telemetry::Recorder>> recorders;
   std::vector<std::unique_ptr<telemetry::analysis::LatencyBook>> books;
   std::vector<std::unique_ptr<telemetry::StreamDispatcher>> streams;

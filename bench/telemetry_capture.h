@@ -86,6 +86,29 @@ inline telemetry::ExportMeta BuildCaptureMeta(
   return meta;
 }
 
+/// Writes one run's spans to `<base>.profile.jsonl` and
+/// `<base>.profile.trace.json` and prints the status line. `meta` names
+/// the run (workload, policy, wall time); the host CPU and span counts
+/// are filled here. Returns a process exit code (0 on success).
+inline int WriteProfileCapture(
+    const std::string& base, telemetry::profile::ProfileMeta meta,
+    const std::vector<telemetry::profile::Span>& spans) {
+  meta.host_cpus = static_cast<int>(std::thread::hardware_concurrency());
+  meta.spans = spans.size();
+  Status st = telemetry::profile::ExportProfile(base, meta, spans);
+  if (!st.ok()) {
+    std::fprintf(stderr, "profile export: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  std::printf("profile: %zu spans -> %s{.profile.jsonl,.profile.trace.json}\n",
+              spans.size(), base.c_str());
+  if (!telemetry::profile::Profiler::kEnabled) {
+    std::printf("profile: NOTE — profiler compiled out "
+                "(ECOSTORE_TELEMETRY=OFF); exports are empty\n");
+  }
+  return 0;
+}
+
 /// Runs `job` once with a telemetry recorder and latency book attached
 /// and writes `<flags.telemetry_base>.jsonl`, `.power.csv` and
 /// `.trace.json`; the recorder keeps every event of the run. With
@@ -111,7 +134,7 @@ inline int CaptureTelemetry(const CaptureFlags& flags,
   job.config.telemetry = &recorder;
   job.config.latency_book = &book;
   // --profile: the wall-clock phase profiler rides the same run. It only
-  // reads the host clock and writes its own rings, so attaching it keeps
+  // reads the host clock and writes its own buffers, so attaching it keeps
   // the replay bit-identical (the --check gate runs with one attached).
   telemetry::profile::Profiler profiler;
   if (!flags.profile_base.empty()) job.config.profiler = &profiler;
@@ -205,26 +228,11 @@ inline int CaptureTelemetry(const CaptureFlags& flags,
     telemetry::profile::ProfileMeta pmeta;
     pmeta.workload = metrics.value().workload;
     pmeta.policy = metrics.value().policy;
-    pmeta.host_cpus = std::thread::hardware_concurrency();
     pmeta.wall_ns =
         static_cast<int64_t>(metrics.value().wall_seconds * 1e9);
-    pmeta.dropped = profiler.dropped();
-    std::vector<telemetry::profile::Span> spans = profiler.Drain();
-    pmeta.spans = static_cast<int64_t>(spans.size());
-    st = telemetry::profile::ExportProfile(flags.profile_base, pmeta, spans);
-    if (!st.ok()) {
-      std::fprintf(stderr, "profile export: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("profile: %lld spans (%lld dropped) -> "
-                "%s{.profile.jsonl,.profile.trace.json}\n",
-                static_cast<long long>(pmeta.spans),
-                static_cast<long long>(pmeta.dropped),
-                flags.profile_base.c_str());
-    if (!telemetry::profile::Profiler::kEnabled) {
-      std::printf("profile: NOTE — profiler compiled out "
-                  "(ECOSTORE_PROFILE=OFF); exports are empty\n");
-    }
+    const int rc =
+        WriteProfileCapture(flags.profile_base, pmeta, profiler.Drain());
+    if (rc != 0) return rc;
   }
   if (!telemetry::Recorder::kEnabled) {
     std::printf("telemetry: NOTE — recorder compiled out "

@@ -33,8 +33,8 @@ struct ExperimentConfig {
   SimDuration power_sample_interval = 0;
 
   /// Event recorder for the run (not owned; may be nullptr). When set,
-  /// the run binds it to the storage system, bridges library logging into
-  /// it with simulated timestamps, and emits period/sim events.
+  /// the run binds it to the storage system, whose layers record into it,
+  /// and emits period/sim events itself.
   telemetry::Recorder* telemetry = nullptr;
 
   /// Latency book the storage system records per-I/O service times into
@@ -56,7 +56,7 @@ struct ExperimentConfig {
   /// Wall-clock phase profiler (not owned; may be nullptr). When set,
   /// Run() binds it to the replay thread for its duration and the engine
   /// + period-end pipeline record phase spans (DESIGN.md §15). The
-  /// profiler only ever reads the wall clock and writes its own rings,
+  /// profiler only ever reads the wall clock and writes its own buffers,
   /// so attaching one cannot change replay results (fingerprint-gated).
   telemetry::profile::Profiler* profiler = nullptr;
 };

@@ -45,7 +45,6 @@ Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,
   AppendKV(&line, "host_cpus", meta.host_cpus);
   AppendKV(&line, "wall_ns", meta.wall_ns);
   AppendKVU(&line, "spans", spans.size());
-  AppendKVU(&line, "dropped", meta.dropped);
   line += "}\n";
   std::fputs(line.c_str(), f);
 
@@ -89,7 +88,6 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
       meta->host_cpus = static_cast<int>(json.Int("host_cpus"));
       meta->wall_ns = json.Int("wall_ns");
       meta->spans = json.U64("spans");
-      meta->dropped = json.U64("dropped");
       declared = static_cast<int64_t>(meta->spans);
       have_meta = true;
     } else if (type == "span") {

@@ -12,7 +12,7 @@
 //    stream.
 //
 // Compiled unconditionally (plain vectors of Span): an
-// ECOSTORE_PROFILE=OFF build of eco_report still reads captures written
+// ECOSTORE_TELEMETRY=OFF build of eco_report still reads captures written
 // by enabled builds.
 
 #include <string>
@@ -31,7 +31,6 @@ struct ProfileMeta {
   int host_cpus = 0;
   int64_t wall_ns = 0;  ///< whole-run wall time (engine entry to exit)
   uint64_t spans = 0;
-  uint64_t dropped = 0;
 };
 
 Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,

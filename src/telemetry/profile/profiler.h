@@ -5,19 +5,21 @@
 //
 // The telemetry recorder observes *simulated* time exhaustively; this
 // layer observes the engine's own *wall-clock* behaviour: scoped phase
-// timers on std::chrono::steady_clock writing 32-byte POD spans into
-// per-thread rings with the same single-writer discipline as the
-// de-atomized event recorder (telemetry/recorder.h). Spans carry a
-// correlation id (the monitoring-period index) so wall-time profiles line
-// up with the sim-time event stream across the two clock domains.
+// timers on std::chrono::steady_clock appending 32-byte POD spans to the
+// same per-thread append log the event recorder keeps its events in
+// (telemetry/thread_log.h), so a profile keeps every span of a run.
+// Spans carry a correlation id (the monitoring-period index) so wall-time
+// profiles line up with the sim-time event stream across the two clock
+// domains.
 //
-// Two compile modes, exactly mirroring the recorder:
+// Two compile modes, switched together with the recorder's:
 //  - enabled (default): the real profiler below. An un-profiled run pays
 //    one thread-local load + branch per ScopedPhase site; a profiled
-//    thread pays two steady_clock reads per span plus one 32-byte store.
-//  - ECOSTORE_PROFILE_DISABLED (CMake -DECOSTORE_PROFILE=OFF): the whole
-//    API collapses to empty inline stubs (sizeof(Profiler) == 1, asserted
-//    by tests/profile_disabled_test.cc) and every ScopedPhase folds away.
+//    thread pays two steady_clock reads per span plus one 32-byte append.
+//  - ECOSTORE_TELEMETRY_DISABLED (CMake -DECOSTORE_TELEMETRY=OFF): the
+//    whole API collapses to empty inline stubs (sizeof(Profiler) == 1,
+//    asserted by tests/profile_disabled_test.cc) and every ScopedPhase
+//    folds away.
 //
 // The profiler is bound per *thread*, not threaded through call
 // signatures: Experiment::Run installs it with ScopedThreadProfiler, and
@@ -28,22 +30,16 @@
 // replay results (enforced by the fingerprint gate, which runs every job
 // with a profiler attached).
 //
-// Thread model: Record() is wait-free on the recording thread once its
-// ring is bound (binding takes a mutex once per (thread, profiler) pair).
-// Drain() requires writers to be quiescent — it runs after the engine
-// returns.
+// Thread model: Record() takes no lock once the recording thread's
+// buffer is bound. Drain() requires writers to be quiescent — it runs
+// after the engine returns.
 
 #include <chrono>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
-#ifndef ECOSTORE_PROFILE_DISABLED
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <thread>
-#endif
+#include "telemetry/thread_log.h"
 
 namespace ecostore::telemetry::profile {
 
@@ -81,8 +77,8 @@ inline const char* PhaseName(Phase phase) {
 }
 
 /// \brief One closed wall-clock span. 32-byte trivially copyable POD so
-/// per-thread rings are flat arrays and recording is one bounds check +
-/// one 32-byte store (the profiler's analogue of the 48-byte Event).
+/// per-thread buffers are flat arrays and recording is one 32-byte append
+/// (the profiler's analogue of the 48-byte Event).
 /// `start_ns` is relative to the owning Profiler's construction instant
 /// (steady_clock), `seq` is the period correlation id and `detail` is a
 /// phase-specific magnitude (batch records, queue depth, ...).
@@ -98,30 +94,21 @@ struct Span {
 static_assert(std::is_trivially_copyable_v<Span>);
 static_assert(sizeof(Span) == 32, "Span grew past its 32-byte budget");
 
-#ifdef ECOSTORE_PROFILE_DISABLED
+#ifdef ECOSTORE_TELEMETRY_DISABLED
 
 /// Compiled-out profiler: every member is an empty inline stub, so
 /// ScopedPhase sites are dead code the optimiser removes entirely. No .cc
 /// symbol is referenced, so translation units compiled with
-/// ECOSTORE_PROFILE_DISABLED need not link the library. sizeof(Profiler)
-/// must stay 1 so embedding a profiler pointer/member costs nothing.
+/// ECOSTORE_TELEMETRY_DISABLED need not link the library.
+/// sizeof(Profiler) must stay 1 so embedding a profiler pointer/member
+/// costs nothing.
 class Profiler {
  public:
-  struct Options {
-    size_t thread_ring_capacity = 1u << 18;
-  };
-
   static constexpr bool kEnabled = false;
-
-  Profiler() = default;
-  explicit Profiler(const Options&) {}
 
   void Record(const Span&) {}
   uint64_t recorded() const { return 0; }
-  uint64_t dropped() const { return 0; }
   std::vector<Span> Drain() { return {}; }
-  void DrainInto(std::vector<Span>* out) { out->clear(); }
-  int64_t NowNs() const { return 0; }
 };
 
 static_assert(sizeof(Profiler) == 1,
@@ -140,72 +127,42 @@ class ScopedPhase {
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 };
 
-#else  // !ECOSTORE_PROFILE_DISABLED
+#else  // !ECOSTORE_TELEMETRY_DISABLED
 
 /// \brief The enabled wall-clock profiler (see file header).
 class Profiler {
  public:
-  struct Options {
-    /// Per-thread ring capacity in spans (32 B each). Once a thread's
-    /// ring is full the oldest spans are overwritten and accounted in
-    /// dropped(). Rings grow lazily, so an idle profiler costs nothing.
-    size_t thread_ring_capacity = 1u << 18;
-  };
-
   static constexpr bool kEnabled = true;
 
-  Profiler() : Profiler(Options{}) {}
-  explicit Profiler(const Options& options);
+  Profiler() : epoch_(std::chrono::steady_clock::now()) {}
   ~Profiler();
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Appends one span to the calling thread's ring (wait-free once the
-  /// thread is bound; first call per thread binds under a mutex).
-  void Record(const Span& span);
+  /// Appends one span to the calling thread's buffer (no lock once the
+  /// thread is bound; the first call per thread binds under a mutex).
+  void Record(const Span& span) { log_.Append(span); }
 
-  /// Nanoseconds since this profiler's construction (its span epoch).
-  int64_t NowNs() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
+  /// Nanoseconds from this profiler's construction (its span epoch) to `t`.
   int64_t SinceEpochNs(std::chrono::steady_clock::time_point t) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
         .count();
   }
 
-  /// Spans successfully recorded (still resident or overwritten).
-  uint64_t recorded() const;
-  /// Spans overwritten because a ring wrapped, summed over all threads.
-  uint64_t dropped() const;
+  /// Spans recorded so far, summed over all threads (drained or not).
+  uint64_t recorded() const { return log_.recorded(); }
 
-  /// Merges all thread rings into one stream ordered by start time
-  /// (stable: ties keep per-thread record order) and resets the rings. Callers must ensure no Record() runs concurrently.
-  std::vector<Span> Drain();
-  void DrainInto(std::vector<Span>* out);
+  /// Merges all thread buffers into one stream ordered by start time
+  /// (stable: ties keep per-thread record order, so a parent span closed
+  /// after its children still sorts by its earlier start and the
+  /// analyzer's nesting sweep sees parents first) and empties them.
+  /// Callers must ensure no Record() runs concurrently.
+  std::vector<Span> Drain() { return log_.Drain(); }
 
  private:
-  /// One thread's ring; identical single-writer discipline to the
-  /// recorder's ThreadBuffer (only the owning thread updates the
-  /// counters, via plain load+store; readers sum through the atomic).
-  struct ThreadRing {
-    std::thread::id owner;
-    std::vector<Span> spans;
-    size_t head = 0;
-    bool wrapped = false;
-    std::atomic<uint64_t> recorded{0};
-    std::atomic<uint64_t> dropped{0};
-  };
-
-  ThreadRing* BindThisThread();
-
-  Options options_;
   std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex mu_;  ///< guards rings_
-  std::vector<std::unique_ptr<ThreadRing>> rings_;
+  ThreadLog<Span, &Span::start_ns> log_;
 };
 
 /// Binds `profiler` as the calling thread's span sink; every ScopedPhase
@@ -258,7 +215,7 @@ class ScopedPhase {
   std::chrono::steady_clock::time_point start_;
 };
 
-#endif  // ECOSTORE_PROFILE_DISABLED
+#endif  // ECOSTORE_TELEMETRY_DISABLED
 
 /// RAII thread binding: installs `profiler` (possibly null — an engine
 /// configured without one deliberately masks any stale outer binding for

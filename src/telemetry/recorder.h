@@ -16,20 +16,18 @@
 //    asserted by tests/telemetry_disabled_test.cc) and Wants() is
 //    constant false, so every event site folds away at compile time.
 //
-// Thread model: Record() takes no lock once the calling thread's buffer
-// is bound (binding takes a mutex once per (thread, recorder) pair).
+// The buffers are a ThreadLog (telemetry/thread_log.h), the same
+// per-thread append log the wall-clock profiler keeps its spans in.
+// Record() takes no lock once the calling thread's buffer is bound.
 // Drain() requires writers to be quiescent — it is called after
 // Experiment::Run() returns, or at a pump between simulated events on
 // the single replay thread.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "telemetry/event.h"
+#include "telemetry/thread_log.h"
 
 namespace ecostore::telemetry {
 
@@ -67,7 +65,6 @@ class Recorder {
   /// `mask` selects the event classes to record (kClass* bitmask); it is
   /// fixed for the recorder's lifetime.
   explicit Recorder(uint32_t mask = kClassDefault) : mask_(mask) {}
-  ~Recorder();
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
@@ -77,37 +74,23 @@ class Recorder {
 
   /// Appends one event to the calling thread's buffer (no lock once the
   /// thread is bound; the first call per thread binds under a mutex).
-  void Record(const Event& event);
+  void Record(const Event& event) { log_.Append(event); }
 
   /// Events recorded so far, summed over all threads (drained or not).
-  uint64_t recorded() const;
+  uint64_t recorded() const { return log_.recorded(); }
 
   /// Merges all thread buffers into one stream ordered by simulated time
   /// (stable: same-time events keep their per-thread record order) and
   /// empties them. Callers must ensure no Record() runs concurrently.
-  std::vector<Event> Drain();
+  std::vector<Event> Drain() { return log_.Drain(); }
 
-  /// Drain() into a caller-owned buffer. The first thread's buffer is
-  /// swapped with `*out` (cleared first), so a whole-run drain holds one
-  /// copy of the events, and a consumer that pumps repeatedly mid-run
-  /// trades the same two allocations back and forth.
-  void DrainInto(std::vector<Event>* out);
+  /// Drain() into a caller-owned buffer, swapping the first thread's
+  /// buffer with `*out` (see ThreadLog::DrainInto).
+  void DrainInto(std::vector<Event>* out) { log_.DrainInto(out); }
 
  private:
-  /// One thread's events. `recorded` is single-writer (only the owning
-  /// thread updates it, via plain load+store — no locked RMW in the
-  /// record path); recorded() sums it through the atomic.
-  struct ThreadBuffer {
-    std::thread::id owner;
-    std::vector<Event> events;
-    std::atomic<uint64_t> recorded{0};
-  };
-
-  ThreadBuffer* BindThisThread();
-
   const uint32_t mask_;
-  mutable std::mutex mu_;  ///< guards buffers_
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  ThreadLog<Event, &Event::time> log_;
 };
 
 #endif  // ECOSTORE_TELEMETRY_DISABLED

@@ -32,7 +32,7 @@ void StreamDispatcher::AdvanceFrontier(SimTime frontier) {
   // The concatenation of time-sorted drain segments; one stable sort
   // restores the global batch order (same-time record order is the
   // segment order, which matches the single-drain order because record
-  // order per ring is preserved across drains).
+  // order per thread buffer is preserved across drains).
   SortByTime(&pending_);
   size_t emit = 0;
   while (emit < pending_.size() && pending_[emit].time < frontier) ++emit;

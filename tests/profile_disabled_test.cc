@@ -1,11 +1,11 @@
 // Compile-out verification for the wall-clock profiler: built with
-// ECOSTORE_PROFILE_DISABLED and deliberately linked WITHOUT the ecostore
+// ECOSTORE_TELEMETRY_DISABLED and deliberately linked WITHOUT the ecostore
 // libraries — the disabled profiler must be a self-contained, header-only
 // stub (if anything in it referenced a library symbol, this target would
 // fail to link).
 
-#ifndef ECOSTORE_PROFILE_DISABLED
-#error "this test must be compiled with ECOSTORE_PROFILE_DISABLED"
+#ifndef ECOSTORE_TELEMETRY_DISABLED
+#error "this test must be compiled with ECOSTORE_TELEMETRY_DISABLED"
 #endif
 
 #include <gtest/gtest.h>
@@ -28,9 +28,7 @@ TEST(ProfileDisabledTest, AllOperationsAreNoOps) {
   span.dur_ns = 5;
   profiler.Record(span);
   EXPECT_EQ(profiler.recorded(), 0u);
-  EXPECT_EQ(profiler.dropped(), 0u);
   EXPECT_TRUE(profiler.Drain().empty());
-  EXPECT_EQ(profiler.NowNs(), 0);
 }
 
 TEST(ProfileDisabledTest, BindingsAndScopesAreInert) {

@@ -822,12 +822,10 @@ int RunProfile(const std::string& arg) {
     std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("workload=%s policy=%s host_cpus=%d wall=%.2fs "
-              "spans=%llu dropped=%llu\n",
+  std::printf("workload=%s policy=%s host_cpus=%d wall=%.2fs spans=%llu\n",
               meta.workload.c_str(), meta.policy.c_str(), meta.host_cpus,
               static_cast<double>(meta.wall_ns) / 1e9,
-              static_cast<unsigned long long>(meta.spans),
-              static_cast<unsigned long long>(meta.dropped));
+              static_cast<unsigned long long>(meta.spans));
   if (spans.empty()) {
     std::printf("no spans (profiler compiled out or nothing recorded)\n");
     return 0;
