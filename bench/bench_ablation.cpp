@@ -47,11 +47,14 @@ int main(int argc, char** argv) {
 
   workload::FileServerConfig wl_config;
   wl_config.duration = bench::MaybeShorten(3 * kHour, 40 * kMinute);
-  auto workload = workload::FileServerWorkload::Create(wl_config);
-  if (!workload.ok()) {
-    std::cerr << workload.status().ToString() << "\n";
-    return 1;
-  }
+  // Every run (each variant and the telemetry capture) replays its own
+  // deterministic clone of the workload.
+  replay::WorkloadFactory file_server =
+      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
+    auto wl = workload::FileServerWorkload::Create(wl_config);
+    if (!wl.ok()) return wl.status();
+    return std::unique_ptr<workload::Workload>(std::move(wl).value());
+  };
 
   core::PowerManagementConfig full;
 
@@ -82,25 +85,11 @@ int main(int argc, char** argv) {
   variant.enable_pattern_change_triggers = false;
   factories.push_back(Variant(variant, "no_triggers"));
 
-  // Serial (the default) replays one shared workload instance exactly as
-  // before; --threads=N>1 gives every policy its own deterministic clone
-  // and runs them concurrently — same numbers, less wall-clock.
+  // --threads=N runs N variants at once; the numbers do not depend on N.
   Result<std::vector<replay::ExperimentMetrics>> runs =
-      std::vector<replay::ExperimentMetrics>{};
-  if (threads <= 1) {
-    runs = replay::RunSuite(workload.value().get(), factories,
-                            replay::ExperimentConfig{});
-  } else {
-    replay::WorkloadFactory clone =
-        [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto w = workload::FileServerWorkload::Create(wl_config);
-      if (!w.ok()) return w.status();
-      return std::unique_ptr<workload::Workload>(std::move(w).value());
-    };
-    runs = replay::ParallelRunSuite(clone, factories,
-                                    replay::ExperimentConfig{},
-                                    replay::SuiteOptions{threads});
-  }
+      replay::ParallelRunSuite(file_server, factories,
+                               replay::ExperimentConfig{},
+                               replay::SuiteOptions{threads});
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;
@@ -117,12 +106,7 @@ int main(int argc, char** argv) {
     // One extra instrumented run of the full proposed variant, after the
     // ablation tables so the capture shares nothing with them.
     replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::FileServerWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+    job.workload = file_server;
     job.policy = Variant(full, "proposed_full");
     job.config = replay::ExperimentConfig{};
     return bench::CaptureTelemetry(capture, std::move(job));

@@ -459,7 +459,7 @@ void BM_PatternClassifier(benchmark::State& state) {
   storage::DataItemCatalog catalog;
   VolumeId v = catalog.AddVolume(0);
   for (int i = 0; i < n_items; ++i) {
-    catalog.AddItem("i" + std::to_string(i), v, 1 << 20,
+    catalog.AddItem(std::string("i").append(std::to_string(i)), v, 1 << 20,
                     storage::DataItemKind::kFile);
   }
   trace::LogicalTraceBuffer buffer;
@@ -495,7 +495,7 @@ void BM_PlacementPlanner(benchmark::State& state) {
     auto pattern = static_cast<core::IoPattern>(rng.UniformInt(0, 3));
     DataItemId id =
         catalog
-            .AddItem("i" + std::to_string(i),
+            .AddItem(std::string("i").append(std::to_string(i)),
                      static_cast<VolumeId>(rng.UniformInt(
                          0, n_enclosures - 1)),
                      rng.UniformInt(1, 1000) * 1024 * 1024,
@@ -760,7 +760,7 @@ PlannerScaleFixture MakePlannerScaleFixture(int n_enclosures,
                       : static_cast<core::IoPattern>(rng.UniformInt(0, 2));
     DataItemId id =
         fx.catalog
-            .AddItem("i" + std::to_string(i),
+            .AddItem(std::string("i").append(std::to_string(i)),
                      static_cast<VolumeId>(
                          rng.UniformInt(0, n_enclosures - 1)),
                      rng.UniformInt(16, 160) * (128LL * 1024 * 1024),
@@ -939,7 +939,7 @@ ClassifyScaleCase RunClassifyScaleCase(int n_enclosures,
   Xoshiro256 rng(0x5eedc1a551f7ull + static_cast<uint64_t>(n_items));
   for (int i = 0; i < n_items; ++i) {
     catalog
-        .AddItem("i" + std::to_string(i),
+        .AddItem(std::string("i").append(std::to_string(i)),
                  static_cast<VolumeId>(rng.UniformInt(0, n_enclosures - 1)),
                  rng.UniformInt(16, 160) * (128LL * 1024 * 1024),
                  storage::DataItemKind::kFile)

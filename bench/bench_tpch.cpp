@@ -49,30 +49,20 @@ int main(int argc, char** argv) {
     return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
 
+  // One instance for Fig. 15b's reference query wall times, which the
+  // configuration alone determines.
   auto workload = workload::DssWorkload::Create(wl_config);
   if (!workload.ok()) {
     std::cerr << workload.status().ToString() << "\n";
     return 1;
   }
 
-  // Serial (default) keeps the original shared-instance replay;
-  // --threads=N>1 runs the four policies concurrently, each against its
-  // own deterministic workload clone (identical trace, same figures).
+  // Each policy replays its own deterministic workload clone (the capture
+  // job's factory); --threads=N runs N at once, with the same figures.
   Result<std::vector<replay::ExperimentMetrics>> runs =
-      std::vector<replay::ExperimentMetrics>{};
-  if (threads <= 1) {
-    runs = replay::RunSuite(workload.value().get(),
-                            replay::PaperPolicySet(pm), config);
-  } else {
-    replay::WorkloadFactory clone =
-        [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto w = workload::DssWorkload::Create(wl_config);
-      if (!w.ok()) return w.status();
-      return std::unique_ptr<workload::Workload>(std::move(w).value());
-    };
-    runs = replay::ParallelRunSuite(clone, replay::PaperPolicySet(pm),
-                                    config, replay::SuiteOptions{threads});
-  }
+      replay::ParallelRunSuite(capture_job.workload,
+                               replay::PaperPolicySet(pm), config,
+                               replay::SuiteOptions{threads});
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;

@@ -129,9 +129,10 @@ SimDuration EcoStoragePolicy::OnPeriodEnd(
   }
   prev_preload_ = preload_scratch_;
   actuator->SetPreloadItems(preload_scratch_);
-  for (size_t e = 0; e < last_plan_.spin_down_allowed.size(); ++e) {
+  // Power-off only for cold enclosures (paper §IV-G).
+  for (size_t e = 0; e < last_plan_.partition.is_hot.size(); ++e) {
     actuator->SetSpinDownAllowed(static_cast<EnclosureId>(e),
-                                 last_plan_.spin_down_allowed[e]);
+                                 !last_plan_.partition.is_hot[e]);
   }
   }  // flush_span
 

@@ -48,7 +48,8 @@ class EcoStoragePolicy : public policies::StoragePolicy {
   }
 
   /// High-water mark of the streaming classifier's running state in
-  /// bytes (per-item states, P3 bucket pool, pattern/dirty tables).
+  /// bytes (per-item states, P3 bucket pool, result rows, pattern
+  /// table).
   size_t classifier_peak_state_bytes() const {
     return function_ != nullptr
                ? function_->classifier()->peak_state_bytes()

@@ -141,11 +141,6 @@ const ClassificationResult& PatternClassifier::Finalize(
   const size_t n_items = catalog.item_count();
   if (state_.size() < n_items) state_.resize(n_items);
 
-  // Dirty tracking mirrors the pre-streaming classifier: disabled for the
-  // period in which the catalog changed size (evaluated before the row
-  // table catches up).
-  const bool track_dirty = has_previous_ && prev_patterns_.size() == n_items;
-
   if (n_items < init_items_) {
     // Catalog shrank (no current workload does this): rebuild the rows.
     result_.items.clear();
@@ -158,11 +153,10 @@ const ClassificationResult& PatternClassifier::Finalize(
     // does; quiet rows have no period-dependent field, so they are
     // carried verbatim until the item shows activity.
     result_.items.resize(n_items);
-    prev_patterns_.resize(n_items, static_cast<uint8_t>(IoPattern::kP0));
+    patterns_.resize(n_items, static_cast<uint8_t>(IoPattern::kP0));
     for (size_t i = init_items_; i < n_items; ++i) WriteQuietRow(i, catalog);
     init_items_ = n_items;
   }
-  prev_patterns_.resize(n_items);
 
   result_.pattern_counts = {0, 0, 0, 0};
   result_.p3_max_iops = 0.0;
@@ -179,10 +173,9 @@ const ClassificationResult& PatternClassifier::Finalize(
 
   // The frontier: items touched this period plus rows still carrying
   // last period's activity (they must be reset to quiet form). Sorted
-  // merge keeps every downstream artifact — rows and the dirty set — in
-  // ascending item order. Ingest may have touched indices beyond the
-  // catalog (unknown items); they stay out of the frontier until the
-  // catalog covers them.
+  // merge keeps the rows and the pattern table written in ascending item
+  // order. Ingest may have touched indices beyond the catalog (unknown
+  // items); they stay out of the frontier until the catalog covers them.
   std::sort(touched_.begin(), touched_.end());
   auto ta = touched_.begin();
   auto te = std::lower_bound(touched_.begin(), touched_.end(), n_items);
@@ -212,7 +205,6 @@ const ClassificationResult& PatternClassifier::Finalize(
   int64_t li_sum = n_quiet * full_period;
   int64_t li_count = n_quiet;
   bool any_p3 = false;
-  dirty_.clear();
   for (const size_t i : frontier_) {
     ItemClassification& cls = result_.items[i];
     const ItemState& st = state_[i];
@@ -275,11 +267,7 @@ const ClassificationResult& PatternClassifier::Finalize(
     }
     cls.pattern = pattern;
     result_.pattern_counts[static_cast<size_t>(pattern)]++;
-    auto pb = static_cast<uint8_t>(pattern);
-    if (track_dirty && prev_patterns_[i] != pb) {
-      dirty_.push_back(static_cast<DataItemId>(i));
-    }
-    prev_patterns_[i] = pb;
+    patterns_[i] = static_cast<uint8_t>(pattern);
   }
   if (li_count > 0) {
     // Long-Interval sums are exact in int64 µs and below 2^53 in every
@@ -299,15 +287,8 @@ const ClassificationResult& PatternClassifier::Finalize(
   // reads+writes > 0).
   resident_.assign(touched_.begin(), te);
 
-  has_previous_ = true;
   NotePeak();
   return result_;
-}
-
-void PatternClassifier::Finalize(const storage::DataItemCatalog& catalog,
-                                 SimTime period_end,
-                                 ClassificationResult* result) {
-  *result = Finalize(catalog, period_end);
 }
 
 ClassificationResult PatternClassifier::Classify(
@@ -324,8 +305,7 @@ ClassificationResult PatternClassifier::Classify(
 size_t PatternClassifier::state_bytes() const {
   size_t bytes = state_.capacity() * sizeof(ItemState) +
                  pool_.capacity() * sizeof(IopsChunk) +
-                 prev_patterns_.capacity() * sizeof(uint8_t) +
-                 dirty_.capacity() * sizeof(DataItemId) +
+                 patterns_.capacity() * sizeof(uint8_t) +
                  result_.items.capacity() * sizeof(ItemClassification) +
                  (touched_.capacity() + resident_.capacity() +
                   frontier_.capacity()) *

@@ -96,12 +96,9 @@ struct ClassificationResult {
 /// Finalisation is one serial pass over the (item-ordered) frontier.
 /// Every reduction is integral, so the result is bit-identical to the
 /// pre-streaming classifier preserved in bench/legacy_classifier.h (the
-/// differential oracle).
-///
-/// Across periods the classifier keeps the previous pattern table and
-/// emits the dirty set — items whose pattern changed, which includes
-/// newly-quiet P3s — which keeps the management function's enclosure-of
-/// cache current without an O(catalog) diff.
+/// differential oracle). The same pass keeps the per-item pattern table
+/// (patterns()) current, which the policy publishes as each plan's
+/// payload.
 ///
 /// Not safe for concurrent ingest; one instance serves one experiment
 /// (see DESIGN.md §5).
@@ -129,17 +126,13 @@ class PatternClassifier : public monitor::LogicalIoSink {
   void OnLogicalIo(const trace::LogicalIoRecord& rec) override;
 
   /// Finalises the current period at `period_end`: trailing intervals,
-  /// patterns, P3 I_max, mean Long Interval, dirty set. Returns the
-  /// classifier-owned result table (valid until the next Finalize; one
-  /// flat row per catalog item). Does not start the next period — call
-  /// BeginPeriod() afterwards. Idempotent over the same ingested state.
+  /// patterns (rows and patterns()), P3 I_max, mean Long Interval. Returns
+  /// the classifier-owned result table (valid until the next Finalize;
+  /// one flat row per catalog item — copy it to keep a snapshot). Does
+  /// not start the next period — call BeginPeriod() afterwards.
+  /// Idempotent over the same ingested state.
   const ClassificationResult& Finalize(const storage::DataItemCatalog& catalog,
                                        SimTime period_end);
-
-  /// Snapshot variant: finalises and copies the result into `result`.
-  /// O(catalog) for the copy — tests and small-scale callers only.
-  void Finalize(const storage::DataItemCatalog& catalog, SimTime period_end,
-                ClassificationResult* result);
 
   // --- Replay convenience (tests and benches) ---
 
@@ -149,19 +142,9 @@ class PatternClassifier : public monitor::LogicalIoSink {
                                 const storage::DataItemCatalog& catalog,
                                 SimTime period_start, SimTime period_end);
 
-  // --- Cross-period dirty tracking ---
-
-  /// True once a previous period's pattern table (of the same catalog
-  /// size) exists, i.e. dirty_items() is meaningful.
-  bool has_previous() const { return has_previous_; }
-
-  /// Items whose pattern changed in the last Finalize() relative to the
-  /// period before, ascending by id. Empty when !has_previous().
-  const std::vector<DataItemId>& dirty_items() const { return dirty_; }
-
   /// Pattern table of the last Finalize() (IoPattern as uint8_t, indexed
   /// by item id).
-  const std::vector<uint8_t>& patterns() const { return prev_patterns_; }
+  const std::vector<uint8_t>& patterns() const { return patterns_; }
 
   // --- Introspection ---
 
@@ -169,7 +152,7 @@ class PatternClassifier : public monitor::LogicalIoSink {
   int64_t ingested() const { return ingested_; }
 
   /// Bytes of classifier-owned running state right now (per-item states,
-  /// P3 bucket chunk pool, pattern table, dirty list).
+  /// P3 bucket chunk pool, result rows, pattern table, frontier lists).
   size_t state_bytes() const;
   /// High-water mark of state_bytes() over the classifier's lifetime.
   size_t peak_state_bytes() const { return peak_state_bytes_; }
@@ -217,9 +200,7 @@ class PatternClassifier : public monitor::LogicalIoSink {
   std::vector<IopsChunk> pool_;
   int32_t free_head_ = -1;
 
-  bool has_previous_ = false;
-  std::vector<uint8_t> prev_patterns_;
-  std::vector<DataItemId> dirty_;
+  std::vector<uint8_t> patterns_;  ///< see patterns()
 
   /// Persistent result table (see class comment): rows beyond the
   /// frontier are quiet and carried verbatim across periods.

@@ -82,114 +82,51 @@ ManagementPlan PowerManagementFunction::Run(
   telemetry::profile::ScopedPhase plan_span(
       telemetry::profile::Phase::kPlan);
 
-  // ---- enclosure-of cache refresh, part 1: re-sync with reality ----
-  // Revert the last plan's optimistic migration overlay to the move-
-  // journal truth (planned moves may not have committed), fold the
-  // journal suffix, and apply the classifier's pattern flips. All
-  // frontier-sized; the O(catalog) rebuild runs only on the first period
-  // or when the catalog / enclosure count changed underneath us.
-  const size_t cache_items = classification.items.size();
-  const size_t cache_encs = static_cast<size_t>(system.num_enclosures());
-  auto move_cached = [this](DataItemId item, EnclosureId to) {
-    const size_t idx = static_cast<size_t>(item);
-    const EnclosureId from = final_enclosure_[idx];
-    if (from == to) return;
-    if (cached_is_p3_[idx] != 0) {
-      p3_final_count_[static_cast<size_t>(from)]--;
-      p3_final_count_[static_cast<size_t>(to)]++;
-    }
-    final_enclosure_[idx] = to;
-  };
-  if (have_enclosure_cache_ && classifier_.has_previous() &&
-      final_enclosure_.size() == cache_items &&
-      p3_final_count_.size() == cache_encs &&
-      enclosure_cache_cursor_ <= virt.move_log_size()) {
-    for (DataItemId item : overlay_items_) {
-      move_cached(item, virt.EnclosureOf(item));
-    }
-    const std::vector<DataItemId>& log = virt.move_log();
-    for (size_t i = enclosure_cache_cursor_; i < log.size(); ++i) {
-      move_cached(log[i], virt.EnclosureOf(log[i]));
-    }
-    const std::vector<uint8_t>& patterns = classifier_.patterns();
-    for (DataItemId item : classifier_.dirty_items()) {
-      const size_t idx = static_cast<size_t>(item);
-      const uint8_t p3 =
-          patterns[idx] == static_cast<uint8_t>(IoPattern::kP3) ? 1 : 0;
-      if (p3 != cached_is_p3_[idx]) {
-        p3_final_count_[static_cast<size_t>(final_enclosure_[idx])] +=
-            p3 != 0 ? 1 : -1;
-        cached_is_p3_[idx] = p3;
-      }
-    }
-  } else {
-    final_enclosure_.assign(cache_items, 0);
-    cached_is_p3_.assign(cache_items, 0);
-    p3_final_count_.assign(cache_encs, 0);
-    for (const ItemClassification& cls : classification.items) {
-      const size_t idx = static_cast<size_t>(cls.item);
-      const EnclosureId enc = virt.EnclosureOf(cls.item);
-      final_enclosure_[idx] = enc;
-      if (cls.pattern == IoPattern::kP3) {
-        cached_is_p3_[idx] = 1;
-        p3_final_count_[static_cast<size_t>(enc)]++;
-      }
-    }
-    have_enclosure_cache_ = true;
-  }
-  enclosure_cache_cursor_ = virt.move_log_size();
-  overlay_items_.clear();
-
   // Determine hot/cold enclosures + data placement.
   if (config_.enable_placement) {
     PlacementPlan placement = placement_.Plan(classification, virt);
     plan.partition = std::move(placement.partition);
     plan.migrations = std::move(placement.migrations);
   } else {
+    // Items stay put, so cold enclosures may still hold P3 items; the
+    // safety net below keeps those powered.
     plan.partition = hot_cold_.Plan(classification, virt);
-    // Items stay put; cold enclosures may still hold P3 items. Such
-    // enclosures must not power off: p3_final_count_ already reflects
-    // current residency + patterns (migrations are empty on this
-    // branch), so the safety net below marks them hot.
   }
 
-  // ---- enclosure-of cache refresh, part 2: overlay this plan ----
-  // Final placement after migrations for the cache planner:
-  // final_enclosure_ was synced above, so only the new plan's migrations
-  // (frontier-sized) are folded in.
-  overlay_items_.reserve(plan.migrations.size());
+  // The post-plan placement: live residency plus this plan's migrations.
+  // Built the same way on every branch (placement, IOPS-guard retries,
+  // the all-hot early return, placement disabled), and never from what
+  // an earlier plan expected to commit — planned moves may not have.
+  std::vector<EnclosureId>& final_enclosure = post_plan_enclosure_;
+  final_enclosure.resize(classification.items.size());
+  for (const ItemClassification& cls : classification.items) {
+    final_enclosure[static_cast<size_t>(cls.item)] =
+        virt.EnclosureOf(cls.item);
+  }
   for (const Migration& mig : plan.migrations) {
-    overlay_items_.push_back(mig.item);
-    move_cached(mig.item, mig.to);
+    final_enclosure[static_cast<size_t>(mig.item)] = mig.to;
   }
 
   // Safety net: any P3 item that ends up on a cold enclosure (pinned, or
   // unplaceable) forces that enclosure hot — powering it off would stall
-  // the application. The net has set semantics, so scanning the cached
-  // per-enclosure P3 counts marks exactly the enclosures a walk over
-  // every P3 item's final enclosure would.
-  for (size_t e = 0; e < p3_final_count_.size(); ++e) {
-    if (p3_final_count_[e] > 0 && !plan.partition.is_hot[e]) {
-      plan.partition.is_hot[e] = true;
+  // the application.
+  for (const ItemClassification& cls : classification.items) {
+    if (cls.pattern != IoPattern::kP3) continue;
+    const EnclosureId enc = final_enclosure[static_cast<size_t>(cls.item)];
+    if (!plan.partition.IsHot(enc)) {
+      plan.partition.is_hot[static_cast<size_t>(enc)] = true;
       plan.partition.n_hot++;
     }
   }
 
   // Determine write delay first, then preload (paper §IV-A rationale).
   CachePlan cache_plan =
-      cache_.Plan(classification, plan.partition, final_enclosure_);
+      cache_.Plan(classification, plan.partition, final_enclosure);
   if (config_.enable_write_delay) {
     plan.cache.write_delay = std::move(cache_plan.write_delay);
   }
   if (config_.enable_preload) {
     plan.cache.preload = std::move(cache_plan.preload);
-  }
-
-  // Determine the power-control method: power-off only for cold
-  // enclosures (paper §IV-G).
-  plan.spin_down_allowed.assign(plan.partition.is_hot.size(), false);
-  for (size_t e = 0; e < plan.partition.is_hot.size(); ++e) {
-    plan.spin_down_allowed[e] = !plan.partition.is_hot[e];
   }
 
   // Determine the length of the next monitoring period (paper §IV-H).

@@ -61,8 +61,6 @@ struct ManagementPlan {
   HotColdPartition partition;
   std::vector<Migration> migrations;
   CachePlan cache;
-  /// Per-enclosure spin-down permission (true = cold, may power off).
-  std::vector<bool> spin_down_allowed;
   SimDuration next_period = 0;
 };
 
@@ -70,11 +68,12 @@ struct ManagementPlan {
 /// patterns, split hot/cold, plan placement, pick write-delay and preload
 /// items, configure power-off, and adapt the monitoring period.
 ///
-/// Stateful across invocations: the streaming classifier carries the
-/// period's ingest, and an item → enclosure cache follows the
-/// virtualization layer's move journal so the P3-on-cold safety net and
-/// the cache planner never walk the catalog (DESIGN.md §12). One
-/// instance serves one experiment run.
+/// Stateful across invocations only through the streaming classifier,
+/// which carries the period's ingest (DESIGN.md §13). Each Run builds the
+/// post-plan placement (item → enclosure after the plan's migrations)
+/// once, from the live residency, for the P3-on-cold safety net and the
+/// cache planner (DESIGN.md §12). One instance serves one experiment
+/// run.
 class PowerManagementFunction {
  public:
   /// \param config method parameters; zero-valued capacity/cache fields
@@ -104,25 +103,9 @@ class PowerManagementFunction {
   CachePlanner cache_;
   MonitoringPeriodController period_;
 
-  // ---- enclosure-of cache (frontier-sized period ends) ----
-  // Invariant between Run()s: final_enclosure_[i] is where item i ends
-  // up under the *last emitted plan* (journal truth ⊕ that plan's
-  // migrations), cached_is_p3_[i] mirrors the last classification, and
-  // p3_final_count_[e] == #{i : cached_is_p3_[i] && final_enclosure_[i]
-  // == e}. Each Run() reverts the optimistic migration overlay to the
-  // move-journal truth (planned moves may not have committed), folds the
-  // journal suffix and the classifier's dirty set, then overlays the new
-  // plan — all frontier-sized work. The safety net then scans enclosures
-  // (p3_final_count_ > 0), not items.
-  bool have_enclosure_cache_ = false;
-  std::vector<EnclosureId> final_enclosure_;  ///< item → post-plan enclosure
-  std::vector<uint8_t> cached_is_p3_;         ///< item → pattern == P3
-  std::vector<int64_t> p3_final_count_;       ///< enclosure → cached P3 items
-  /// Consumed move_log() prefix.
-  size_t enclosure_cache_cursor_ = 0;
-  /// Items overlaid with the last plan's migration targets (reverted to
-  /// journal truth at the next Run).
-  std::vector<DataItemId> overlay_items_;
+  /// Scratch: item → enclosure after this Run's migrations. Rebuilt by
+  /// every Run; the buffer is kept only to avoid a per-period allocation.
+  std::vector<EnclosureId> post_plan_enclosure_;
 };
 
 }  // namespace ecostore::core

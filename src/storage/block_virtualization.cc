@@ -16,7 +16,6 @@ BlockVirtualization::BlockVirtualization(const DataItemCatalog* catalog,
 Status BlockVirtualization::PlaceInitial() {
   placement_.assign(catalog_->item_count(), kInvalidEnclosure);
   std::fill(used_bytes_.begin(), used_bytes_.end(), 0);
-  move_log_.clear();
   for (const DataItem& item : catalog_->items()) {
     EnclosureId enc = catalog_->initial_enclosure(item.id);
     if (enc < 0 || static_cast<size_t>(enc) >= used_bytes_.size()) {
@@ -49,7 +48,6 @@ Status BlockVirtualization::MoveItem(DataItemId item, EnclosureId target) {
   used_bytes_[static_cast<size_t>(source)] -= size;
   used_bytes_[static_cast<size_t>(target)] += size;
   placement_[static_cast<size_t>(item)] = target;
-  move_log_.push_back(item);
   return Status::OK();
 }
 

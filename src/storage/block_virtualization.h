@@ -15,6 +15,10 @@ namespace ecostore::storage {
 ///
 /// Items occupy a contiguous extent; the extent base encodes the item id,
 /// giving stable, unique physical block addresses for physical traces.
+///
+/// Records only where each item is now, not how it got there: the
+/// power-management function reads this live residency (EnclosureOf) at
+/// every period end to build the post-plan placement (DESIGN.md §12).
 class BlockVirtualization {
  public:
   /// \param catalog the workload's data items (not owned; must outlive this)
@@ -54,15 +58,6 @@ class BlockVirtualization {
     return static_cast<int64_t>(item) << 32;
   }
 
-  /// Append-only residency journal: one entry per committed MoveItem that
-  /// actually changed an item's enclosure, in commit order. The power-
-  /// management function's enclosure-of cache reads the suffix past its
-  /// cursor to learn which items moved since the last plan (stale
-  /// in-flight migrations can land an item on a cold enclosure between
-  /// periods); see DESIGN.md §12. Cleared by PlaceInitial.
-  const std::vector<DataItemId>& move_log() const { return move_log_; }
-  size_t move_log_size() const { return move_log_.size(); }
-
   const DataItemCatalog& catalog() const { return *catalog_; }
 
  private:
@@ -70,7 +65,6 @@ class BlockVirtualization {
   int64_t capacity_;
   std::vector<EnclosureId> placement_;  // item -> enclosure
   std::vector<int64_t> used_bytes_;     // per enclosure
-  std::vector<DataItemId> move_log_;    // committed residency changes
 };
 
 }  // namespace ecostore::storage

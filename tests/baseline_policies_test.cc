@@ -76,7 +76,7 @@ class BaselineFixture : public ::testing::Test {
     for (int e = 0; e < 3; ++e) catalog_.AddVolume(e);
     for (int i = 0; i < 6; ++i) {
       items_.push_back(catalog_
-                           .AddItem("i" + std::to_string(i),
+                           .AddItem(std::string("i").append(std::to_string(i)),
                                     static_cast<VolumeId>(i % 3), 100 * kMiB,
                                     storage::DataItemKind::kFile)
                            .value());

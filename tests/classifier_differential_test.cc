@@ -3,7 +3,7 @@
 // results to the frozen pre-streaming reference in
 // bench/legacy_classifier.h across randomized traces — including §V-D
 // sudden-change periods that end early mid-traffic, empty and quiet
-// catalogs — and its dirty set must equal the full pattern-table diff
+// catalogs — and its published pattern table must mirror the result
 // period after period.
 
 #include <gtest/gtest.h>
@@ -170,8 +170,8 @@ TEST_P(ClassifierDifferentialTest, StreamingMatchesLegacy) {
   for (const trace::LogicalIoRecord& rec : buffer.records()) {
     streaming.OnLogicalIo(rec);
   }
-  ClassificationResult via_stream;
-  streaming.Finalize(catalog, shape.period_end, &via_stream);
+  ClassificationResult via_stream =
+      streaming.Finalize(catalog, shape.period_end);
   ExpectResultsIdentical(expected, via_stream, "streaming");
 }
 
@@ -179,28 +179,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClassifierDifferentialTest,
                          ::testing::Range<uint64_t>(1, 33));
 
 // ---------------------------------------------------------------------
-// Cross-period dirty tracking: the emitted dirty set must equal the full
-// pattern-table diff the management function used to compute itself.
+// The published pattern table (the policy's PublishPlan payload) must
+// mirror each period's result, across quiet and early-ended periods.
 // ---------------------------------------------------------------------
 
-class DirtySetTest : public ::testing::TestWithParam<uint64_t> {};
+class PatternTableTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(DirtySetTest, DirtySetEqualsFullDiffAcrossPeriods) {
+TEST_P(PatternTableTest, PatternsMirrorResultAcrossPeriods) {
   const uint64_t seed = GetParam();
   Xoshiro256 rng(seed);
   const int n_items = 1 + static_cast<int>(seed % 2) * 96;
   storage::DataItemCatalog catalog = MakeCatalog(n_items, &rng);
 
   PatternClassifier classifier(ClassifierOptions());
-  EXPECT_FALSE(classifier.has_previous());
-
-  std::vector<uint8_t> prev_table;
   SimTime now = 0;
   for (int period = 0; period < 6; ++period) {
     TraceShape shape;
     shape.n_items = n_items;
-    // Period 3 is quiet (every previously-P3 item goes newly quiet, the
-    // case the enclosure-of cache must see); period 4 ends early (§V-D).
+    // Period 3 is quiet (every previously-active item must drop back to
+    // P0 in the table); period 4 ends early (§V-D).
     shape.n_records =
         period == 3 ? 0
                     : static_cast<int>(rng.UniformInt(int64_t{20},
@@ -221,39 +218,24 @@ TEST_P(DirtySetTest, DirtySetEqualsFullDiffAcrossPeriods) {
     for (const trace::LogicalIoRecord& rec : buffer.records()) {
       classifier.OnLogicalIo(rec);
     }
-    ClassificationResult result;
-    classifier.Finalize(catalog, shape.period_end, &result);
+    const ClassificationResult& result =
+        classifier.Finalize(catalog, shape.period_end);
 
-    if (period == 0) {
-      EXPECT_TRUE(classifier.dirty_items().empty());
-    } else {
-      std::vector<DataItemId> expected_dirty;
-      ASSERT_EQ(prev_table.size(), result.items.size());
-      for (size_t i = 0; i < result.items.size(); ++i) {
-        if (prev_table[i] !=
-            static_cast<uint8_t>(result.items[i].pattern)) {
-          expected_dirty.push_back(static_cast<DataItemId>(i));
-        }
-      }
-      EXPECT_EQ(classifier.dirty_items(), expected_dirty)
-          << "period " << period;
-      EXPECT_TRUE(std::is_sorted(classifier.dirty_items().begin(),
-                                 classifier.dirty_items().end()));
+    if (period == 3) {
+      EXPECT_EQ(result.pattern_counts[static_cast<size_t>(IoPattern::kP0)],
+                n_items);
     }
-    EXPECT_TRUE(classifier.has_previous());
-
-    // The published pattern table must mirror the result.
     ASSERT_EQ(classifier.patterns().size(), result.items.size());
-    prev_table.assign(result.items.size(), 0);
     for (size_t i = 0; i < result.items.size(); ++i) {
-      prev_table[i] = static_cast<uint8_t>(result.items[i].pattern);
-      EXPECT_EQ(classifier.patterns()[i], prev_table[i]);
+      EXPECT_EQ(classifier.patterns()[i],
+                static_cast<uint8_t>(result.items[i].pattern))
+          << "period " << period << " item " << i;
     }
     now = shape.period_end;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DirtySetTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, PatternTableTest,
                          ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------
@@ -279,8 +261,7 @@ TEST(ClassifierEdgeTest, EmptyCatalogWithStrayRecords) {
   for (const trace::LogicalIoRecord& rec : buffer.records()) {
     streaming.OnLogicalIo(rec);
   }
-  ClassificationResult actual;
-  streaming.Finalize(catalog, 520 * kSecond, &actual);
+  ClassificationResult actual = streaming.Finalize(catalog, 520 * kSecond);
   ExpectResultsIdentical(expected, actual, "empty catalog");
   EXPECT_TRUE(actual.items.empty());
   EXPECT_EQ(actual.mean_long_interval, 0);
@@ -295,8 +276,7 @@ TEST(ClassifierEdgeTest, QuietCatalogAllP0) {
   ClassificationResult expected =
       legacy.Classify(buffer, catalog, 0, 520 * kSecond);
   streaming.BeginPeriod(0);
-  ClassificationResult actual;
-  streaming.Finalize(catalog, 520 * kSecond, &actual);
+  ClassificationResult actual = streaming.Finalize(catalog, 520 * kSecond);
   ExpectResultsIdentical(expected, actual, "quiet catalog");
   EXPECT_EQ(actual.pattern_counts[0], 50);
   EXPECT_EQ(actual.mean_long_interval, 520 * kSecond);
@@ -321,8 +301,8 @@ TEST(ClassifierEdgeTest, StateReleasedWhenP3CandidacyLost) {
   // Long gap: candidacy lost, chunks go back to the free list.
   rec.time = 5000 * (kSecond / 10) + 2 * kBreakEven;
   classifier.OnLogicalIo(rec);
-  ClassificationResult result;
-  classifier.Finalize(catalog, rec.time + kSecond, &result);
+  ClassificationResult result =
+      classifier.Finalize(catalog, rec.time + kSecond);
   EXPECT_EQ(result.items[0].pattern, IoPattern::kP1);
   EXPECT_GT(classifier.peak_state_bytes(), 0u);
   EXPECT_GE(classifier.peak_state_bytes(), dense_state);

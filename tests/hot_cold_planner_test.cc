@@ -22,7 +22,8 @@ struct Fixture {
                      double iops) {
     DataItemId id =
         catalog
-            .AddItem("i" + std::to_string(catalog.item_count()),
+            .AddItem(std::string("i").append(
+                         std::to_string(catalog.item_count())),
                      static_cast<VolumeId>(enclosure), size,
                      storage::DataItemKind::kFile)
             .value();

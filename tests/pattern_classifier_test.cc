@@ -147,8 +147,8 @@ TEST_P(ClassifierPropertyTest, DefinitionInvariants) {
   const int n_items = 20;
   for (int i = 0; i < n_items; ++i) {
     ASSERT_TRUE(catalog
-                    .AddItem("i" + std::to_string(i), v, 1 << 20,
-                             storage::DataItemKind::kFile)
+                    .AddItem(std::string("i").append(std::to_string(i)), v,
+                             1 << 20, storage::DataItemKind::kFile)
                     .ok());
   }
   trace::LogicalTraceBuffer buffer;

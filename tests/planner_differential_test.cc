@@ -2,8 +2,9 @@
 // the indexed/heap/nth_element implementations in src/core must produce
 // bit-identical plans to the frozen stable_sort reference in
 // bench/legacy_planner.h across randomized fleets, and
-// PowerManagementFunction's enclosure-of cache must plan exactly as full
-// item-table walks do, period after period.
+// PowerManagementFunction's plans (post-plan placement, P3-on-cold safety
+// net, cache choice) must equal an independent full item-table walk,
+// period after period.
 
 #include <gtest/gtest.h>
 
@@ -89,7 +90,8 @@ RandomFleet MakeFleet(uint64_t seed) {
       const bool pinned = rng.NextDouble() < shape.pinned_fraction;
       DataItemId id =
           fleet.catalog
-              .AddItem("i" + std::to_string(fleet.catalog.item_count()),
+              .AddItem(std::string("i").append(
+                           std::to_string(fleet.catalog.item_count())),
                        static_cast<VolumeId>(e), size,
                        storage::DataItemKind::kFile, pinned)
               .value();
@@ -208,11 +210,11 @@ TEST(PlannerDifferentialTest, RepeatedPlansAreIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// The enclosure-of cache through PowerManagementFunction, with
-// migrations committing (partially!) between periods.
+// PowerManagementFunction against the full-walk oracle, with migrations
+// committing (partially!) between periods.
 // ---------------------------------------------------------------------
 
-class EnclosureCacheTest : public ::testing::Test {
+class PostPlanPlacementTest : public ::testing::Test {
  protected:
   static constexpr int kEnclosures = 8;
   static constexpr int kItemsPerEnclosure = 6;
@@ -222,8 +224,10 @@ class EnclosureCacheTest : public ::testing::Test {
       VolumeId v = catalog_.AddVolume(e);
       for (int i = 0; i < kItemsPerEnclosure; ++i) {
         items_.push_back(catalog_
-                             .AddItem("e" + std::to_string(e) + "_i" +
-                                          std::to_string(i),
+                             .AddItem(std::string("e")
+                                          .append(std::to_string(e))
+                                          .append("_i")
+                                          .append(std::to_string(i)),
                                       v, 40 * kMiB,
                                       storage::DataItemKind::kFile,
                                       /*pinned=*/pin_first_items_ && i == 0)
@@ -267,10 +271,11 @@ class EnclosureCacheTest : public ::testing::Test {
     buffer_.Add(rec);
   }
 
-  /// Runs the enclosure-of cache against the full-walk oracle for six
-  /// periods (defined below, after the oracle); true when the oracle's
-  /// safety net forced an enclosure hot in some period.
-  bool ExpectEnclosureCacheMatchesWalk();
+  /// Runs PowerManagementFunction against the full-walk oracle for six
+  /// periods under `config` (defined below, after the oracle); true when
+  /// the oracle's safety net forced a pinned P3 item's cold enclosure hot
+  /// in some period.
+  bool ExpectPlansMatchFullWalk(const PowerManagementConfig& config);
 
   monitor::MonitorSnapshot Snapshot(SimTime end) {
     monitor::MonitorSnapshot snapshot;
@@ -313,9 +318,9 @@ class EnclosureCacheTest : public ::testing::Test {
   bool pin_first_items_ = false;
 };
 
-class PinnedEnclosureCacheTest : public EnclosureCacheTest {
+class PinnedPostPlanPlacementTest : public PostPlanPlacementTest {
  protected:
-  PinnedEnclosureCacheTest() { pin_first_items_ = true; }
+  PinnedPostPlanPlacementTest() { pin_first_items_ = true; }
 };
 
 void ExpectSameManagementPlan(const ManagementPlan& got,
@@ -339,21 +344,21 @@ void ExpectSameManagementPlan(const ManagementPlan& got,
     EXPECT_EQ(got.cache.preload[i], want.cache.preload[i])
         << "round " << round;
   }
-  EXPECT_EQ(got.spin_down_allowed, want.spin_down_allowed)
-      << "round " << round;
   EXPECT_EQ(got.next_period, want.next_period) << "round " << round;
 }
 
-/// Full-walk oracle for PowerManagementFunction's enclosure-of cache: the
-/// plan a period would get if the post-migration item → enclosure map and
-/// the P3-on-cold safety net were rebuilt by walking the whole item table.
-/// Placement is re-run with the same planner; next_period does not
-/// depend on the cache and is copied.
-class EnclosureWalkOracle {
+/// Independent reference for PowerManagementFunction: the plan a period
+/// gets when the post-migration item → enclosure map is rebuilt from the
+/// virtualization layer and the P3-on-cold safety net walks every P3
+/// item. Placement (or, with placement disabled, the bare hot/cold split)
+/// is re-run with the same planners; next_period does not depend on the
+/// placement and is copied.
+class FullWalkOracle {
  public:
-  EnclosureWalkOracle(const PowerManagementConfig& config,
-                      const storage::StorageSystem& system)
-      : hot_cold_({config.max_enclosure_iops,
+  FullWalkOracle(const PowerManagementConfig& config,
+                 const storage::StorageSystem& system)
+      : enable_placement_(config.enable_placement),
+        hot_cold_({config.max_enclosure_iops,
                    system.config().enclosure.capacity_bytes}),
         placement_({config.max_enclosure_iops,
                     system.config().enclosure.capacity_bytes},
@@ -366,7 +371,12 @@ class EnclosureWalkOracle {
   ManagementPlan Plan(const ManagementPlan& plan,
                       const storage::BlockVirtualization& virt) {
     const ClassificationResult& classification = *plan.classification;
-    PlacementPlan placement = placement_.Plan(classification, virt);
+    PlacementPlan placement;
+    if (enable_placement_) {
+      placement = placement_.Plan(classification, virt);
+    } else {
+      placement.partition = hot_cold_.Plan(classification, virt);
+    }
     std::vector<EnclosureId> final_enclosure(classification.items.size());
     for (const ItemClassification& cls : classification.items) {
       final_enclosure[static_cast<size_t>(cls.item)] =
@@ -384,70 +394,80 @@ class EnclosureWalkOracle {
       if (!oracle.partition.is_hot[enc]) {
         oracle.partition.is_hot[enc] = true;
         oracle.partition.n_hot++;
-        safety_net_fired_ = true;
+      }
+      if (!placement.partition.is_hot[enc] &&
+          virt.catalog().item(cls.item).pinned) {
+        pinned_safety_net_fired_ = true;
       }
     }
     oracle.migrations = std::move(placement.migrations);
     oracle.cache =
         cache_.Plan(classification, oracle.partition, final_enclosure);
-    oracle.spin_down_allowed.assign(oracle.partition.is_hot.size(), false);
-    for (size_t e = 0; e < oracle.partition.is_hot.size(); ++e) {
-      oracle.spin_down_allowed[e] = !oracle.partition.is_hot[e];
-    }
     oracle.next_period = plan.next_period;
     return oracle;
   }
 
-  bool safety_net_fired() const { return safety_net_fired_; }
+  /// True once the safety net forced hot an enclosure that the planner
+  /// left cold and that holds a pinned P3 item.
+  bool pinned_safety_net_fired() const { return pinned_safety_net_fired_; }
 
  private:
+  bool enable_placement_;
   HotColdPlanner hot_cold_;
   PlacementPlanner placement_;
   CachePlanner cache_;
-  bool safety_net_fired_ = false;
+  bool pinned_safety_net_fired_ = false;
 };
 
-/// The enclosure-of cache (final-enclosure map + P3 count safety net,
-/// refreshed from the move journal instead of a full item-table walk)
-/// must produce plans identical to the full walks, including across
-/// partially committed migrations and stale journal entries. Returns
-/// whether the oracle's safety net ever forced an enclosure hot.
-bool EnclosureCacheTest::ExpectEnclosureCacheMatchesWalk() {
-  PowerManagementConfig config;
-  PowerManagementFunction cached(config, *system_);
-  EnclosureWalkOracle walk(config, *system_);
-  app_monitor_.SetSink(cached.classifier());
+/// PowerManagementFunction's plans must equal the full walks, including
+/// across partially committed migrations (the post-plan placement must
+/// follow the live residency, not what the last plan expected). Returns
+/// whether the oracle's safety net ever forced a pinned P3 item's cold
+/// enclosure hot.
+bool PostPlanPlacementTest::ExpectPlansMatchFullWalk(
+    const PowerManagementConfig& config) {
+  PowerManagementFunction function(config, *system_);
+  FullWalkOracle walk(config, *system_);
+  app_monitor_.SetSink(function.classifier());
 
   const SimTime period_end = 520 * kSecond;
   Xoshiro256 apply_rng(1234);
   const uint64_t traffic_round[] = {0, 1, 2, 3, 3, 3};
   for (uint64_t round = 0; round < 6; ++round) {
     app_monitor_.ResetPeriod(0);
-    cached.classifier()->BeginPeriod(0);
+    function.classifier()->BeginPeriod(0);
     FillPeriod(traffic_round[round], period_end);
     monitor::MonitorSnapshot snapshot = Snapshot(period_end);
 
-    ManagementPlan cached_plan = cached.Run(snapshot, *system_, 520 * kSecond);
-    ManagementPlan walk_plan = walk.Plan(cached_plan, system_->virtualization());
-    ExpectSameManagementPlan(cached_plan, walk_plan, round);
+    ManagementPlan plan = function.Run(snapshot, *system_, 520 * kSecond);
+    ManagementPlan walk_plan = walk.Plan(plan, system_->virtualization());
+    ExpectSameManagementPlan(plan, walk_plan, round);
 
-    for (const Migration& mig : cached_plan.migrations) {
+    for (const Migration& mig : plan.migrations) {
       if (round >= 3 || apply_rng.NextDouble() < 0.6) {
         EXPECT_TRUE(
             system_->virtualization().MoveItem(mig.item, mig.to).ok());
       }
     }
   }
-  return walk.safety_net_fired();
+  return walk.pinned_safety_net_fired();
 }
 
-TEST_F(EnclosureCacheTest, EnclosureCacheMatchesLegacyWalk) {
-  ExpectEnclosureCacheMatchesWalk();
+TEST_F(PostPlanPlacementTest, PlanMatchesFullWalk) {
+  ExpectPlansMatchFullWalk(PowerManagementConfig{});
 }
 
-TEST_F(PinnedEnclosureCacheTest,
-       EnclosureCacheMatchesLegacyWalkWithPinnedP3) {
-  EXPECT_TRUE(ExpectEnclosureCacheMatchesWalk());
+TEST_F(PinnedPostPlanPlacementTest, PlanMatchesFullWalkWithPinnedP3) {
+  EXPECT_TRUE(ExpectPlansMatchFullWalk(PowerManagementConfig{}));
+}
+
+/// With placement disabled nothing migrates, so the post-plan placement
+/// is the live residency alone, and every P3 item the hot/cold split
+/// leaves on a cold enclosure must force it hot.
+TEST_F(PinnedPostPlanPlacementTest, PlanMatchesFullWalkWithPlacementDisabled) {
+  PowerManagementConfig config;
+  config.enable_placement = false;
+  EXPECT_TRUE(ExpectPlansMatchFullWalk(config));
 }
 
 }  // namespace

@@ -119,9 +119,6 @@ TEST_F(PowerManagementTest, FullPlanConsolidatesAndProtectsPinned) {
   // hot (the safety net), while enclosure 2 may power off.
   EXPECT_TRUE(plan.partition.IsHot(1));
   EXPECT_FALSE(plan.partition.IsHot(2));
-  EXPECT_FALSE(plan.spin_down_allowed[0]);
-  EXPECT_FALSE(plan.spin_down_allowed[1]);
-  EXPECT_TRUE(plan.spin_down_allowed[2]);
   // The quiet read-only item on the cold enclosure is preloaded.
   ASSERT_EQ(plan.cache.preload.size(), 1u);
   EXPECT_EQ(plan.cache.preload[0].first, quiet_);
@@ -149,7 +146,7 @@ TEST_F(PowerManagementTest, EmptyPeriodYieldsAllP0AllCold) {
       function.Run(Snapshot(520 * kSecond), *system_, 520 * kSecond);
   EXPECT_EQ(plan.classification->pattern_counts[0], 4);  // all P0
   EXPECT_EQ(plan.partition.n_hot, 0);
-  for (bool allowed : plan.spin_down_allowed) EXPECT_TRUE(allowed);
+  for (bool hot : plan.partition.is_hot) EXPECT_FALSE(hot);
   // Period adapts from the P0 full-period intervals: 520 s * 1.2.
   EXPECT_EQ(plan.next_period, 624 * kSecond);
 }

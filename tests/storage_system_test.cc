@@ -362,8 +362,8 @@ TEST(SpinDownTimerDifferentialTest, MatchesPerIoCheckEvents) {
     for (int e = 0; e < kDiffEnclosures; ++e) {
       VolumeId v = catalog.AddVolume(e);
       ASSERT_TRUE(catalog
-                      .AddItem("i" + std::to_string(e), v, 64 * kMiB,
-                               DataItemKind::kFile)
+                      .AddItem(std::string("i").append(std::to_string(e)), v,
+                               64 * kMiB, DataItemKind::kFile)
                       .ok());
     }
     const SimDuration timeout = config.enclosure.spindown_timeout;
