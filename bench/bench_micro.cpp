@@ -1232,12 +1232,11 @@ bool OverheadGateTrips(const OverheadFigure& figure) {
   return true;
 }
 
-void WriteOverheadJson(std::FILE* out, const char* key, bool enabled,
+void WriteOverheadJson(std::FILE* out, const char* key,
                        const char* count_key, const OverheadFigure& figure) {
   std::fprintf(out, "  \"%s\": {\n", key);
   std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
   std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"enabled\": %s,\n", enabled ? "true" : "false");
   std::fprintf(out, "    \"%s\": %lld,\n", count_key,
                static_cast<long long>(figure.count));
   std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", figure.off_rate);
@@ -1469,13 +1468,13 @@ int WriteBenchPerfJson(const char* path_override) {
       [](int64_t* count) {
         ReplayFigure on =
             MeasureReplayThroughput(true, ReplayInstrument::kLiveConsumer);
-        if (telemetry::Recorder::kEnabled && on.rolling_windows <= 0) {
+        if (on.rolling_windows <= 0) {
           std::fprintf(stderr,
                        "BENCH_perf: live consumer closed no rolling windows "
                        "— the stream pump is not wired\n");
           std::exit(1);
         }
-        if (telemetry::Recorder::kEnabled && on.rolling_off_windows <= 0) {
+        if (on.rolling_off_windows <= 0) {
           std::fprintf(stderr,
                        "BENCH_perf: live ledger folded no off-windows — "
                        "its meta does not size the enclosure table\n");
@@ -1596,14 +1595,12 @@ int WriteBenchPerfJson(const char* path_override) {
                  i + 1 < 2 ? "," : "");
   }
   std::fprintf(out, "  },\n");
-  WriteOverheadJson(out, "telemetry_overhead", telemetry::Recorder::kEnabled,
-                    "events_recorded", telemetry_overhead);
-  WriteOverheadJson(out, "live_ledger_overhead",
-                    telemetry::Recorder::kEnabled, "rolling_windows",
+  WriteOverheadJson(out, "telemetry_overhead", "events_recorded",
+                    telemetry_overhead);
+  WriteOverheadJson(out, "live_ledger_overhead", "rolling_windows",
                     live_overhead);
-  WriteOverheadJson(out, "profile_overhead",
-                    telemetry::profile::Profiler::kEnabled,
-                    "spans_recorded", profile_overhead);
+  WriteOverheadJson(out, "profile_overhead", "spans_recorded",
+                    profile_overhead);
   std::fprintf(out, "  \"planner_scale\": {\n");
   std::fprintf(out, "    \"cases\": [\n");
   const PlannerScaleCase* planner_cases[] = {&planner_small, &planner_large};

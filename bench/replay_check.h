@@ -219,9 +219,7 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   // mask) AND a latency book, so passing the gate proves an instrumented
   // replay — including the analyzer's spun-down state probes — stays
   // bit-identical to the goldens; the goldens themselves were recorded
-  // the same way, and observation must never change the outcome. In an
-  // ECOSTORE_TELEMETRY=OFF build the recorders are empty stubs and the
-  // same fingerprints must still come out.
+  // the same way, and observation must never change the outcome.
   //
   // Each job additionally attaches the live streaming pipeline (a
   // StreamDispatcher feeding a RollingSummary consumer): the engine pumps
@@ -231,8 +229,7 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   // watching a replay cannot change it.
   // Each job also attaches a wall-clock phase profiler (DESIGN.md §15):
   // the gate thereby proves that profiling a replay cannot change its
-  // results. In an ECOSTORE_TELEMETRY=OFF build the profilers are empty
-  // stubs too.
+  // results.
   std::vector<std::unique_ptr<telemetry::Recorder>> recorders;
   std::vector<std::unique_ptr<telemetry::analysis::LatencyBook>> books;
   std::vector<std::unique_ptr<telemetry::StreamDispatcher>> streams;
@@ -281,7 +278,7 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
   for (const auto& roller : rollers) {
     off_windows += roller->ledger().exact().off_windows.size();
   }
-  if (telemetry::Recorder::kEnabled && off_windows == 0) {
+  if (off_windows == 0) {
     return Status::Internal(
         "replay check: the rolling ledgers folded no off-windows");
   }

@@ -102,10 +102,6 @@ inline int WriteProfileCapture(
   }
   std::printf("profile: %zu spans -> %s{.profile.jsonl,.profile.trace.json}\n",
               spans.size(), base.c_str());
-  if (!telemetry::profile::Profiler::kEnabled) {
-    std::printf("profile: NOTE — profiler compiled out "
-                "(ECOSTORE_TELEMETRY=OFF); exports are empty\n");
-  }
   return 0;
 }
 
@@ -233,10 +229,6 @@ inline int CaptureTelemetry(const CaptureFlags& flags,
     const int rc =
         WriteProfileCapture(flags.profile_base, pmeta, profiler.Drain());
     if (rc != 0) return rc;
-  }
-  if (!telemetry::Recorder::kEnabled) {
-    std::printf("telemetry: NOTE — recorder compiled out "
-                "(ECOSTORE_TELEMETRY=OFF); exports are empty\n");
   }
   return 0;
 }

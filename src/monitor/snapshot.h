@@ -3,18 +3,16 @@
 
 #include "common/sim_time.h"
 #include "monitor/application_monitor.h"
-#include "monitor/storage_monitor.h"
 
 namespace ecostore::monitor {
 
-/// \brief Read-only view over both monitors' repositories handed to a
-/// power-management policy at the end of a monitoring period (the input of
+/// \brief Read-only view over the application monitor's repository handed
+/// to a power-management policy at the end of a monitoring period (the input of
 /// paper Algorithm 1's loop body).
 struct MonitorSnapshot {
   SimTime period_start = 0;
   SimTime period_end = 0;
   const ApplicationMonitor* application = nullptr;
-  const StorageMonitor* storage = nullptr;
 
   SimDuration period_length() const { return period_end - period_start; }
 };

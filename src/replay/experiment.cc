@@ -31,10 +31,7 @@ Result<ExperimentMetrics> Experiment::Run() {
   migrations_ =
       std::make_unique<MigrationEngine>(&sim_, system_.get(),
                                         config_.migration);
-  storage_monitor_ = std::make_unique<monitor::StorageMonitor>(
-      system_->num_enclosures());
-  system_->AddObserver(storage_monitor_.get());
-  system_->AddObserver(this);
+  system_->SetObserver(this);
   system_->SetTelemetry(config_.telemetry);
   system_->SetLatencyBook(config_.latency_book);
   // Wall-clock profiling is bound per thread (always set, even to null,
@@ -52,7 +49,6 @@ Result<ExperimentMetrics> Experiment::Run() {
   period_index_ = 0;
   app_monitor_.SetSink(nullptr);
   app_monitor_.ResetPeriod(0);
-  storage_monitor_->ResetPeriod(0);
   policy_->Start(*system_, this);
   // Trace capture is opt-in: unless the policy reads the per-period
   // buffer, the monitor retains no per-I/O record and period memory
@@ -233,7 +229,6 @@ void Experiment::DoPeriodEnd() {
   snapshot.period_start = app_monitor_.period_start();
   snapshot.period_end = sim_.Now();
   snapshot.application = &app_monitor_;
-  snapshot.storage = storage_monitor_.get();
   SimDuration next = policy_->OnPeriodEnd(snapshot, *system_, this);
   if (telemetry::Wants(config_.telemetry, telemetry::kClassPeriod)) {
     config_.telemetry->Record(telemetry::MakePeriodEvent(
@@ -248,7 +243,6 @@ void Experiment::DoPeriodEnd() {
   }
   period_index_++;
   app_monitor_.ResetPeriod(sim_.Now());
-  storage_monitor_->ResetPeriod(sim_.Now());
   in_period_end_ = false;
   SchedulePeriodEnd(next);
 }
@@ -260,7 +254,7 @@ void Experiment::OnPhysicalIo(const trace::PhysicalIoRecord& rec) {
 
 void Experiment::OnIdleGapEnd(EnclosureId enclosure, SimTime at,
                               SimDuration gap) {
-  if (config_.collect_idle_gaps) metrics_.idle_gaps.push_back(gap);
+  metrics_.idle_gaps.push_back(gap);
   policy_->OnIdleGapEnd(enclosure, at, gap);
 }
 

@@ -5,7 +5,6 @@
 
 #include "common/result.h"
 #include "monitor/application_monitor.h"
-#include "monitor/storage_monitor.h"
 #include "policies/storage_policy.h"
 #include "replay/metrics.h"
 #include "replay/migration_engine.h"
@@ -25,9 +24,6 @@ struct ExperimentConfig {
   SimDuration duration = 0;
 
   MigrationEngine::Options migration;
-
-  /// Collect the idle-gap list for Fig. 17-19 style analysis.
-  bool collect_idle_gaps = true;
 
   /// Sampling interval for the wall power meter; 0 disables sampling.
   SimDuration power_sample_interval = 0;
@@ -131,7 +127,6 @@ class Experiment : public storage::StorageObserver,
   std::unique_ptr<storage::StorageSystem> system_;
   std::unique_ptr<MigrationEngine> migrations_;
   monitor::ApplicationMonitor app_monitor_;
-  std::unique_ptr<monitor::StorageMonitor> storage_monitor_;
 
   ExperimentMetrics metrics_;
   SimDuration horizon_ = 0;

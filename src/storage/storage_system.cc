@@ -35,19 +35,17 @@ Status StorageSystem::Init() {
 }
 
 void StorageSystem::NotifyPhysicalIo(const trace::PhysicalIoRecord& rec) {
-  for (StorageObserver* obs : observers_) obs->OnPhysicalIo(rec);
+  if (observer_ != nullptr) observer_->OnPhysicalIo(rec);
 }
 
 void StorageSystem::NotifyIdleGap(EnclosureId enclosure, SimTime at,
                                   SimDuration gap) {
-  for (StorageObserver* obs : observers_) obs->OnIdleGapEnd(enclosure, at, gap);
+  if (observer_ != nullptr) observer_->OnIdleGapEnd(enclosure, at, gap);
 }
 
 void StorageSystem::NotifyPowerState(EnclosureId enclosure, SimTime at,
                                      PowerState state) {
-  for (StorageObserver* obs : observers_) {
-    obs->OnPowerStateChange(enclosure, at, state);
-  }
+  if (observer_ != nullptr) observer_->OnPowerStateChange(enclosure, at, state);
 }
 
 void StorageSystem::RequestSpinDownCheck(EnclosureId enclosure) {

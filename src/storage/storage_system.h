@@ -21,8 +21,9 @@
 
 namespace ecostore::storage {
 
-/// \brief Receives storage-level events; implemented by the Storage
-/// Monitor and by metric collectors.
+/// \brief Receives storage-level events. The Experiment is the one
+/// observer of a run: it keeps the idle-gap and physical-I/O metrics and
+/// forwards each event to the policy (whose §V-D trigger counts spin-ups).
 class StorageObserver {
  public:
   virtual ~StorageObserver() = default;
@@ -74,9 +75,9 @@ class StorageSystem {
   /// Validates the config and lays items out on their initial enclosures.
   Status Init();
 
-  void AddObserver(StorageObserver* observer) {
-    observers_.push_back(observer);
-  }
+  /// Attaches (or detaches, with nullptr) the one observer of physical
+  /// I/O, idle gaps and power transitions. Not owned.
+  void SetObserver(StorageObserver* observer) { observer_ = observer; }
 
   /// Attaches (or detaches, with nullptr) the run's event recorder. The
   /// system does not own it; the caller keeps it alive across the run.
@@ -196,7 +197,7 @@ class StorageSystem {
     bool armed = false;
   };
   std::vector<SpinDownTimer> spin_down_timers_;
-  std::vector<StorageObserver*> observers_;
+  StorageObserver* observer_ = nullptr;
   telemetry::Recorder* telemetry_ = nullptr;
   telemetry::analysis::LatencyBook* latency_book_ = nullptr;
 

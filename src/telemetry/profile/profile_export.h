@@ -10,10 +10,6 @@
 //    The two clock domains are correlated by the span `seq` ids (period
 //    index), which match the kPeriodBoundary indices in the sim-time
 //    stream.
-//
-// Compiled unconditionally (plain vectors of Span): an
-// ECOSTORE_TELEMETRY=OFF build of eco_report still reads captures written
-// by enabled builds.
 
 #include <string>
 #include <vector>

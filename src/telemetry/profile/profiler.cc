@@ -1,7 +1,5 @@
 #include "telemetry/profile/profiler.h"
 
-#ifndef ECOSTORE_TELEMETRY_DISABLED
-
 namespace ecostore::telemetry::profile {
 
 namespace {
@@ -38,5 +36,3 @@ Profiler::~Profiler() {
 }
 
 }  // namespace ecostore::telemetry::profile
-
-#endif  // ECOSTORE_TELEMETRY_DISABLED

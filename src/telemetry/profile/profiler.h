@@ -12,14 +12,9 @@
 // profiles line up with the sim-time event stream across the two clock
 // domains.
 //
-// Two compile modes, switched together with the recorder's:
-//  - enabled (default): the real profiler below. An un-profiled run pays
-//    one thread-local load + branch per ScopedPhase site; a profiled
-//    thread pays two steady_clock reads per span plus one 32-byte append.
-//  - ECOSTORE_TELEMETRY_DISABLED (CMake -DECOSTORE_TELEMETRY=OFF): the
-//    whole API collapses to empty inline stubs (sizeof(Profiler) == 1,
-//    asserted by tests/profile_disabled_test.cc) and every ScopedPhase
-//    folds away.
+// An un-profiled run pays one thread-local load + branch per ScopedPhase
+// site; a profiled thread pays two steady_clock reads per span plus one
+// 32-byte append.
 //
 // The profiler is bound per *thread*, not threaded through call
 // signatures: Experiment::Run installs it with ScopedThreadProfiler, and
@@ -94,46 +89,9 @@ struct Span {
 static_assert(std::is_trivially_copyable_v<Span>);
 static_assert(sizeof(Span) == 32, "Span grew past its 32-byte budget");
 
-#ifdef ECOSTORE_TELEMETRY_DISABLED
-
-/// Compiled-out profiler: every member is an empty inline stub, so
-/// ScopedPhase sites are dead code the optimiser removes entirely. No .cc
-/// symbol is referenced, so translation units compiled with
-/// ECOSTORE_TELEMETRY_DISABLED need not link the library.
-/// sizeof(Profiler) must stay 1 so embedding a profiler pointer/member
-/// costs nothing.
+/// \brief The wall-clock profiler (see file header).
 class Profiler {
  public:
-  static constexpr bool kEnabled = false;
-
-  void Record(const Span&) {}
-  uint64_t recorded() const { return 0; }
-  std::vector<Span> Drain() { return {}; }
-};
-
-static_assert(sizeof(Profiler) == 1,
-              "disabled Profiler must stay an empty stub");
-
-inline Profiler* SetThreadProfiler(Profiler*) { return nullptr; }
-inline Profiler* ThreadProfiler() { return nullptr; }
-inline uint32_t SetThreadCorrelation(uint32_t) { return 0; }
-inline uint32_t ThreadCorrelation() { return 0; }
-
-/// Compiled-out scope: constructing one is a no-op of zero size impact.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(Phase, int64_t = 0) {}
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-};
-
-#else  // !ECOSTORE_TELEMETRY_DISABLED
-
-/// \brief The enabled wall-clock profiler (see file header).
-class Profiler {
- public:
-  static constexpr bool kEnabled = true;
-
   Profiler() : epoch_(std::chrono::steady_clock::now()) {}
   ~Profiler();
 
@@ -214,8 +172,6 @@ class ScopedPhase {
   int64_t detail_ = 0;
   std::chrono::steady_clock::time_point start_;
 };
-
-#endif  // ECOSTORE_TELEMETRY_DISABLED
 
 /// RAII thread binding: installs `profiler` (possibly null — an engine
 /// configured without one deliberately masks any stale outer binding for

@@ -7,14 +7,9 @@
 // capture holds the whole run, so the energy ledger prices every
 // decision it made.
 //
-// Two compile modes:
-//  - enabled (default): the real recorder below. A site costs one
-//    pointer test + one mask test when the class is filtered out, and one
-//    48-byte append to a thread-bound buffer when it records.
-//  - ECOSTORE_TELEMETRY_DISABLED (CMake -DECOSTORE_TELEMETRY=OFF): the
-//    whole API collapses to empty inline stubs (sizeof(Recorder) == 1,
-//    asserted by tests/telemetry_disabled_test.cc) and Wants() is
-//    constant false, so every event site folds away at compile time.
+// A site costs one pointer test + one mask test when no recorder is
+// attached or its class is filtered out, and one 48-byte append to a
+// thread-bound buffer when it records.
 //
 // The buffers are a ThreadLog (telemetry/thread_log.h), the same
 // per-thread append log the wall-clock profiler keeps its spans in.
@@ -31,37 +26,9 @@
 
 namespace ecostore::telemetry {
 
-#ifdef ECOSTORE_TELEMETRY_DISABLED
-
-/// Compiled-out recorder: every member is an empty inline stub, so call
-/// sites guarded by Wants() (constant false) are dead code the optimiser
-/// removes entirely. No .cc symbol is referenced, so translation units
-/// compiled with ECOSTORE_TELEMETRY_DISABLED need not link the library.
-/// sizeof(Recorder) must stay 1 so embedding a recorder pointer/member
-/// costs nothing measurable.
+/// \brief The event recorder (see file header).
 class Recorder {
  public:
-  static constexpr bool kEnabled = false;
-
-  explicit Recorder(uint32_t = kClassDefault) {}
-
-  uint32_t mask() const { return 0; }
-  void Record(const Event&) {}
-  uint64_t recorded() const { return 0; }
-  std::vector<Event> Drain() { return {}; }
-  void DrainInto(std::vector<Event>* out) { out->clear(); }
-};
-
-static_assert(sizeof(Recorder) == 1,
-              "disabled Recorder must stay an empty stub");
-
-#else  // !ECOSTORE_TELEMETRY_DISABLED
-
-/// \brief The enabled event recorder (see file header).
-class Recorder {
- public:
-  static constexpr bool kEnabled = true;
-
   /// `mask` selects the event classes to record (kClass* bitmask); it is
   /// fixed for the recorder's lifetime.
   explicit Recorder(uint32_t mask = kClassDefault) : mask_(mask) {}
@@ -93,18 +60,9 @@ class Recorder {
   ThreadLog<Event, &Event::time> log_;
 };
 
-#endif  // ECOSTORE_TELEMETRY_DISABLED
-
-/// The universal event-site guard: one null test + one mask test when
-/// telemetry is compiled in, constant false (dead code) when it is not.
+/// The universal event-site guard: one null test + one mask test.
 inline bool Wants(const Recorder* recorder, uint32_t event_class) {
-#ifdef ECOSTORE_TELEMETRY_DISABLED
-  (void)recorder;
-  (void)event_class;
-  return false;
-#else
   return recorder != nullptr && (recorder->mask() & event_class) != 0;
-#endif
 }
 
 }  // namespace ecostore::telemetry

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "monitor/application_monitor.h"
-#include "monitor/storage_monitor.h"
 #include "policies/basic_policies.h"
 #include "policies/ddr_policy.h"
 #include "policies/pdc_policy.h"
@@ -92,7 +91,6 @@ class BaselineFixture : public ::testing::Test {
     snapshot.period_start = start;
     snapshot.period_end = end;
     snapshot.application = &app_monitor_;
-    snapshot.storage = &storage_monitor_;
     return snapshot;
   }
 
@@ -125,7 +123,6 @@ class BaselineFixture : public ::testing::Test {
   storage::DataItemCatalog catalog_;
   std::unique_ptr<storage::StorageSystem> system_;
   monitor::ApplicationMonitor app_monitor_;
-  monitor::StorageMonitor storage_monitor_{3};
   std::vector<DataItemId> items_;
 };
 

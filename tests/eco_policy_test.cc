@@ -5,7 +5,6 @@
 
 #include "core/eco_storage_policy.h"
 #include "monitor/application_monitor.h"
-#include "monitor/storage_monitor.h"
 #include "sim/simulator.h"
 
 namespace ecostore::core {
@@ -78,7 +77,6 @@ class EcoPolicyTest : public ::testing::Test {
     snapshot.period_start = start;
     snapshot.period_end = end;
     snapshot.application = &app_monitor_;
-    snapshot.storage = &storage_monitor_;
     return snapshot;
   }
 
@@ -105,7 +103,6 @@ class EcoPolicyTest : public ::testing::Test {
   storage::DataItemCatalog catalog_;
   std::unique_ptr<storage::StorageSystem> system_;
   monitor::ApplicationMonitor app_monitor_;
-  monitor::StorageMonitor storage_monitor_{2};
   DataItemId busy_ = kInvalidDataItem;
   DataItemId episodic_ = kInvalidDataItem;
 };

@@ -147,6 +147,37 @@ TEST(ExperimentTest, OptedInPolicyGetsTheLogicalTrace) {
             metrics.value().logical_ios);
 }
 
+/// FixedTimeoutPolicy that counts the storage events the run forwards.
+class CountingTimeoutPolicy : public policies::FixedTimeoutPolicy {
+ public:
+  void OnPowerOn(EnclosureId enclosure, SimTime at) override {
+    FixedTimeoutPolicy::OnPowerOn(enclosure, at);
+    power_ons++;
+  }
+  void OnIdleGapEnd(EnclosureId enclosure, SimTime at,
+                    SimDuration gap) override {
+    FixedTimeoutPolicy::OnIdleGapEnd(enclosure, at, gap);
+    idle_gaps++;
+  }
+
+  int64_t power_ons = 0;
+  int64_t idle_gaps = 0;
+};
+
+TEST(ExperimentTest, ForwardsEverySpinUpAndIdleGapToThePolicy) {
+  auto workload = workload::FileServerWorkload::Create(TinyFsConfig());
+  ASSERT_TRUE(workload.ok());
+  CountingTimeoutPolicy policy;
+  Experiment experiment(workload.value().get(), &policy, ExperimentConfig{});
+  auto metrics = experiment.Run();
+  ASSERT_TRUE(metrics.ok());
+  const ExperimentMetrics& m = metrics.value();
+  EXPECT_GT(policy.power_ons, 0);
+  EXPECT_EQ(policy.power_ons, m.spinups);
+  EXPECT_GT(policy.idle_gaps, 0);
+  EXPECT_EQ(policy.idle_gaps, static_cast<int64_t>(m.idle_gaps.size()));
+}
+
 /// Asks for a preload set larger than the preload area, which the
 /// runtime rejects with a warning.
 class OversizedPreloadPolicy : public policies::NoPowerSavingPolicy {

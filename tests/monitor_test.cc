@@ -1,10 +1,9 @@
-// Tests for the Application and Storage Monitors (paper §III).
+// Tests for the Application Monitor and the period snapshot (paper §III).
 
 #include <gtest/gtest.h>
 
 #include "monitor/application_monitor.h"
 #include "monitor/snapshot.h"
-#include "monitor/storage_monitor.h"
 
 namespace ecostore::monitor {
 namespace {
@@ -32,29 +31,12 @@ TEST(ApplicationMonitorTest, RecordsAndResets) {
   EXPECT_EQ(monitor.total_records(), 2);
 }
 
-TEST(StorageMonitorTest, CountsSpinUpsPerPeriod) {
-  StorageMonitor monitor(3);
-  monitor.OnPowerStateChange(1, 10, storage::PowerState::kSpinningUp);
-  monitor.OnPowerStateChange(1, 20, storage::PowerState::kOff);
-  monitor.OnPowerStateChange(2, 30, storage::PowerState::kSpinningUp);
-  // Power-on counts only count spin-ups, per enclosure.
-  EXPECT_EQ(monitor.power_on_count(0), 0);
-  EXPECT_EQ(monitor.power_on_count(1), 1);
-  EXPECT_EQ(monitor.power_on_count(2), 1);
-
-  monitor.ResetPeriod(100);
-  EXPECT_EQ(monitor.power_on_count(1), 0);
-  EXPECT_EQ(monitor.period_start(), 100);
-}
-
 TEST(MonitorSnapshotTest, PeriodLength) {
   ApplicationMonitor app;
-  StorageMonitor storage(1);
   MonitorSnapshot snapshot;
   snapshot.period_start = 100;
   snapshot.period_end = 620;
   snapshot.application = &app;
-  snapshot.storage = &storage;
   EXPECT_EQ(snapshot.period_length(), 520);
 }
 

@@ -20,7 +20,6 @@
 #include "core/placement_planner.h"
 #include "core/power_management.h"
 #include "monitor/application_monitor.h"
-#include "monitor/storage_monitor.h"
 #include "sim/simulator.h"
 #include "storage/storage_system.h"
 
@@ -282,7 +281,6 @@ class PostPlanPlacementTest : public ::testing::Test {
     snapshot.period_start = 0;
     snapshot.period_end = end;
     snapshot.application = &app_monitor_;
-    snapshot.storage = &storage_monitor_;
     return snapshot;
   }
 
@@ -310,7 +308,6 @@ class PostPlanPlacementTest : public ::testing::Test {
   storage::DataItemCatalog catalog_;
   std::unique_ptr<storage::StorageSystem> system_;
   monitor::ApplicationMonitor app_monitor_;
-  monitor::StorageMonitor storage_monitor_{kEnclosures};
   SortedBuffer buffer_{{}, &app_monitor_};
   std::vector<DataItemId> items_;
   /// Pins the first item of every enclosure: a pinned P3 item on a cold

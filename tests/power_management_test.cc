@@ -67,7 +67,6 @@ class PowerManagementTest : public ::testing::Test {
     snapshot.period_start = 0;
     snapshot.period_end = end;
     snapshot.application = &app_monitor_;
-    snapshot.storage = &storage_monitor_;
     return snapshot;
   }
 
@@ -76,7 +75,6 @@ class PowerManagementTest : public ::testing::Test {
   storage::DataItemCatalog catalog_;
   std::unique_ptr<storage::StorageSystem> system_;
   monitor::ApplicationMonitor app_monitor_;
-  monitor::StorageMonitor storage_monitor_{3};
   DataItemId busy_ = kInvalidDataItem;
   DataItemId stray_ = kInvalidDataItem;
   DataItemId quiet_ = kInvalidDataItem;

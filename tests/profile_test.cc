@@ -41,11 +41,7 @@ Span MakeSpan(int64_t start_ns, int64_t dur_ns, Phase phase,
   return s;
 }
 
-// The profiler-behaviour tests assert the *enabled* semantics; in a
-// -DECOSTORE_TELEMETRY=OFF build the stub (correctly) records nothing,
-// which tests/profile_disabled_test.cc verifies instead.
 TEST(ProfilerTest, RecordAndDrain) {
-  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   profiler.Record(MakeSpan(100, 10, Phase::kIngest));
   profiler.Record(MakeSpan(50, 5, Phase::kPlan));
@@ -62,7 +58,6 @@ TEST(ProfilerTest, RecordAndDrain) {
 }
 
 TEST(ProfilerTest, KeepsEverySpanPastTheOldDefaultCapacity) {
-  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   // 2^18 was the default per-thread ring capacity, past which the oldest
   // spans used to be overwritten. Recorded in reverse start order, so the
   // drain must also reorder all of them.
@@ -82,7 +77,6 @@ TEST(ProfilerTest, KeepsEverySpanPastTheOldDefaultCapacity) {
 }
 
 TEST(ProfilerTest, MultiThreadBuffersMergeSorted) {
-  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -103,7 +97,6 @@ TEST(ProfilerTest, MultiThreadBuffersMergeSorted) {
 }
 
 TEST(ProfilerTest, ScopedPhaseStampsBindingAndCorrelation) {
-  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   {
     ScopedThreadProfiler bind(&profiler);
@@ -128,7 +121,6 @@ TEST(ProfilerTest, ScopedPhaseStampsBindingAndCorrelation) {
 }
 
 TEST(ProfilerTest, UnboundThreadIsInert) {
-  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   // No ScopedThreadProfiler: phases must not record anywhere.
   { ScopedPhase phase(Phase::kIngest); }
@@ -148,7 +140,6 @@ TEST(ProfilerTest, UnboundThreadIsInert) {
 }
 
 TEST(ProfilerTest, ScopedBindingsRestorePrevious) {
-  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler a, b;
   ScopedThreadProfiler bind_a(&a);
   {

@@ -51,7 +51,7 @@ class StorageSystemTest : public ::testing::Test {
     config_.num_enclosures = 2;
     system_ = std::make_unique<StorageSystem>(&sim_, config_, &catalog_);
     ASSERT_TRUE(system_->Init().ok());
-    system_->AddObserver(&observer_);
+    system_->SetObserver(&observer_);
   }
 
   trace::LogicalIoRecord Read(DataItemId item, int64_t offset,
@@ -372,7 +372,7 @@ TEST(SpinDownTimerDifferentialTest, MatchesPerIoCheckEvents) {
     StorageSystem system(&sim, config, &catalog);
     ASSERT_TRUE(system.Init().ok());
     SpinDownLog<StorageSystem> log(&sim, &system, timeout);
-    system.AddObserver(&log);
+    system.SetObserver(&log);
     int64_t reallows = 0;
     DriveSpinDownOps(seed, &sim, &system, &log, &reallows);
 

@@ -190,7 +190,6 @@ void CheckIncrementalMatchesBatch(const CapturedRun& run,
 }
 
 TEST(IncrementalLedgerTest, MatchesBatchAtEveryBoundarySerialRandomized) {
-  if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   // Seeds change the I/O interleaving (and hence off-window placement);
   // window lengths are deliberately not divisors of the duration and not
   // aligned with the policy's 520 s monitoring period.
@@ -213,7 +212,6 @@ TEST(IncrementalLedgerTest, MatchesBatchAtEveryBoundarySerialRandomized) {
 }
 
 TEST(IncrementalLedgerTest, MatchesBatchWithoutPowerSavingPolicy) {
-  if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   // Degenerate coverage: no off windows, stream tallies only.
   CapturedRun run = RunInstrumentedSerial(7ull, /*eco=*/false,
                                           10 * kMinute);
@@ -283,7 +281,6 @@ TEST(IncrementalLedgerTest, WriteDelaySetWithoutAdmitsOnlyDebitsOccupancy) {
 // --- rolling summary ------------------------------------------------------
 
 TEST(RollingSummaryTest, WindowsTileTheRunAndTelescopeToTheTotal) {
-  if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   CapturedRun run = RunInstrumentedSerial(42ull, /*eco=*/true,
                                           20 * kMinute);
   const SimDuration window = 130 * kSecond;  // not a divisor of 1200 s
@@ -369,7 +366,6 @@ TEST(RollingSummaryTest, WindowsTileTheRunAndTelescopeToTheTotal) {
 }
 
 TEST(RollingSummaryTest, RetentionBoundsMemoryButNotTheStream) {
-  if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   CapturedRun run = RunInstrumentedSerial(42ull, /*eco=*/true,
                                           20 * kMinute);
   RollingSummary::Options ropt;
@@ -435,7 +431,6 @@ TEST(ReadJsonlChunkTest, StripsCarriageReturnsAndHandlesEmptyReads) {
 // cut ("resume at offset" semantics), then complete once the rest of the
 // file lands — with events identical to a one-shot strict parse.
 TEST(CaptureTailParserTest, ResumesAcrossByteTruncation) {
-  if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   CapturedRun run = RunInstrumentedSerial(42ull, /*eco=*/true, 5 * kMinute);
   const std::string base = TempPath("tail_capture");
   ASSERT_TRUE(ExportAll(base, run.meta, run.events).ok());

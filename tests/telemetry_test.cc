@@ -28,11 +28,6 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-// The recorder-behaviour tests assert the *enabled* semantics; in a
-// -DECOSTORE_TELEMETRY=OFF build the stub (correctly) records nothing,
-// which tests/telemetry_disabled_test.cc verifies instead.
-#ifndef ECOSTORE_TELEMETRY_DISABLED
-
 TEST(RecorderTest, DrainsMergedStreamOrderedBySimTime) {
   Recorder recorder;
   recorder.Record(MakeIdleGapEvent(30, 1, 5));
@@ -103,8 +98,6 @@ TEST(RecorderTest, ConcurrentRecordingIsRaceFree) {
     ASSERT_LE(events[i - 1].time, events[i].time);
   }
 }
-
-#endif  // !ECOSTORE_TELEMETRY_DISABLED
 
 TEST(LoggerTest, ThresholdIsAtomicallyAdjustable) {
   LogLevel before = Logger::threshold.load();
@@ -345,9 +338,7 @@ TEST(TelemetryReplayTest, AttachedRecorderKeepsReplayBitIdentical) {
   uint64_t with_telemetry = fingerprint(&recorder);
   uint64_t without = fingerprint(nullptr);
   EXPECT_EQ(with_telemetry, without);
-  if (Recorder::kEnabled) {
-    EXPECT_GT(recorder.recorded(), 0u);
-  }
+  EXPECT_GT(recorder.recorded(), 0u);
 }
 
 }  // namespace
