@@ -50,11 +50,7 @@ int main(int argc, char** argv) {
   // Every run (each variant and the telemetry capture) replays its own
   // deterministic clone of the workload.
   replay::WorkloadFactory file_server =
-      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-    auto wl = workload::FileServerWorkload::Create(wl_config);
-    if (!wl.ok()) return wl.status();
-    return std::unique_ptr<workload::Workload>(std::move(wl).value());
-  };
+      replay::FactoryOf<workload::FileServerWorkload>(wl_config);
 
   core::PowerManagementConfig full;
 

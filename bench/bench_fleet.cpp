@@ -65,11 +65,7 @@ int main(int argc, char** argv) {
   // nothing with it; --capture-only runs just this.
   replay::ExperimentJob capture_job;
   capture_job.workload =
-      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-    auto wl = workload::CloudBlockWorkload::Create(wl_config);
-    if (!wl.ok()) return wl.status();
-    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
-  };
+      replay::FactoryOf<workload::CloudBlockWorkload>(wl_config);
   capture_job.policy = replay::PaperPolicySet(pm)[1];
   capture_job.config = config;
   if (capture.capture_only) {

@@ -36,26 +36,18 @@ int main(int argc, char** argv) {
   // (PaperPolicySet index 1), after the figures so the capture shares
   // nothing with them; --capture-only runs just this.
   replay::ExperimentJob capture_job;
-  capture_job.workload =
-      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-    auto wl = workload::OltpWorkload::Create(wl_config);
-    if (!wl.ok()) return wl.status();
-    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
-  };
+  capture_job.workload = replay::FactoryOf<workload::OltpWorkload>(wl_config);
   capture_job.policy = replay::PaperPolicySet(pm)[1];
   capture_job.config = config;
   if (capture.capture_only) {
     return bench::CaptureTelemetry(capture, std::move(capture_job));
   }
 
-  auto workload = workload::OltpWorkload::Create(wl_config);
-  if (!workload.ok()) {
-    std::cerr << workload.status().ToString() << "\n";
-    return 1;
-  }
-
-  auto runs = replay::RunSuite(workload.value().get(),
-                               replay::PaperPolicySet(pm), config);
+  // Each policy replays its own deterministic workload clone (the capture
+  // job's factory).
+  auto runs = replay::ParallelRunSuite(capture_job.workload,
+                                       replay::PaperPolicySet(pm), config,
+                                       replay::SuiteOptions{});
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;

@@ -37,12 +37,7 @@ int main(int argc, char** argv) {
   // (PaperPolicySet index 1), after the figures so the capture shares
   // nothing with them; --capture-only runs just this.
   replay::ExperimentJob capture_job;
-  capture_job.workload =
-      [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-    auto wl = workload::DssWorkload::Create(wl_config);
-    if (!wl.ok()) return wl.status();
-    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
-  };
+  capture_job.workload = replay::FactoryOf<workload::DssWorkload>(wl_config);
   capture_job.policy = replay::PaperPolicySet(pm)[1];
   capture_job.config = config;
   if (capture.capture_only) {

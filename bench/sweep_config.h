@@ -117,19 +117,12 @@ inline std::vector<SweepSection> SweepSections(
 /// bench_sweep prints them in).
 inline std::vector<replay::ExperimentJob> SweepJobs(
     const std::vector<SweepSection>& sections) {
-  auto file_server_factory = [](const workload::FileServerConfig& wl) {
-    return [wl]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto workload = workload::FileServerWorkload::Create(wl);
-      if (!workload.ok()) return workload.status();
-      return std::unique_ptr<workload::Workload>(std::move(workload).value());
-    };
-  };
-
   std::vector<replay::ExperimentJob> jobs;
   for (const SweepSection& section : sections) {
     for (const SweepRowSpec& row : section.rows) {
       replay::ExperimentJob base;
-      base.workload = file_server_factory(row.wl);
+      base.workload =
+          replay::FactoryOf<workload::FileServerWorkload>(row.wl);
       base.policy = [] {
         return std::make_unique<policies::NoPowerSavingPolicy>();
       };
@@ -137,7 +130,7 @@ inline std::vector<replay::ExperimentJob> SweepJobs(
       jobs.push_back(std::move(base));
 
       replay::ExperimentJob eco;
-      eco.workload = file_server_factory(row.wl);
+      eco.workload = replay::FactoryOf<workload::FileServerWorkload>(row.wl);
       core::PowerManagementConfig pm = row.pm;
       eco.policy = [pm] {
         return std::make_unique<core::EcoStoragePolicy>(pm);

@@ -28,6 +28,7 @@
 #include "telemetry/analysis/rolling_summary.h"
 #include "telemetry/analysis/summary.h"
 #include "telemetry/export.h"
+#include "telemetry/file_handle.h"
 #include "telemetry/profile/profile_export.h"
 #include "telemetry/profile/profiler.h"
 #include "telemetry/recorder.h"
@@ -151,9 +152,9 @@ inline int CaptureTelemetry(const CaptureFlags& flags,
   telemetry::StreamDispatcher dispatcher;
   telemetry::CaptureBuffer capture_buffer;
   std::unique_ptr<telemetry::analysis::RollingSummary> rolling;
-  std::FILE* rolling_file = nullptr;
+  telemetry::FilePtr rolling_file;
   if (rolling_on) {
-    rolling_file = std::fopen(flags.rolling_path.c_str(), "w");
+    rolling_file.reset(std::fopen(flags.rolling_path.c_str(), "w"));
     if (rolling_file == nullptr) {
       std::fprintf(stderr, "rolling summary: cannot write %s\n",
                    flags.rolling_path.c_str());
@@ -170,7 +171,7 @@ inline int CaptureTelemetry(const CaptureFlags& flags,
     telemetry::analysis::RollingSummary::Options ropt;
     ropt.window_us = flags.rolling_window;
     ropt.book = &book;
-    ropt.jsonl = rolling_file;
+    ropt.jsonl = rolling_file.get();
     ropt.progress = stdout;
     rolling = std::make_unique<telemetry::analysis::RollingSummary>(pre_meta,
                                                                     ropt);
@@ -184,7 +185,6 @@ inline int CaptureTelemetry(const CaptureFlags& flags,
                                 job.config);
   auto metrics = experiment.Run();
   if (!metrics.ok()) {
-    if (rolling_file != nullptr) std::fclose(rolling_file);
     std::fprintf(stderr, "telemetry capture run: %s\n",
                  metrics.status().ToString().c_str());
     return 1;
@@ -194,9 +194,13 @@ inline int CaptureTelemetry(const CaptureFlags& flags,
       BuildCaptureMeta(metrics.value(), *experiment.system(), &book);
   std::vector<telemetry::Event> events =
       rolling_on ? capture_buffer.Take() : recorder.Drain();
-  if (rolling_file != nullptr) {
-    std::fclose(rolling_file);
-    rolling_file = nullptr;
+  if (rolling_on) {
+    Status st = telemetry::CloseWritten(std::move(rolling_file),
+                                        flags.rolling_path);
+    if (!st.ok()) {
+      std::fprintf(stderr, "rolling summary: %s\n", st.ToString().c_str());
+      return 1;
+    }
     std::printf("rolling summary: %lld windows (%.0fs each) -> %s\n",
                 static_cast<long long>(rolling->windows_closed()),
                 ToSeconds(job.config.stream_window_us),

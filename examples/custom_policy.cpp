@@ -102,11 +102,6 @@ int main(int argc, char** argv) {
     wl_config.duration = static_cast<SimDuration>(
         std::atof(argv[1]) * static_cast<double>(kMinute));
   }
-  auto workload = workload::FileServerWorkload::Create(wl_config);
-  if (!workload.ok()) {
-    std::cerr << "workload: " << workload.status().ToString() << "\n";
-    return 1;
-  }
 
   std::vector<replay::PolicyFactory> factories;
   factories.push_back(
@@ -118,8 +113,9 @@ int main(int argc, char** argv) {
         core::PowerManagementConfig{});
   });
 
-  auto runs = replay::RunSuite(workload.value().get(), factories,
-                               replay::ExperimentConfig{});
+  auto runs = replay::ParallelRunSuite(
+      replay::FactoryOf<workload::FileServerWorkload>(wl_config), factories,
+      replay::ExperimentConfig{}, replay::SuiteOptions{});
   if (!runs.ok()) {
     std::cerr << "run: " << runs.status().ToString() << "\n";
     return 1;

@@ -21,17 +21,9 @@
 
 using namespace ecostore;  // NOLINT: example brevity
 
-int main(int argc, char** argv) {
-  Logger::threshold = LogLevel::kWarn;
-
-  SimDuration duration = 45 * kMinute;
-  if (argc > 1) {
-    duration = static_cast<SimDuration>(std::atof(argv[1]) *
-                                        static_cast<double>(kMinute));
-  }
-
-  // A thinned file server (6 enclosures) plus a small OLTP rig (4 DB
-  // enclosures + log) on an 11-enclosure array.
+/// A thinned file server (6 enclosures) plus a small OLTP rig (4 DB
+/// enclosures + log) on an 11-enclosure array.
+Result<std::unique_ptr<workload::Workload>> CreateMixed(SimDuration duration) {
   workload::FileServerConfig fs_config;
   fs_config.duration = duration;
   fs_config.num_enclosures = 6;
@@ -41,26 +33,35 @@ int main(int argc, char** argv) {
   fs_config.tail_files = 300;
   fs_config.archive_files = 70;
   auto fs = workload::FileServerWorkload::Create(fs_config);
-  if (!fs.ok()) {
-    std::cerr << fs.status().ToString() << "\n";
-    return 1;
-  }
+  if (!fs.ok()) return fs.status();
 
   workload::OltpConfig oltp_config;
   oltp_config.duration = duration;
   oltp_config.db_enclosures = 4;
   oltp_config.total_db_iops = 1600;
   auto oltp = workload::OltpWorkload::Create(oltp_config);
-  if (!oltp.ok()) {
-    std::cerr << oltp.status().ToString() << "\n";
-    return 1;
-  }
+  if (!oltp.ok()) return oltp.status();
 
   std::vector<std::unique_ptr<workload::Workload>> children;
   children.push_back(std::move(fs).value());
   children.push_back(std::move(oltp).value());
   auto mixed = workload::CompositeWorkload::Create("mixed_datacenter",
                                                    std::move(children));
+  if (!mixed.ok()) return mixed.status();
+  return Result<std::unique_ptr<workload::Workload>>(
+      std::move(mixed).value());
+}
+
+int main(int argc, char** argv) {
+  Logger::threshold = LogLevel::kWarn;
+
+  SimDuration duration = 45 * kMinute;
+  if (argc > 1) {
+    duration = static_cast<SimDuration>(std::atof(argv[1]) *
+                                        static_cast<double>(kMinute));
+  }
+
+  auto mixed = CreateMixed(duration);
   if (!mixed.ok()) {
     std::cerr << mixed.status().ToString() << "\n";
     return 1;
@@ -74,8 +75,9 @@ int main(int argc, char** argv) {
   replay::ExperimentConfig config;
   config.power_sample_interval = 30 * kSecond;
   core::PowerManagementConfig pm;
-  auto runs = replay::RunSuite(mixed.value().get(),
-                               replay::PaperPolicySet(pm), config);
+  auto runs = replay::ParallelRunSuite(
+      [duration] { return CreateMixed(duration); },
+      replay::PaperPolicySet(pm), config, replay::SuiteOptions{});
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;

@@ -35,8 +35,9 @@ int main(int argc, char** argv) {
   replay::ExperimentConfig config;
   core::PowerManagementConfig pm;
 
-  auto runs = replay::RunSuite(workload.value().get(),
-                               replay::PaperPolicySet(pm), config);
+  auto runs = replay::ParallelRunSuite(
+      replay::FactoryOf<workload::OltpWorkload>(wl_config),
+      replay::PaperPolicySet(pm), config, replay::SuiteOptions{});
   if (!runs.ok()) {
     std::cerr << "run: " << runs.status().ToString() << "\n";
     return 1;

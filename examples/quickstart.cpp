@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
   // are the PowerManagementConfig defaults.
   core::PowerManagementConfig pm;
 
-  auto runs = replay::RunSuite(workload.value().get(),
-                               replay::PaperPolicySet(pm), config);
+  auto runs = replay::ParallelRunSuite(
+      replay::FactoryOf<workload::FileServerWorkload>(wl_config),
+      replay::PaperPolicySet(pm), config, replay::SuiteOptions{});
   if (!runs.ok()) {
     std::cerr << "run: " << runs.status().ToString() << "\n";
     return 1;

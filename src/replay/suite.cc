@@ -23,22 +23,6 @@ Result<ExperimentMetrics> RunOneJob(const ExperimentJob& job) {
 
 }  // namespace
 
-Result<std::vector<ExperimentMetrics>> RunSuite(
-    workload::Workload* workload,
-    const std::vector<PolicyFactory>& policies,
-    const ExperimentConfig& config) {
-  std::vector<ExperimentMetrics> results;
-  results.reserve(policies.size());
-  for (const PolicyFactory& factory : policies) {
-    std::unique_ptr<policies::StoragePolicy> policy = factory();
-    Experiment experiment(workload, policy.get(), config);
-    Result<ExperimentMetrics> metrics = experiment.Run();
-    if (!metrics.ok()) return metrics.status();
-    results.push_back(std::move(metrics).value());
-  }
-  return results;
-}
-
 Result<std::vector<ExperimentMetrics>> RunExperiments(
     const std::vector<ExperimentJob>& jobs, const SuiteOptions& options) {
   if (options.num_threads < 1) {

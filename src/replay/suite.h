@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -28,10 +29,20 @@ using PolicyFactory =
 using WorkloadFactory =
     std::function<Result<std::unique_ptr<workload::Workload>>()>;
 
-/// Execution options of the parallel suite/experiment runners.
+/// The WorkloadFactory that builds `W::Create(config)` for each run.
+template <typename W, typename Config>
+WorkloadFactory FactoryOf(const Config& config) {
+  return [config]() -> Result<std::unique_ptr<workload::Workload>> {
+    auto wl = W::Create(config);
+    if (!wl.ok()) return wl.status();
+    return Result<std::unique_ptr<workload::Workload>>(std::move(wl).value());
+  };
+}
+
+/// Execution options of the suite/experiment runners.
 struct SuiteOptions {
   /// Worker threads; 1 (the default) runs everything serially in the
-  /// calling thread, byte-identical to RunSuite.
+  /// calling thread, with the same results as any other count.
   int num_threads = 1;
 };
 
@@ -43,14 +54,6 @@ struct ExperimentJob {
   ExperimentConfig config;
 };
 
-/// \brief Runs one workload under several policies, resetting the
-/// workload between runs so every policy replays the identical trace
-/// (the paper's methodology, §VII-A).
-Result<std::vector<ExperimentMetrics>> RunSuite(
-    workload::Workload* workload,
-    const std::vector<PolicyFactory>& policies,
-    const ExperimentConfig& config);
-
 /// \brief Runs arbitrary independent experiments, concurrently when
 /// options.num_threads > 1. Results are returned in job order regardless
 /// of completion order, and each job's workload/policy instances are
@@ -59,9 +62,10 @@ Result<std::vector<ExperimentMetrics>> RunSuite(
 Result<std::vector<ExperimentMetrics>> RunExperiments(
     const std::vector<ExperimentJob>& jobs, const SuiteOptions& options);
 
-/// \brief Parallel counterpart of RunSuite: one workload (cloned per run
-/// through `workload`) under several policies. With num_threads == 1 the
-/// experiments execute serially in suite order.
+/// \brief Runs one workload under several policies. Each run replays its
+/// own clone from `workload`, so every policy replays the identical trace
+/// (the paper's methodology, §VII-A). Results are in `policies` order;
+/// with num_threads == 1 the experiments execute serially in that order.
 Result<std::vector<ExperimentMetrics>> ParallelRunSuite(
     const WorkloadFactory& workload,
     const std::vector<PolicyFactory>& policies,

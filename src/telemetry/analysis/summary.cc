@@ -4,20 +4,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <iterator>
+#include <string>
+#include <type_traits>
+#include <utility>
 
+#include "telemetry/file_handle.h"
 #include "telemetry/flat_json.h"
 
 namespace ecostore::telemetry::analysis {
 
 namespace {
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 int PatternFromName(const std::string& name) {
   for (int p = 0; p < kNumPatternSlots; ++p) {
@@ -33,15 +30,27 @@ int OutcomeFromName(const std::string& name) {
   return 0;
 }
 
-void PrintKVF(std::FILE* f, const char* indent, const char* key, double value,
-              bool comma) {
-  std::fprintf(f, "%s\"%s\": %.17g%s\n", indent, key, value, comma ? "," : "");
+/// `"key": value` as the summary file spells it: %.17g for a double
+/// (it round-trips exactly), a decimal integer otherwise (bool as 0/1).
+template <typename R, typename S>
+std::string FieldJson(const char* key, const R& record,
+                      const FieldMember<S>& member) {
+  char buf[96];
+  VisitField(record, member, [&](auto value) {
+    if constexpr (std::is_same_v<decltype(value), double>) {
+      std::snprintf(buf, sizeof(buf), "\"%s\": %.17g", key, value);
+    } else {
+      std::snprintf(buf, sizeof(buf), "\"%s\": %lld", key,
+                    static_cast<long long>(value));
+    }
+  });
+  return buf;
 }
 
-void PrintKVI(std::FILE* f, const char* indent, const char* key, int64_t value,
-              bool comma) {
-  std::fprintf(f, "%s\"%s\": %lld%s\n", indent, key,
-               static_cast<long long>(value), comma ? "," : "");
+template <typename R, typename S>
+double FieldValue(const R& record, const FieldMember<S>& member) {
+  return VisitField(record, member,
+                    [](auto value) { return static_cast<double>(value); });
 }
 
 }  // namespace
@@ -114,152 +123,95 @@ Status WriteSummaryJson(const std::string& path, const Summary& s) {
   std::fprintf(f.get(), "  \"schema\": 1,\n");
   std::fprintf(f.get(), "  \"workload\": \"%s\",\n", s.workload.c_str());
   std::fprintf(f.get(), "  \"policy\": \"%s\",\n", s.policy.c_str());
-  PrintKVI(f.get(), "  ", "num_enclosures", s.num_enclosures, true);
-  PrintKVI(f.get(), "  ", "duration_us", s.duration, true);
-  std::fprintf(f.get(), "  \"energy\": {\n");
-  PrintKVF(f.get(), "    ", "enclosure_j", s.enclosure_energy_j, true);
-  PrintKVF(f.get(), "    ", "controller_j", s.controller_energy_j, true);
-  PrintKVF(f.get(), "    ", "total_j", s.total_energy_j, true);
-  PrintKVI(f.get(), "    ", "has_ledger", s.has_ledger ? 1 : 0, true);
-  PrintKVF(f.get(), "    ", "ledger_enclosure_j", s.ledger_enclosure_j, true);
-  PrintKVF(f.get(), "    ", "reconcile_rel_err", s.reconcile_rel_err, true);
-  PrintKVF(f.get(), "    ", "off_credit_j", s.off_credit_j, true);
-  PrintKVF(f.get(), "    ", "off_debit_j", s.off_debit_j, true);
-  PrintKVF(f.get(), "    ", "net_saving_j", s.net_saving_j, true);
-  PrintKVF(f.get(), "    ", "advisory_credit_j", s.advisory_credit_j, true);
-  PrintKVF(f.get(), "    ", "advisory_debit_j", s.advisory_debit_j, true);
-  PrintKVF(f.get(), "    ", "mispredict_loss_j", s.mispredict_loss_j, false);
-  std::fprintf(f.get(), "  },\n");
-  std::fprintf(f.get(), "  \"plans\": {\n");
-  PrintKVI(f.get(), "    ", "plans", s.plans, true);
-  PrintKVI(f.get(), "    ", "decisions", s.decisions, true);
-  PrintKVI(f.get(), "    ", "off_windows", s.off_windows, true);
-  PrintKVI(f.get(), "    ", "mispredicts", s.mispredicts, true);
-  PrintKVI(f.get(), "    ", "migrations", s.migrations, true);
-  PrintKVI(f.get(), "    ", "preloads", s.preloads, true);
-  PrintKVI(f.get(), "    ", "write_delays", s.write_delays, false);
-  std::fprintf(f.get(), "  },\n");
+  std::fprintf(f.get(), "  \"num_enclosures\": %d,\n", s.num_enclosures);
+  std::fprintf(f.get(), "  \"duration_us\": %lld,\n",
+               static_cast<long long>(s.duration));
+  const size_t n = std::size(kAccountFields);
+  for (size_t i = 0; i < n; ++i) {
+    const AccountField& field = kAccountFields[i];
+    const bool opens =
+        i == 0 ||
+        std::strcmp(field.section, kAccountFields[i - 1].section) != 0;
+    const bool closes =
+        i + 1 == n ||
+        std::strcmp(field.section, kAccountFields[i + 1].section) != 0;
+    if (opens) std::fprintf(f.get(), "  \"%s\": {\n", field.section);
+    std::fprintf(f.get(), "    %s%s\n",
+                 FieldJson(field.key, s, field.member).c_str(),
+                 closes ? "" : ",");
+    if (closes) std::fprintf(f.get(), "  },\n");
+  }
   std::fprintf(f.get(), "  \"latency\": [\n");
   for (size_t i = 0; i < s.latency.size(); ++i) {
     const LatencyRow& r = s.latency[i];
-    std::fprintf(f.get(),
-                 "    {\"pattern\": \"%s\", \"outcome\": \"%s\", "
-                 "\"count\": %lld, \"p50_us\": %lld, \"p95_us\": %lld, "
-                 "\"p99_us\": %lld, \"max_us\": %lld, \"mean_us\": %.17g}%s\n",
-                 PatternSlotName(r.pattern), IoOutcomeName(r.outcome),
-                 static_cast<long long>(r.count),
-                 static_cast<long long>(r.p50_us),
-                 static_cast<long long>(r.p95_us),
-                 static_cast<long long>(r.p99_us),
-                 static_cast<long long>(r.max_us), r.mean_us,
-                 i + 1 < s.latency.size() ? "," : "");
+    std::fprintf(f.get(), "    {\"pattern\": \"%s\", \"outcome\": \"%s\"",
+                 PatternSlotName(r.pattern), IoOutcomeName(r.outcome));
+    for (const RecordField<LatencyRow>& field : kLatencyRowFields) {
+      std::fprintf(f.get(), ", %s",
+                   FieldJson(field.key, r, field.member).c_str());
+    }
+    std::fprintf(f.get(), "}%s\n", i + 1 < s.latency.size() ? "," : "");
   }
   std::fprintf(f.get(), "  ]\n");
   std::fprintf(f.get(), "}\n");
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 Status ParseSummaryFile(const std::string& path, Summary* s) {
   FilePtr f(std::fopen(path.c_str(), "r"));
   if (f == nullptr) return Status::IoError("cannot read " + path);
   *s = Summary{};
-  enum class Section { kTop, kEnergy, kPlans, kLatency };
-  Section section = Section::kTop;
+  // The object the current line sits in: "" at the top level, else the
+  // key of the last `"name": {` / `"name": [` line.
+  std::string section;
   bool is_summary = false;
   char buf[4096];
   while (std::fgets(buf, sizeof(buf), f.get()) != nullptr) {
     std::string line(buf);
-    if (line.find("\"energy\": {") != std::string::npos) {
-      section = Section::kEnergy;
-      continue;
-    }
-    if (line.find("\"plans\": {") != std::string::npos) {
-      section = Section::kPlans;
-      continue;
-    }
-    if (line.find("\"latency\": [") != std::string::npos) {
-      section = Section::kLatency;
-      continue;
-    }
-    // Section terminators ("  }," / "  ]").
     std::string trimmed = line;
     trimmed.erase(0, trimmed.find_first_not_of(" \t"));
     while (!trimmed.empty() &&
            (trimmed.back() == '\n' || trimmed.back() == '\r')) {
       trimmed.pop_back();
     }
-    if (section != Section::kTop &&
-        (trimmed == "}," || trimmed == "}" || trimmed == "]," ||
-         trimmed == "]")) {
-      section = Section::kTop;
+    if (trimmed.size() > 1 && trimmed.front() == '"' &&
+        (trimmed.back() == '{' || trimmed.back() == '[')) {
+      section = trimmed.substr(1, trimmed.find('"', 1) - 1);
+      continue;
+    }
+    // Section terminators ("  }," / "  ]").
+    if (!section.empty() && (trimmed == "}," || trimmed == "}" ||
+                             trimmed == "]," || trimmed == "]")) {
+      section.clear();
       continue;
     }
     FlatJson json{line};
-    switch (section) {
-      case Section::kTop:
-        if (json.Str("type") == "summary") is_summary = true;
-        if (json.Has("workload")) s->workload = json.Str("workload");
-        if (json.Has("policy")) s->policy = json.Str("policy");
-        if (json.Has("num_enclosures")) {
-          s->num_enclosures = static_cast<int>(json.Int("num_enclosures"));
+    if (section.empty()) {
+      if (json.Str("type") == "summary") is_summary = true;
+      if (json.Has("workload")) s->workload = json.Str("workload");
+      if (json.Has("policy")) s->policy = json.Str("policy");
+      if (json.Has("num_enclosures")) {
+        s->num_enclosures = static_cast<int>(json.Int("num_enclosures"));
+      }
+      if (json.Has("duration_us")) s->duration = json.Int("duration_us");
+    } else if (section == "latency") {
+      if (json.Has("pattern") && json.Has("outcome")) {
+        LatencyRow row;
+        row.pattern =
+            static_cast<uint8_t>(PatternFromName(json.Str("pattern")));
+        row.outcome =
+            static_cast<uint8_t>(OutcomeFromName(json.Str("outcome")));
+        for (const RecordField<LatencyRow>& field : kLatencyRowFields) {
+          json.Read(field.key, field.member, &row);
         }
-        if (json.Has("duration_us")) s->duration = json.Int("duration_us");
-        break;
-      case Section::kEnergy:
-        if (json.Has("enclosure_j")) {
-          s->enclosure_energy_j = json.Dbl("enclosure_j");
+        s->latency.push_back(row);
+      }
+    } else {
+      for (const AccountField& field : kAccountFields) {
+        if (section == field.section && json.Has(field.key)) {
+          json.Read(field.key, field.member, s);
         }
-        if (json.Has("controller_j")) {
-          s->controller_energy_j = json.Dbl("controller_j");
-        }
-        if (json.Has("total_j")) s->total_energy_j = json.Dbl("total_j");
-        if (json.Has("has_ledger")) s->has_ledger = json.Int("has_ledger") != 0;
-        if (json.Has("ledger_enclosure_j")) {
-          s->ledger_enclosure_j = json.Dbl("ledger_enclosure_j");
-        }
-        if (json.Has("reconcile_rel_err")) {
-          s->reconcile_rel_err = json.Dbl("reconcile_rel_err");
-        }
-        if (json.Has("off_credit_j")) s->off_credit_j = json.Dbl("off_credit_j");
-        if (json.Has("off_debit_j")) s->off_debit_j = json.Dbl("off_debit_j");
-        if (json.Has("net_saving_j")) s->net_saving_j = json.Dbl("net_saving_j");
-        if (json.Has("advisory_credit_j")) {
-          s->advisory_credit_j = json.Dbl("advisory_credit_j");
-        }
-        if (json.Has("advisory_debit_j")) {
-          s->advisory_debit_j = json.Dbl("advisory_debit_j");
-        }
-        if (json.Has("mispredict_loss_j")) {
-          s->mispredict_loss_j = json.Dbl("mispredict_loss_j");
-        }
-        break;
-      case Section::kPlans:
-        if (json.Has("plans")) s->plans = json.Int("plans");
-        if (json.Has("decisions")) s->decisions = json.Int("decisions");
-        if (json.Has("off_windows")) s->off_windows = json.Int("off_windows");
-        if (json.Has("mispredicts")) s->mispredicts = json.Int("mispredicts");
-        if (json.Has("migrations")) s->migrations = json.Int("migrations");
-        if (json.Has("preloads")) s->preloads = json.Int("preloads");
-        if (json.Has("write_delays")) {
-          s->write_delays = json.Int("write_delays");
-        }
-        break;
-      case Section::kLatency:
-        if (json.Has("pattern") && json.Has("outcome")) {
-          LatencyRow row;
-          row.pattern = static_cast<uint8_t>(PatternFromName(
-              json.Str("pattern")));
-          row.outcome = static_cast<uint8_t>(OutcomeFromName(
-              json.Str("outcome")));
-          row.count = json.Int("count");
-          row.p50_us = json.Int("p50_us");
-          row.p95_us = json.Int("p95_us");
-          row.p99_us = json.Int("p99_us");
-          row.max_us = json.Int("max_us");
-          row.mean_us = json.Dbl("mean_us");
-          s->latency.push_back(row);
-        }
-        break;
+      }
     }
   }
   if (!is_summary) {
@@ -270,13 +222,15 @@ Status ParseSummaryFile(const std::string& path, Summary* s) {
 
 namespace {
 
-void CompareField(std::vector<SummaryDiff>* diffs, const char* field, double a,
-                  double b, double tolerance) {
+void CompareField(std::vector<SummaryDiff>* diffs, std::string field,
+                  double a, double b, double tolerance) {
   // Relative comparison floored at 1.0 absolute units so zero-valued
   // counters compare exactly without dividing by zero.
   const double denom = std::max({std::fabs(a), std::fabs(b), 1.0});
   const double rel = std::fabs(a - b) / denom;
-  if (rel > tolerance) diffs->push_back(SummaryDiff{field, a, b, rel});
+  if (rel > tolerance) {
+    diffs->push_back(SummaryDiff{std::move(field), a, b, rel});
+  }
 }
 
 }  // namespace
@@ -284,41 +238,12 @@ void CompareField(std::vector<SummaryDiff>* diffs, const char* field, double a,
 std::vector<SummaryDiff> CompareAccounts(const Summary& a, const Summary& b,
                                          double tolerance) {
   std::vector<SummaryDiff> diffs;
-  CompareField(&diffs, "energy.enclosure_j", a.enclosure_energy_j,
-               b.enclosure_energy_j, tolerance);
-  CompareField(&diffs, "energy.controller_j", a.controller_energy_j,
-               b.controller_energy_j, tolerance);
-  CompareField(&diffs, "energy.total_j", a.total_energy_j, b.total_energy_j,
-               tolerance);
-  CompareField(&diffs, "energy.off_credit_j", a.off_credit_j, b.off_credit_j,
-               tolerance);
-  CompareField(&diffs, "energy.off_debit_j", a.off_debit_j, b.off_debit_j,
-               tolerance);
-  CompareField(&diffs, "energy.net_saving_j", a.net_saving_j, b.net_saving_j,
-               tolerance);
-  CompareField(&diffs, "energy.mispredict_loss_j", a.mispredict_loss_j,
-               b.mispredict_loss_j, tolerance);
-  CompareField(&diffs, "energy.advisory_credit_j", a.advisory_credit_j,
-               b.advisory_credit_j, tolerance);
-  CompareField(&diffs, "energy.advisory_debit_j", a.advisory_debit_j,
-               b.advisory_debit_j, tolerance);
-  CompareField(&diffs, "energy.reconcile_rel_err", a.reconcile_rel_err,
-               b.reconcile_rel_err, tolerance);
-  CompareField(&diffs, "plans.plans", static_cast<double>(a.plans),
-               static_cast<double>(b.plans), tolerance);
-  CompareField(&diffs, "plans.decisions", static_cast<double>(a.decisions),
-               static_cast<double>(b.decisions), tolerance);
-  CompareField(&diffs, "plans.off_windows", static_cast<double>(a.off_windows),
-               static_cast<double>(b.off_windows), tolerance);
-  CompareField(&diffs, "plans.mispredicts", static_cast<double>(a.mispredicts),
-               static_cast<double>(b.mispredicts), tolerance);
-  CompareField(&diffs, "plans.migrations", static_cast<double>(a.migrations),
-               static_cast<double>(b.migrations), tolerance);
-  CompareField(&diffs, "plans.preloads", static_cast<double>(a.preloads),
-               static_cast<double>(b.preloads), tolerance);
-  CompareField(&diffs, "plans.write_delays",
-               static_cast<double>(a.write_delays),
-               static_cast<double>(b.write_delays), tolerance);
+  for (const AccountField& field : kAccountFields) {
+    if (!field.gated) continue;
+    CompareField(&diffs, std::string(field.section) + "." + field.key,
+                 FieldValue(a, field.member), FieldValue(b, field.member),
+                 tolerance);
+  }
   return diffs;
 }
 
@@ -344,24 +269,11 @@ std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
                                   static_cast<double>(ra.count), 0.0, 1.0});
       continue;
     }
-    const std::string prefix = "latency." + key + ".";
-    CompareField(&diffs, (prefix + "count").c_str(),
-                 static_cast<double>(ra.count), static_cast<double>(rb->count),
-                 tolerance);
-    CompareField(&diffs, (prefix + "p50_us").c_str(),
-                 static_cast<double>(ra.p50_us),
-                 static_cast<double>(rb->p50_us), tolerance);
-    CompareField(&diffs, (prefix + "p95_us").c_str(),
-                 static_cast<double>(ra.p95_us),
-                 static_cast<double>(rb->p95_us), tolerance);
-    CompareField(&diffs, (prefix + "p99_us").c_str(),
-                 static_cast<double>(ra.p99_us),
-                 static_cast<double>(rb->p99_us), tolerance);
-    CompareField(&diffs, (prefix + "max_us").c_str(),
-                 static_cast<double>(ra.max_us),
-                 static_cast<double>(rb->max_us), tolerance);
-    CompareField(&diffs, (prefix + "mean_us").c_str(), ra.mean_us, rb->mean_us,
-                 tolerance);
+    for (const RecordField<LatencyRow>& field : kLatencyRowFields) {
+      CompareField(&diffs, "latency." + key + "." + field.key,
+                   FieldValue(ra, field.member), FieldValue(*rb, field.member),
+                   tolerance);
+    }
   }
   for (const LatencyRow& rb : b.latency) {
     if (find_row(a, row_key(rb)) == nullptr) {

@@ -9,7 +9,9 @@
 // The writer emits every scalar on its own line in a fixed order, so the
 // file is both human-diffable and parseable by the same flat line scanner
 // the capture reader uses — no JSON library, no field reordering between
-// runs.
+// runs. The account fields and the latency-row fields are each declared
+// once (kAccountFields, kLatencyRowFields); the writer, the parser and
+// the comparators walk those lists.
 
 #include <cstdint>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/status.h"
 #include "telemetry/analysis/energy_ledger.h"
 #include "telemetry/export.h"
+#include "telemetry/flat_json.h"
 
 namespace ecostore::telemetry::analysis {
 
@@ -31,6 +34,14 @@ struct LatencyRow {
   int64_t p99_us = 0;
   int64_t max_us = 0;
   double mean_us = 0.0;
+};
+
+/// A latency row's numeric fields, in line order (after its "pattern" and
+/// "outcome" names). CompareSummaries compares every one.
+inline constexpr RecordField<LatencyRow> kLatencyRowFields[] = {
+    {"count", &LatencyRow::count},   {"p50_us", &LatencyRow::p50_us},
+    {"p95_us", &LatencyRow::p95_us}, {"p99_us", &LatencyRow::p99_us},
+    {"max_us", &LatencyRow::max_us}, {"mean_us", &LatencyRow::mean_us},
 };
 
 struct Summary {
@@ -68,6 +79,46 @@ struct Summary {
   std::vector<LatencyRow> latency;
 };
 
+/// One field of a summary's energy account or plan tallies.
+struct AccountField {
+  const char* section;  ///< the summary file's object that holds it
+  const char* key;
+  FieldMember<Summary> member;
+  bool gated;  ///< CompareAccounts compares it
+  /// Its key on a rolling_final line, where that differs from `key`.
+  const char* rolling_key = nullptr;
+};
+
+inline constexpr bool kGated = true;
+
+/// The account fields in summary-file order: the "energy" object, then
+/// the "plans" object. A rolling_final line carries every field but
+/// ledger_enclosure_j, which therefore reads as 0 from it.
+inline constexpr AccountField kAccountFields[] = {
+    {"energy", "enclosure_j", &Summary::enclosure_energy_j, kGated,
+     "enclosure_energy_j"},
+    {"energy", "controller_j", &Summary::controller_energy_j, kGated,
+     "controller_energy_j"},
+    {"energy", "total_j", &Summary::total_energy_j, kGated,
+     "total_energy_j"},
+    {"energy", "has_ledger", &Summary::has_ledger, !kGated, "has_finals"},
+    {"energy", "ledger_enclosure_j", &Summary::ledger_enclosure_j, !kGated},
+    {"energy", "reconcile_rel_err", &Summary::reconcile_rel_err, kGated},
+    {"energy", "off_credit_j", &Summary::off_credit_j, kGated},
+    {"energy", "off_debit_j", &Summary::off_debit_j, kGated},
+    {"energy", "net_saving_j", &Summary::net_saving_j, kGated},
+    {"energy", "advisory_credit_j", &Summary::advisory_credit_j, kGated},
+    {"energy", "advisory_debit_j", &Summary::advisory_debit_j, kGated},
+    {"energy", "mispredict_loss_j", &Summary::mispredict_loss_j, kGated},
+    {"plans", "plans", &Summary::plans, kGated},
+    {"plans", "decisions", &Summary::decisions, kGated},
+    {"plans", "off_windows", &Summary::off_windows, kGated},
+    {"plans", "mispredicts", &Summary::mispredicts, kGated},
+    {"plans", "migrations", &Summary::migrations, kGated},
+    {"plans", "preloads", &Summary::preloads, kGated},
+    {"plans", "write_delays", &Summary::write_delays, kGated},
+};
+
 /// The summary of a run whose ledger is already built: identity and
 /// measured energies from `meta`, the account and tallies from `ledger`,
 /// latency digests from meta.latency.
@@ -78,7 +129,8 @@ Summary SummaryFromLedger(const ExportMeta& meta, const EnergyLedger& ledger);
 Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
                      EnergyLedger* out_ledger = nullptr);
 
-/// Writes the summary JSON with the stable field order described above.
+/// Writes the summary JSON with the stable field order described above;
+/// a failed write or close is an IoError.
 Status WriteSummaryJson(const std::string& path, const Summary& summary);
 
 /// Parses a WriteSummaryJson file back.
@@ -92,8 +144,8 @@ struct SummaryDiff {
   double rel_err = 0.0;
 };
 
-/// Compares the energy account and plan tallies of two summaries — every
-/// field a rolling_final line carries — with a relative tolerance
+/// Compares the gated account fields of two summaries (each diff named
+/// "section.key", in kAccountFields order) with a relative tolerance
 /// (floored at 1.0 absolute units so zero-valued counters compare
 /// exactly). This is `eco_report tail --reconcile`. Empty == no diff.
 std::vector<SummaryDiff> CompareAccounts(const Summary& a, const Summary& b,

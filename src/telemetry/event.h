@@ -3,16 +3,23 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <span>
+#include <string_view>
 #include <type_traits>
+#include <variant>
 
 #include "common/sim_time.h"
 #include "common/types.h"
+#include "telemetry/flat_json.h"
 
 namespace ecostore::telemetry {
 
-/// What happened. Every kind belongs to exactly one EventClass (below);
-/// the recorder's mask filters whole classes, so a single load +
-/// test decides whether an event site pays anything at all.
+/// What happened. Each event site gates on the class of what it records
+/// (the kClass* bits below) with Wants(recorder, class); the recorder's
+/// mask filters whole classes, so a single load + test decides whether
+/// an event site pays anything at all. A kind's JSONL name and payload
+/// are declared once, in kEventKinds (after Event).
 enum class EventKind : uint16_t {
   kNone = 0,
 
@@ -51,33 +58,6 @@ enum class EventKind : uint16_t {
   kWriteDelayFlush,  ///< one item left the set; its dirty blocks destaged
 };
 
-inline const char* EventKindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kNone: return "none";
-    case EventKind::kPowerState: return "power_state";
-    case EventKind::kIdleGap: return "idle_gap";
-    case EventKind::kCacheFlush: return "cache_flush";
-    case EventKind::kCacheAdmit: return "cache_admit";
-    case EventKind::kWriteDelaySet: return "write_delay_set";
-    case EventKind::kPreloadBegin: return "preload_begin";
-    case EventKind::kPreloadDone: return "preload_done";
-    case EventKind::kPhysicalIo: return "physical_io";
-    case EventKind::kMigrationBegin: return "migration_begin";
-    case EventKind::kMigrationThrottle: return "migration_throttle";
-    case EventKind::kMigrationEnd: return "migration_end";
-    case EventKind::kBlockMove: return "block_move";
-    case EventKind::kDecision: return "decision";
-    case EventKind::kHotCold: return "hot_cold";
-    case EventKind::kPeriodAdapt: return "period_adapt";
-    case EventKind::kPeriodBoundary: return "period_boundary";
-    case EventKind::kSimStats: return "sim_stats";
-    case EventKind::kEnergyFinal: return "energy_final";
-    case EventKind::kWriteDelayAdmit: return "write_delay_admit";
-    case EventKind::kWriteDelayFlush: return "write_delay_flush";
-  }
-  return "?";
-}
-
 /// Runtime filter classes (bitmask). The default mask records everything
 /// except the per-I/O detail classes, which would multiply the event
 /// volume by the logical I/O count and blow the <2% overhead budget.
@@ -93,34 +73,15 @@ inline constexpr uint32_t kClassDefault =
     kClassPeriod | kClassSim;
 inline constexpr uint32_t kClassAll = kClassDefault | kClassIoDetail;
 
-inline uint32_t EventClassOf(EventKind kind) {
-  switch (kind) {
-    case EventKind::kNone: return 0;
-    case EventKind::kPowerState:
-    case EventKind::kIdleGap:
-    case EventKind::kEnergyFinal: return kClassPower;
-    case EventKind::kCacheFlush:
-    case EventKind::kWriteDelaySet:
-    case EventKind::kWriteDelayAdmit:
-    case EventKind::kWriteDelayFlush:
-    case EventKind::kPreloadBegin:
-    case EventKind::kPreloadDone: return kClassCache;
-    case EventKind::kCacheAdmit:
-    case EventKind::kPhysicalIo: return kClassIoDetail;
-    case EventKind::kMigrationBegin:
-    case EventKind::kMigrationThrottle:
-    case EventKind::kMigrationEnd:
-    case EventKind::kBlockMove: return kClassMigration;
-    case EventKind::kDecision:
-    case EventKind::kHotCold:
-    case EventKind::kPeriodAdapt: return kClassDecision;
-    case EventKind::kPeriodBoundary: return kClassPeriod;
-    case EventKind::kSimStats: return kClassSim;
-  }
-  return 0;
-}
-
 // --- Payloads (each <= 32 bytes, trivially copyable) ---------------------
+//
+// Each payload is followed by its field list: the JSONL key of every
+// member, in line order. The capture writer and reader walk these lists,
+// so a key, its position and its type are declared here and nowhere else.
+// A field marked kEnclosureId names an enclosure, and the reader rejects
+// a value outside [-1, num_enclosures).
+
+inline constexpr bool kEnclosureId = true;
 
 /// kPowerState / kEnergyFinal. `state` mirrors storage::PowerState's
 /// numeric values (0 Off, 1 SpinningUp, 2 On). A SpinningUp event carries
@@ -140,6 +101,14 @@ struct PowerPayload {
   int32_t plan = 0;
 };
 
+inline constexpr RecordField<PowerPayload> kPowerFields[] = {
+    {"enclosure", &PowerPayload::enclosure, kEnclosureId},
+    {"state", &PowerPayload::state},
+    {"spinup_us", &PowerPayload::spinup_us},
+    {"joules", &PowerPayload::joules},
+    {"plan", &PowerPayload::plan},
+};
+
 /// PowerPayload::state marker used by kEnergyFinal events.
 inline constexpr uint8_t kFinalStateMarker = 255;
 
@@ -147,6 +116,11 @@ inline constexpr uint8_t kFinalStateMarker = 255;
 struct IdlePayload {
   EnclosureId enclosure = kInvalidEnclosure;
   SimDuration gap = 0;
+};
+
+inline constexpr RecordField<IdlePayload> kIdleFields[] = {
+    {"enclosure", &IdlePayload::enclosure, kEnclosureId},
+    {"gap_us", &IdlePayload::gap},
 };
 
 /// kCacheFlush / kCacheAdmit / kWriteDelaySet / kPreloadBegin /
@@ -160,6 +134,14 @@ struct CachePayload {
   int32_t plan = 0;
 };
 
+inline constexpr RecordField<CachePayload> kCacheFields[] = {
+    {"item", &CachePayload::item},
+    {"enclosure", &CachePayload::enclosure, kEnclosureId},
+    {"blocks", &CachePayload::blocks},
+    {"bytes", &CachePayload::bytes},
+    {"plan", &CachePayload::plan},
+};
+
 /// kMigrationBegin / kMigrationThrottle / kMigrationEnd / kBlockMove.
 /// For kMigrationEnd, bytes < 0 means the commit failed (target full).
 struct MigrationPayload {
@@ -167,6 +149,13 @@ struct MigrationPayload {
   EnclosureId from = kInvalidEnclosure;
   EnclosureId to = kInvalidEnclosure;
   int64_t bytes = 0;
+};
+
+inline constexpr RecordField<MigrationPayload> kMigrationFields[] = {
+    {"item", &MigrationPayload::item},
+    {"from", &MigrationPayload::from, kEnclosureId},
+    {"to", &MigrationPayload::to, kEnclosureId},
+    {"bytes", &MigrationPayload::bytes},
 };
 
 /// Actions enacted for an item in one period plan (kDecision bitmask).
@@ -177,7 +166,8 @@ inline constexpr uint8_t kActionPreload = 1u << 2;
 /// kDecision: one item's classification with the *reason* (long-interval
 /// count, read ratio, I/O-sequence count; paper §IV-B) and the actions
 /// the plan took. `enclosure` is where the item will live after the plan
-/// (the migration target when kActionMigrate is set).
+/// (the migration target when kActionMigrate is set); it is an int16
+/// display field, never an index, so the reader does not range-check it.
 struct DecisionPayload {
   DataItemId item = kInvalidDataItem;
   uint8_t pattern = 0;  ///< core::IoPattern numeric value (P0..P3)
@@ -190,12 +180,30 @@ struct DecisionPayload {
   int64_t total_ios = 0;
 };
 
+inline constexpr RecordField<DecisionPayload> kDecisionFields[] = {
+    {"item", &DecisionPayload::item},
+    {"pattern", &DecisionPayload::pattern},
+    {"actions", &DecisionPayload::actions},
+    {"enclosure", &DecisionPayload::enclosure},
+    {"long_intervals", &DecisionPayload::long_intervals},
+    {"io_sequences", &DecisionPayload::io_sequences},
+    {"read_permille", &DecisionPayload::read_permille},
+    {"plan", &DecisionPayload::plan},
+    {"total_ios", &DecisionPayload::total_ios},
+};
+
 /// kHotCold: the partition of one period. Enclosures beyond 64 (none in
 /// the paper's configurations) are summarised by n_hot/n_enclosures only.
 struct HotColdPayload {
   uint64_t hot_mask = 0;
   int32_t n_hot = 0;
   int32_t n_enclosures = 0;
+};
+
+inline constexpr RecordField<HotColdPayload> kHotColdFields[] = {
+    {"hot_mask", &HotColdPayload::hot_mask},
+    {"n_hot", &HotColdPayload::n_hot},
+    {"n_enclosures", &HotColdPayload::n_enclosures},
 };
 
 /// kPeriodAdapt: I_new = mean(LI) * alpha, clamped (paper §IV-H).
@@ -205,11 +213,23 @@ struct AdaptPayload {
   SimDuration mean_long_interval = 0;
 };
 
+inline constexpr RecordField<AdaptPayload> kAdaptFields[] = {
+    {"prev_period_us", &AdaptPayload::prev_period},
+    {"next_period_us", &AdaptPayload::next_period},
+    {"mean_long_interval_us", &AdaptPayload::mean_long_interval},
+};
+
 /// kPeriodBoundary.
 struct PeriodPayload {
   int32_t index = 0;  ///< 0-based period number
   SimTime period_start = 0;
   SimDuration next_period = 0;
+};
+
+inline constexpr RecordField<PeriodPayload> kPeriodFields[] = {
+    {"index", &PeriodPayload::index},
+    {"period_start_us", &PeriodPayload::period_start},
+    {"next_period_us", &PeriodPayload::next_period},
 };
 
 /// kSimStats: simulator queue health at a period boundary.
@@ -218,6 +238,13 @@ struct SimStatsPayload {
   int64_t live_events = 0;
   int64_t tombstones = 0;
   int64_t cancelled = 0;
+};
+
+inline constexpr RecordField<SimStatsPayload> kSimStatsFields[] = {
+    {"peak_heap", &SimStatsPayload::peak_heap_depth},
+    {"live", &SimStatsPayload::live_events},
+    {"tombstones", &SimStatsPayload::tombstones},
+    {"cancelled", &SimStatsPayload::cancelled},
 };
 
 /// \brief One fixed-size, simulated-time-stamped telemetry event. 48-byte
@@ -253,6 +280,99 @@ static_assert(sizeof(HotColdPayload) <= 32);
 static_assert(sizeof(AdaptPayload) <= 32);
 static_assert(sizeof(PeriodPayload) <= 32);
 static_assert(sizeof(SimStatsPayload) <= 32);
+
+// --- The kind table -------------------------------------------------------
+
+/// Where a kind's payload sits in Event and which fields it carries.
+template <typename P>
+struct PayloadLayout {
+  P Event::*member;
+  std::span<const RecordField<P>> fields;
+};
+
+/// A kind's payload: std::monostate for kNone, which carries none.
+using EventPayload =
+    std::variant<std::monostate, PayloadLayout<PowerPayload>,
+                 PayloadLayout<IdlePayload>, PayloadLayout<CachePayload>,
+                 PayloadLayout<MigrationPayload>,
+                 PayloadLayout<DecisionPayload>,
+                 PayloadLayout<HotColdPayload>, PayloadLayout<AdaptPayload>,
+                 PayloadLayout<PeriodPayload>,
+                 PayloadLayout<SimStatsPayload>>;
+
+struct EventKindInfo {
+  const char* name;  ///< the JSONL "kind" value
+  EventPayload payload;
+};
+
+inline constexpr PayloadLayout<PowerPayload> kPowerLayout{&Event::power,
+                                                          kPowerFields};
+inline constexpr PayloadLayout<CachePayload> kCacheLayout{&Event::cache,
+                                                          kCacheFields};
+inline constexpr PayloadLayout<MigrationPayload> kMigrationLayout{
+    &Event::migration, kMigrationFields};
+
+/// Every kind's name and payload, indexed by EventKind: entry k is kind
+/// k, so the entries follow the enum's order.
+inline constexpr EventKindInfo kEventKinds[] = {
+    {"none", std::monostate{}},
+    {"power_state", kPowerLayout},
+    {"idle_gap", PayloadLayout<IdlePayload>{&Event::idle, kIdleFields}},
+    {"cache_flush", kCacheLayout},
+    {"cache_admit", kCacheLayout},
+    {"write_delay_set", kCacheLayout},
+    {"preload_begin", kCacheLayout},
+    {"preload_done", kCacheLayout},
+    {"physical_io", kCacheLayout},
+    {"migration_begin", kMigrationLayout},
+    {"migration_throttle", kMigrationLayout},
+    {"migration_end", kMigrationLayout},
+    {"block_move", kMigrationLayout},
+    {"decision",
+     PayloadLayout<DecisionPayload>{&Event::decision, kDecisionFields}},
+    {"hot_cold",
+     PayloadLayout<HotColdPayload>{&Event::hot_cold, kHotColdFields}},
+    {"period_adapt", PayloadLayout<AdaptPayload>{&Event::adapt, kAdaptFields}},
+    {"period_boundary",
+     PayloadLayout<PeriodPayload>{&Event::period, kPeriodFields}},
+    {"sim_stats",
+     PayloadLayout<SimStatsPayload>{&Event::sim_stats, kSimStatsFields}},
+    {"energy_final", kPowerLayout},
+    {"write_delay_admit", kCacheLayout},
+    {"write_delay_flush", kCacheLayout},
+};
+static_assert(std::size(kEventKinds) ==
+                  static_cast<size_t>(EventKind::kWriteDelayFlush) + 1,
+              "kEventKinds needs one entry per EventKind");
+
+inline const char* EventKindName(EventKind kind) {
+  const auto index = static_cast<size_t>(kind);
+  return index < std::size(kEventKinds) ? kEventKinds[index].name : "?";
+}
+
+/// Calls fn(layout) with the PayloadLayout of `kind`; a kind without a
+/// payload (kNone, or a value outside the enum) calls nothing.
+template <typename Fn>
+void VisitPayload(EventKind kind, Fn&& fn) {
+  const auto index = static_cast<size_t>(kind);
+  if (index >= std::size(kEventKinds)) return;
+  std::visit(
+      [&](const auto& layout) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(layout)>,
+                                      std::monostate>) {
+          fn(layout);
+        }
+      },
+      kEventKinds[index].payload);
+}
+
+/// The kind named `name`, or kNone for a name no kind has.
+inline EventKind EventKindFromName(std::string_view name) {
+  for (size_t i = 0; i < std::size(kEventKinds); ++i) {
+    if (name == kEventKinds[i].name) return static_cast<EventKind>(i);
+  }
+  return EventKind::kNone;
+}
 
 // --- Constructors for the instrumented sites -----------------------------
 

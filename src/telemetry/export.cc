@@ -9,32 +9,23 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "telemetry/analysis/energy_ledger.h"
+#include "telemetry/file_handle.h"
 #include "telemetry/flat_json.h"
 
 namespace ecostore::telemetry {
 
 namespace {
 
-constexpr EventKind kAllKinds[] = {
-    EventKind::kPowerState,      EventKind::kIdleGap,
-    EventKind::kCacheFlush,      EventKind::kCacheAdmit,
-    EventKind::kWriteDelaySet,   EventKind::kPreloadBegin,
-    EventKind::kPreloadDone,     EventKind::kPhysicalIo,
-    EventKind::kMigrationBegin,  EventKind::kMigrationThrottle,
-    EventKind::kMigrationEnd,    EventKind::kBlockMove,
-    EventKind::kDecision,        EventKind::kHotCold,
-    EventKind::kPeriodAdapt,     EventKind::kPeriodBoundary,
-    EventKind::kSimStats,        EventKind::kEnergyFinal,
-    EventKind::kWriteDelayAdmit, EventKind::kWriteDelayFlush,
-};
-
-EventKind KindFromName(const std::string& name) {
-  for (EventKind kind : kAllKinds) {
-    if (name == EventKindName(kind)) return kind;
+template <typename S, typename Fields>
+void AppendFields(std::string* out, const S& record, const Fields& fields) {
+  for (const RecordField<S>& f : fields) {
+    VisitField(record, f.member,
+               [&](auto value) { AppendField(out, f.key, value); });
   }
-  return EventKind::kNone;
 }
 
 void AppendEventJson(std::string* out, const Event& e) {
@@ -42,186 +33,44 @@ void AppendEventJson(std::string* out, const Event& e) {
   std::snprintf(buf, sizeof(buf), "{\"type\":\"event\",\"t\":%lld,\"kind\":\"%s\"",
                 static_cast<long long>(e.time), EventKindName(e.kind));
   *out += buf;
-  switch (e.kind) {
-    case EventKind::kPowerState:
-    case EventKind::kEnergyFinal:
-      AppendKV(out, "enclosure", e.power.enclosure);
-      AppendKV(out, "state", e.power.state);
-      AppendKV(out, "spinup_us", e.power.spinup_us);
-      AppendKVF(out, "joules", e.power.joules);
-      AppendKV(out, "plan", e.power.plan);
-      break;
-    case EventKind::kIdleGap:
-      AppendKV(out, "enclosure", e.idle.enclosure);
-      AppendKV(out, "gap_us", e.idle.gap);
-      break;
-    case EventKind::kCacheFlush:
-    case EventKind::kCacheAdmit:
-    case EventKind::kWriteDelaySet:
-    case EventKind::kWriteDelayAdmit:
-    case EventKind::kWriteDelayFlush:
-    case EventKind::kPreloadBegin:
-    case EventKind::kPreloadDone:
-    case EventKind::kPhysicalIo:
-      AppendKV(out, "item", e.cache.item);
-      AppendKV(out, "enclosure", e.cache.enclosure);
-      AppendKV(out, "blocks", e.cache.blocks);
-      AppendKV(out, "bytes", e.cache.bytes);
-      AppendKV(out, "plan", e.cache.plan);
-      break;
-    case EventKind::kMigrationBegin:
-    case EventKind::kMigrationThrottle:
-    case EventKind::kMigrationEnd:
-    case EventKind::kBlockMove:
-      AppendKV(out, "item", e.migration.item);
-      AppendKV(out, "from", e.migration.from);
-      AppendKV(out, "to", e.migration.to);
-      AppendKV(out, "bytes", e.migration.bytes);
-      break;
-    case EventKind::kDecision:
-      AppendKV(out, "item", e.decision.item);
-      AppendKV(out, "pattern", e.decision.pattern);
-      AppendKV(out, "actions", e.decision.actions);
-      AppendKV(out, "enclosure", e.decision.enclosure);
-      AppendKV(out, "long_intervals", e.decision.long_intervals);
-      AppendKV(out, "io_sequences", e.decision.io_sequences);
-      AppendKV(out, "read_permille", e.decision.read_permille);
-      AppendKV(out, "plan", e.decision.plan);
-      AppendKV(out, "total_ios", e.decision.total_ios);
-      break;
-    case EventKind::kHotCold:
-      AppendKVU(out, "hot_mask", e.hot_cold.hot_mask);
-      AppendKV(out, "n_hot", e.hot_cold.n_hot);
-      AppendKV(out, "n_enclosures", e.hot_cold.n_enclosures);
-      break;
-    case EventKind::kPeriodAdapt:
-      AppendKV(out, "prev_period_us", e.adapt.prev_period);
-      AppendKV(out, "next_period_us", e.adapt.next_period);
-      AppendKV(out, "mean_long_interval_us", e.adapt.mean_long_interval);
-      break;
-    case EventKind::kPeriodBoundary:
-      AppendKV(out, "index", e.period.index);
-      AppendKV(out, "period_start_us", e.period.period_start);
-      AppendKV(out, "next_period_us", e.period.next_period);
-      break;
-    case EventKind::kSimStats:
-      AppendKV(out, "peak_heap", e.sim_stats.peak_heap_depth);
-      AppendKV(out, "live", e.sim_stats.live_events);
-      AppendKV(out, "tombstones", e.sim_stats.tombstones);
-      AppendKV(out, "cancelled", e.sim_stats.cancelled);
-      break;
-    case EventKind::kNone:
-      break;
-  }
+  VisitPayload(e.kind, [&](const auto& layout) {
+    AppendFields(out, e.*layout.member, layout.fields);
+  });
   *out += "}\n";
 }
 
-/// Parses the payload of one event line into `*out`. Enclosure ids are
-/// range-checked before they are narrowed to EnclosureId: each must be
-/// kInvalidEnclosure or name one of the meta's `num_enclosures`
-/// enclosures. (A decision's enclosure is an int16 display field, never
-/// an index, and is not checked.)
+/// Parses the payload of one event line into `*out`. A missing key reads
+/// as 0. Enclosure ids are range-checked before they are narrowed to
+/// EnclosureId: each must be kInvalidEnclosure or name one of the meta's
+/// `num_enclosures` enclosures.
 Status EventFromJson(const FlatJson& json, EventKind kind, int num_enclosures,
                      Event* out) {
   Event e = MakeEvent(json.Int("t"), kind);
   Status status;
-  auto enclosure = [&](const char* key) {
-    const int64_t id = json.Int(key);
-    if (id >= kInvalidEnclosure && id < num_enclosures) {
-      return static_cast<EnclosureId>(id);
+  VisitPayload(kind, [&](const auto& layout) {
+    std::remove_cvref_t<decltype(e.*layout.member)> payload;
+    for (const auto& f : layout.fields) {
+      VisitField(payload, f.member, [&](auto& value) {
+        using T = std::remove_reference_t<decltype(value)>;
+        if (!f.enclosure_id) {
+          value = json.Get<T>(f.key);
+          return;
+        }
+        const int64_t id = json.Int(f.key);
+        const bool valid = id >= kInvalidEnclosure && id < num_enclosures;
+        if (!valid && status.ok()) {
+          status = Status::InvalidArgument(
+              std::string(f.key) + " " + std::to_string(id) +
+              " outside [-1, " + std::to_string(num_enclosures) + ")");
+        }
+        value = static_cast<T>(valid ? id : kInvalidEnclosure);
+      });
     }
-    if (status.ok()) {
-      status = Status::InvalidArgument(
-          std::string(key) + " " + std::to_string(id) + " outside [-1, " +
-          std::to_string(num_enclosures) + ")");
-    }
-    return kInvalidEnclosure;
-  };
-  switch (kind) {
-    case EventKind::kPowerState:
-    case EventKind::kEnergyFinal:
-      e.power.enclosure = enclosure("enclosure");
-      e.power.state = static_cast<uint8_t>(json.Int("state"));
-      e.power.spinup_us = json.Int("spinup_us");
-      e.power.joules = json.Dbl("joules");
-      e.power.plan = static_cast<int32_t>(json.Int("plan"));
-      break;
-    case EventKind::kIdleGap:
-      e.idle.enclosure = enclosure("enclosure");
-      e.idle.gap = json.Int("gap_us");
-      break;
-    case EventKind::kCacheFlush:
-    case EventKind::kCacheAdmit:
-    case EventKind::kWriteDelaySet:
-    case EventKind::kWriteDelayAdmit:
-    case EventKind::kWriteDelayFlush:
-    case EventKind::kPreloadBegin:
-    case EventKind::kPreloadDone:
-    case EventKind::kPhysicalIo:
-      e.cache.item = static_cast<DataItemId>(json.Int("item"));
-      e.cache.enclosure = enclosure("enclosure");
-      e.cache.blocks = json.Int("blocks");
-      e.cache.bytes = json.Int("bytes");
-      e.cache.plan = static_cast<int32_t>(json.Int("plan"));
-      break;
-    case EventKind::kMigrationBegin:
-    case EventKind::kMigrationThrottle:
-    case EventKind::kMigrationEnd:
-    case EventKind::kBlockMove:
-      e.migration.item = static_cast<DataItemId>(json.Int("item"));
-      e.migration.from = enclosure("from");
-      e.migration.to = enclosure("to");
-      e.migration.bytes = json.Int("bytes");
-      break;
-    case EventKind::kDecision:
-      e.decision.item = static_cast<DataItemId>(json.Int("item"));
-      e.decision.pattern = static_cast<uint8_t>(json.Int("pattern"));
-      e.decision.actions = static_cast<uint8_t>(json.Int("actions"));
-      e.decision.enclosure = static_cast<int16_t>(json.Int("enclosure"));
-      e.decision.long_intervals =
-          static_cast<int32_t>(json.Int("long_intervals"));
-      e.decision.io_sequences =
-          static_cast<int32_t>(json.Int("io_sequences"));
-      e.decision.read_permille =
-          static_cast<int32_t>(json.Int("read_permille"));
-      e.decision.plan = static_cast<int32_t>(json.Int("plan"));
-      e.decision.total_ios = json.Int("total_ios");
-      break;
-    case EventKind::kHotCold:
-      e.hot_cold.hot_mask = json.U64("hot_mask");
-      e.hot_cold.n_hot = static_cast<int32_t>(json.Int("n_hot"));
-      e.hot_cold.n_enclosures =
-          static_cast<int32_t>(json.Int("n_enclosures"));
-      break;
-    case EventKind::kPeriodAdapt:
-      e.adapt.prev_period = json.Int("prev_period_us");
-      e.adapt.next_period = json.Int("next_period_us");
-      e.adapt.mean_long_interval = json.Int("mean_long_interval_us");
-      break;
-    case EventKind::kPeriodBoundary:
-      e.period.index = static_cast<int32_t>(json.Int("index"));
-      e.period.period_start = json.Int("period_start_us");
-      e.period.next_period = json.Int("next_period_us");
-      break;
-    case EventKind::kSimStats:
-      e.sim_stats.peak_heap_depth = json.Int("peak_heap");
-      e.sim_stats.live_events = json.Int("live");
-      e.sim_stats.tombstones = json.Int("tombstones");
-      e.sim_stats.cancelled = json.Int("cancelled");
-      break;
-    case EventKind::kNone:
-      break;
-  }
+    e.*layout.member = payload;
+  });
   *out = e;
   return status;
 }
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 }  // namespace
 
@@ -253,19 +102,7 @@ Status WriteJsonl(const std::string& path, const ExportMeta& meta,
   }
   if (meta.has_power_model) {
     AppendKV(&head, "has_power_model", 1);
-    AppendKVF(&head, "idle_power_w", meta.idle_power_w);
-    AppendKVF(&head, "active_power_w", meta.active_power_w);
-    AppendKVF(&head, "off_power_w", meta.off_power_w);
-    AppendKVF(&head, "spinup_power_w", meta.spinup_power_w);
-    AppendKVF(&head, "controller_power_w", meta.controller_power_w);
-    AppendKV(&head, "spinup_time_us", meta.spinup_time_us);
-    AppendKV(&head, "break_even_us", meta.break_even_us);
-    AppendKV(&head, "spindown_timeout_us", meta.spindown_timeout_us);
-    AppendKV(&head, "cache_total_bytes", meta.cache_total_bytes);
-    AppendKV(&head, "preload_area_bytes", meta.preload_area_bytes);
-    AppendKV(&head, "write_delay_area_bytes", meta.write_delay_area_bytes);
-    AppendKVF(&head, "enclosure_energy_j", meta.enclosure_energy_j);
-    AppendKVF(&head, "controller_energy_j", meta.controller_energy_j);
+    AppendFields(&head, meta, kPowerModelFields);
   }
   AppendKV(&head, "events", static_cast<int64_t>(events.size()));
   head += "}\n";
@@ -288,7 +125,7 @@ Status WriteJsonl(const std::string& path, const ExportMeta& meta,
     AppendEventJson(&line, e);
     std::fwrite(line.data(), 1, line.size(), f.get());
   }
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 namespace {
@@ -356,19 +193,9 @@ Status CaptureTailParser::Consume(const std::string& raw) {
     meta_.duration = json.Int("duration_us");
     meta_.has_power_model = json.Int("has_power_model") != 0;
     if (meta_.has_power_model) {
-      meta_.idle_power_w = json.Dbl("idle_power_w");
-      meta_.active_power_w = json.Dbl("active_power_w");
-      meta_.off_power_w = json.Dbl("off_power_w");
-      meta_.spinup_power_w = json.Dbl("spinup_power_w");
-      meta_.controller_power_w = json.Dbl("controller_power_w");
-      meta_.spinup_time_us = json.Int("spinup_time_us");
-      meta_.break_even_us = json.Int("break_even_us");
-      meta_.spindown_timeout_us = json.Int("spindown_timeout_us");
-      meta_.cache_total_bytes = json.Int("cache_total_bytes");
-      meta_.preload_area_bytes = json.Int("preload_area_bytes");
-      meta_.write_delay_area_bytes = json.Int("write_delay_area_bytes");
-      meta_.enclosure_energy_j = json.Dbl("enclosure_energy_j");
-      meta_.controller_energy_j = json.Dbl("controller_energy_j");
+      for (const RecordField<ExportMeta>& f : kPowerModelFields) {
+        json.Read(f.key, f.member, &meta_);
+      }
     }
     return Status::OK();
   }
@@ -386,7 +213,7 @@ Status CaptureTailParser::Consume(const std::string& raw) {
     return Status::OK();
   }
   if (type == "event") {
-    EventKind kind = KindFromName(json.Str("kind"));
+    EventKind kind = EventKindFromName(json.Str("kind"));
     if (kind == EventKind::kNone) {
       return Status::InvalidArgument("unknown event kind");
     }
@@ -533,7 +360,7 @@ Status WritePowerTimelineCsv(const std::string& path, const ExportMeta& meta,
                  static_cast<long long>(s.start),
                  static_cast<long long>(s.end), ToSeconds(s.end - s.start));
   }
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 Status WriteChromeTrace(const std::string& path, const ExportMeta& meta,
@@ -637,7 +464,7 @@ Status WriteChromeTrace(const std::string& path, const ExportMeta& meta,
                  i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f.get(), "]}\n");
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 Status ExportAll(const std::string& base, const ExportMeta& meta,

@@ -12,9 +12,7 @@
 //    states as complete ("X") spans per enclosure, decisions and
 //    migration milestones as instants, simulator stats as counters.
 //
-// The exporters are compiled unconditionally (they operate on plain
-// vectors of events); a disabled-telemetry build simply has nothing to
-// export.
+// Every writer reports a failed write or close as an IoError.
 
 #include <string>
 #include <vector>
@@ -65,6 +63,25 @@ struct ExportMeta {
 
   /// Per-(pattern, outcome) service-time histograms; empty cells omitted.
   std::vector<LatencySlot> latency;
+};
+
+/// The meta line's power-model keys, in line order. They follow a
+/// "has_power_model":1 key and are written (and read) only when the meta
+/// has a power model.
+inline constexpr RecordField<ExportMeta> kPowerModelFields[] = {
+    {"idle_power_w", &ExportMeta::idle_power_w},
+    {"active_power_w", &ExportMeta::active_power_w},
+    {"off_power_w", &ExportMeta::off_power_w},
+    {"spinup_power_w", &ExportMeta::spinup_power_w},
+    {"controller_power_w", &ExportMeta::controller_power_w},
+    {"spinup_time_us", &ExportMeta::spinup_time_us},
+    {"break_even_us", &ExportMeta::break_even_us},
+    {"spindown_timeout_us", &ExportMeta::spindown_timeout_us},
+    {"cache_total_bytes", &ExportMeta::cache_total_bytes},
+    {"preload_area_bytes", &ExportMeta::preload_area_bytes},
+    {"write_delay_area_bytes", &ExportMeta::write_delay_area_bytes},
+    {"enclosure_energy_j", &ExportMeta::enclosure_energy_j},
+    {"controller_energy_j", &ExportMeta::controller_energy_j},
 };
 
 Status WriteJsonl(const std::string& path, const ExportMeta& meta,

@@ -6,15 +6,46 @@
 // there is no nesting, so a linear scan for "key": value pairs suffices
 // (and keeps eco_report free of external JSON dependencies). Shared by
 // the capture reader (export.cc) and the summary reader (analysis/).
+//
+// A record's scalar fields are declared once, as a list of RecordField
+// (key + member); writers and readers walk that list.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace ecostore::telemetry {
+
+/// A pointer to one scalar member of a flat record `S`, of any type a
+/// telemetry record field has.
+template <typename S>
+using FieldMember =
+    std::variant<bool S::*, uint8_t S::*, int16_t S::*, int32_t S::*,
+                 int64_t S::*, uint64_t S::*, double S::*>;
+
+/// One scalar field of a flat record: its JSON key and the member that
+/// holds it.
+template <typename S>
+struct RecordField {
+  const char* key;
+  FieldMember<S> member;
+  /// The value names an enclosure (event payloads only; see event.h).
+  bool enclosure_id = false;
+};
+
+/// Calls fn(value) with a reference to the member of `record` that
+/// `member` names, and returns what fn returns.
+template <typename R, typename S, typename Fn>
+decltype(auto) VisitField(R& record, const FieldMember<S>& member, Fn&& fn) {
+  return std::visit([&](auto m) -> decltype(auto) { return fn(record.*m); },
+                    member);
+}
 
 class FlatJson {
  public:
@@ -70,6 +101,28 @@ class FlatJson {
     return v != nullptr ? std::strtoull(v->c_str(), nullptr, 10) : fallback;
   }
 
+  /// Reads `key` as a T field: a missing key reads as 0.
+  template <typename T>
+  T Get(const char* key) const {
+    if constexpr (std::is_same_v<T, double>) {
+      return Dbl(key);
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      return U64(key);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      return Int(key) != 0;
+    } else {
+      return static_cast<T>(Int(key));
+    }
+  }
+
+  /// Sets the member of `*record` that `member` names from `key`.
+  template <typename S>
+  void Read(const char* key, const FieldMember<S>& member, S* record) const {
+    VisitField(*record, member, [&](auto& value) {
+      value = Get<std::remove_reference_t<decltype(value)>>(key);
+    });
+  }
+
  private:
   const std::string* Find(const char* key) const {
     for (const auto& [k, v] : keys_) {
@@ -102,6 +155,19 @@ inline void AppendKVF(std::string* out, const char* key, double value) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), ",\"%s\":%.17g", key, value);
   *out += buf;
+}
+
+/// Appends `,"key":value` in the text of the value's type: AppendKVF for
+/// a double, AppendKVU for a uint64_t, AppendKV for any other integer.
+template <typename T>
+void AppendField(std::string* out, const char* key, T value) {
+  if constexpr (std::is_same_v<T, double>) {
+    AppendKVF(out, key, value);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    AppendKVU(out, key, value);
+  } else {
+    AppendKV(out, key, static_cast<int64_t>(value));
+  }
 }
 
 }  // namespace ecostore::telemetry

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
+#include "telemetry/file_handle.h"
 #include "telemetry/flat_json.h"
 
 namespace ecostore::telemetry::profile {
@@ -35,7 +37,7 @@ Phase PhaseFromName(const std::string& name) {
 
 Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,
                          const std::vector<Span>& spans) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  FilePtr f(std::fopen(path.c_str(), "w"));
   if (f == nullptr) return Status::IoError("cannot write " + path);
 
   std::string line;
@@ -46,7 +48,7 @@ Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,
   AppendKV(&line, "wall_ns", meta.wall_ns);
   AppendKVU(&line, "spans", spans.size());
   line += "}\n";
-  std::fputs(line.c_str(), f);
+  std::fputs(line.c_str(), f.get());
 
   for (const Span& span : spans) {
     line = "{\"type\":\"span\",\"phase\":\"";
@@ -57,15 +59,14 @@ Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,
     AppendKVU(&line, "seq", span.seq);
     AppendKV(&line, "detail", span.detail);
     line += "}\n";
-    std::fputs(line.c_str(), f);
+    std::fputs(line.c_str(), f.get());
   }
-  if (std::fclose(f) != 0) return Status::IoError("cannot finish " + path);
-  return Status::OK();
+  return CloseWritten(std::move(f), path);
 }
 
 Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
                          std::vector<Span>* spans) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
+  FilePtr f(std::fopen(path.c_str(), "r"));
   if (f == nullptr) return Status::IoError("cannot read " + path);
   *meta = ProfileMeta{};
   spans->clear();
@@ -73,7 +74,7 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
   int64_t declared = -1;
   char buf[1024];
   int line_no = 0;
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
+  while (std::fgets(buf, sizeof(buf), f.get()) != nullptr) {
     line_no++;
     std::string line(buf);
     while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
@@ -92,7 +93,6 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
       have_meta = true;
     } else if (type == "span") {
       if (!have_meta) {
-        std::fclose(f);
         char err[64];
         std::snprintf(err, sizeof(err), ": line %d: span before meta",
                       line_no);
@@ -108,7 +108,6 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
     }
     // Unknown "type" values are skipped so the format can grow.
   }
-  std::fclose(f);
   if (!have_meta) {
     return Status::InvalidArgument(path + ": no profile_meta line found");
   }
@@ -125,20 +124,20 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
 
 Status WriteProfileTrace(const std::string& path, const ProfileMeta& meta,
                          const std::vector<Span>& spans) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  FilePtr f(std::fopen(path.c_str(), "w"));
   if (f == nullptr) return Status::IoError("cannot write " + path);
   // pid 10: the wall-clock domain, disjoint from the sim-time trace's
   // pids 0-3 so the two files can be concatenated into one Perfetto view.
   // Span seq ids in args correlate with the kPeriodBoundary indices of
   // the sim-time stream.
-  std::fprintf(f, "[\n");
-  std::fprintf(f,
+  std::fprintf(f.get(), "[\n");
+  std::fprintf(f.get(),
                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":10,"
                "\"args\":{\"name\":\"wall clock (%s / %s)\"}}",
                meta.workload.c_str(), meta.policy.c_str());
   for (const Span& span : spans) {
     std::fprintf(
-        f,
+        f.get(),
         ",\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":10,\"tid\":0,"
         "\"ts\":%.3f,\"dur\":%.3f,"
         "\"args\":{\"seq\":%llu,\"detail\":%lld}}",
@@ -146,9 +145,8 @@ Status WriteProfileTrace(const std::string& path, const ProfileMeta& meta,
         span.dur_ns / 1000.0, static_cast<unsigned long long>(span.seq),
         static_cast<long long>(span.detail));
   }
-  std::fprintf(f, "\n]\n");
-  if (std::fclose(f) != 0) return Status::IoError("cannot finish " + path);
-  return Status::OK();
+  std::fprintf(f.get(), "\n]\n");
+  return CloseWritten(std::move(f), path);
 }
 
 Status ExportProfile(const std::string& base, const ProfileMeta& meta,

@@ -22,12 +22,12 @@ TEST(IntegrationTest, FileServerSuiteOrdering) {
   wl_config.popular_files = 80;
   wl_config.tail_files = 120;
   wl_config.archive_files = 40;
-  auto workload = workload::FileServerWorkload::Create(wl_config);
-  ASSERT_TRUE(workload.ok());
+  const WorkloadFactory factory =
+      FactoryOf<workload::FileServerWorkload>(wl_config);
 
   core::PowerManagementConfig pm;
-  auto runs = RunSuite(workload.value().get(), PaperPolicySet(pm),
-                       ExperimentConfig{});
+  auto runs = ParallelRunSuite(factory, PaperPolicySet(pm),
+                               ExperimentConfig{}, SuiteOptions{});
   ASSERT_TRUE(runs.ok());
   ASSERT_EQ(runs.value().size(), 4u);
 
@@ -81,16 +81,16 @@ TEST(IntegrationTest, FileServerSuiteOrdering) {
 TEST(IntegrationTest, FileServerPdcCostsPowerThroughMigration) {
   workload::FileServerConfig wl_config;
   wl_config.duration = 45 * kMinute;
-  auto workload = workload::FileServerWorkload::Create(wl_config);
-  ASSERT_TRUE(workload.ok());
+  const WorkloadFactory factory =
+      FactoryOf<workload::FileServerWorkload>(wl_config);
   ExperimentConfig config;
   config.power_sample_interval = 60 * kSecond;
 
   // PaperPolicySet order: no_power_saving, proposed, pdc, ddr.
   std::vector<PolicyFactory> paper =
       PaperPolicySet(core::PowerManagementConfig{});
-  auto runs = RunSuite(workload.value().get(),
-                       {paper[0], paper[1], paper[2]}, config);
+  auto runs = ParallelRunSuite(factory, {paper[0], paper[1], paper[2]},
+                               config, SuiteOptions{});
   ASSERT_TRUE(runs.ok());
   const ExperimentMetrics* base = FindRun(runs.value(), "no_power_saving");
   const ExperimentMetrics* proposed = FindRun(runs.value(), "proposed");
@@ -107,8 +107,8 @@ TEST(IntegrationTest, OltpProposedSavesWithoutCollapse) {
   workload::OltpConfig wl_config;
   wl_config.duration = 40 * kMinute;
   wl_config.total_db_iops = 1200;  // scaled-down rig
-  auto workload = workload::OltpWorkload::Create(wl_config);
-  ASSERT_TRUE(workload.ok());
+  const WorkloadFactory factory =
+      FactoryOf<workload::OltpWorkload>(wl_config);
 
   core::PowerManagementConfig pm;
   std::vector<PolicyFactory> factories;
@@ -116,8 +116,8 @@ TEST(IntegrationTest, OltpProposedSavesWithoutCollapse) {
       [] { return std::make_unique<ecostore::policies::NoPowerSavingPolicy>(); });
   factories.push_back(
       [pm] { return std::make_unique<core::EcoStoragePolicy>(pm); });
-  auto runs = RunSuite(workload.value().get(), factories,
-                       ExperimentConfig{});
+  auto runs = ParallelRunSuite(factory, factories, ExperimentConfig{},
+                               SuiteOptions{});
   ASSERT_TRUE(runs.ok());
   const ExperimentMetrics& base = runs.value()[0];
   const ExperimentMetrics& proposed = runs.value()[1];
@@ -136,8 +136,8 @@ TEST(IntegrationTest, AblationPreloadMatters) {
   wl_config.popular_files = 80;
   wl_config.tail_files = 100;
   wl_config.archive_files = 30;
-  auto workload = workload::FileServerWorkload::Create(wl_config);
-  ASSERT_TRUE(workload.ok());
+  const WorkloadFactory factory =
+      FactoryOf<workload::FileServerWorkload>(wl_config);
 
   core::PowerManagementConfig full;
   core::PowerManagementConfig no_preload = full;
@@ -149,8 +149,8 @@ TEST(IntegrationTest, AblationPreloadMatters) {
   factories.push_back([no_preload] {
     return std::make_unique<core::EcoStoragePolicy>(no_preload);
   });
-  auto runs = RunSuite(workload.value().get(), factories,
-                       ExperimentConfig{});
+  auto runs = ParallelRunSuite(factory, factories, ExperimentConfig{},
+                               SuiteOptions{});
   ASSERT_TRUE(runs.ok());
   const ExperimentMetrics& with_preload = runs.value()[0];
   const ExperimentMetrics& without = runs.value()[1];

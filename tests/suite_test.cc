@@ -12,7 +12,7 @@
 namespace ecostore::replay {
 namespace {
 
-std::unique_ptr<workload::Workload> TwoEnclosureWorkload() {
+Result<std::unique_ptr<workload::Workload>> TwoEnclosureWorkload() {
   storage::DataItemCatalog catalog;
   VolumeId v0 = catalog.AddVolume(0);
   VolumeId v1 = catalog.AddVolume(1);
@@ -39,8 +39,15 @@ std::unique_ptr<workload::Workload> TwoEnclosureWorkload() {
   }
   auto workload = workload::RecordedWorkload::FromRecords(
       "two_enc", std::move(catalog), std::move(records), 20 * kMinute, 2);
-  EXPECT_TRUE(workload.ok());
-  return std::move(workload).value();
+  if (!workload.ok()) return workload.status();
+  return Result<std::unique_ptr<workload::Workload>>(
+      std::move(workload).value());
+}
+
+Result<std::vector<ExperimentMetrics>> RunTwoEnclosurePaperSuite() {
+  return ParallelRunSuite(TwoEnclosureWorkload,
+                          PaperPolicySet(core::PowerManagementConfig{}),
+                          ExperimentConfig{}, SuiteOptions{});
 }
 
 TEST(SuiteTest, PaperPolicySetHasTheFourComparisonMethods) {
@@ -55,10 +62,7 @@ TEST(SuiteTest, PaperPolicySetHasTheFourComparisonMethods) {
 }
 
 TEST(SuiteTest, EveryRunReplaysTheIdenticalTrace) {
-  auto workload = TwoEnclosureWorkload();
-  auto runs = RunSuite(workload.get(),
-                       PaperPolicySet(core::PowerManagementConfig{}),
-                       ExperimentConfig{});
+  auto runs = RunTwoEnclosurePaperSuite();
   ASSERT_TRUE(runs.ok());
   ASSERT_EQ(runs.value().size(), 4u);
   for (const ExperimentMetrics& m : runs.value()) {
@@ -69,10 +73,7 @@ TEST(SuiteTest, EveryRunReplaysTheIdenticalTrace) {
 }
 
 TEST(SuiteTest, FindRunByName) {
-  auto workload = TwoEnclosureWorkload();
-  auto runs = RunSuite(workload.get(),
-                       PaperPolicySet(core::PowerManagementConfig{}),
-                       ExperimentConfig{});
+  auto runs = RunTwoEnclosurePaperSuite();
   ASSERT_TRUE(runs.ok());
   EXPECT_NE(FindRun(runs.value(), "proposed"), nullptr);
   EXPECT_NE(FindRun(runs.value(), "ddr"), nullptr);
@@ -125,18 +126,12 @@ workload::FileServerConfig ShortFileServerConfig() {
 }
 
 WorkloadFactory ShortFileServerFactory() {
-  return []() -> Result<std::unique_ptr<workload::Workload>> {
-    auto workload =
-        workload::FileServerWorkload::Create(ShortFileServerConfig());
-    if (!workload.ok()) return workload.status();
-    return std::unique_ptr<workload::Workload>(std::move(workload).value());
-  };
+  return FactoryOf<workload::FileServerWorkload>(ShortFileServerConfig());
 }
 
 TEST(SuiteTest, ParallelRunSuiteMatchesSerialOnFileServer) {
-  // The comparison policies on the file-server workload: the parallel
-  // runner (4 workers, one workload clone per experiment) must produce
-  // byte-identical metrics to the serial shared-instance path.
+  // The comparison policies on the file-server workload: 4 workers must
+  // produce byte-identical metrics to the serial path.
   std::vector<PolicyFactory> policies;
   policies.push_back(
       [] { return std::make_unique<policies::NoPowerSavingPolicy>(); });
@@ -145,11 +140,8 @@ TEST(SuiteTest, ParallelRunSuiteMatchesSerialOnFileServer) {
         core::PowerManagementConfig{});
   });
 
-  auto workload =
-      workload::FileServerWorkload::Create(ShortFileServerConfig());
-  ASSERT_TRUE(workload.ok());
-  auto serial =
-      RunSuite(workload.value().get(), policies, ExperimentConfig{});
+  auto serial = ParallelRunSuite(ShortFileServerFactory(), policies,
+                                 ExperimentConfig{}, SuiteOptions{1});
   ASSERT_TRUE(serial.ok());
 
   auto parallel = ParallelRunSuite(ShortFileServerFactory(), policies,
@@ -162,6 +154,8 @@ TEST(SuiteTest, ParallelRunSuiteMatchesSerialOnFileServer) {
   }
 }
 
+// The suite runner adds nothing to a run: its result equals one
+// Experiment replaying the same workload under the same policy.
 TEST(SuiteTest, ParallelRunSuiteSingleThreadMatchesSerial) {
   std::vector<PolicyFactory> policies;
   policies.push_back(
@@ -170,15 +164,17 @@ TEST(SuiteTest, ParallelRunSuiteSingleThreadMatchesSerial) {
   auto workload =
       workload::FileServerWorkload::Create(ShortFileServerConfig());
   ASSERT_TRUE(workload.ok());
-  auto serial =
-      RunSuite(workload.value().get(), policies, ExperimentConfig{});
+  auto policy = policies[0]();
+  auto serial = Experiment(workload.value().get(), policy.get(),
+                           ExperimentConfig{})
+                    .Run();
   ASSERT_TRUE(serial.ok());
 
   auto single = ParallelRunSuite(ShortFileServerFactory(), policies,
                                  ExperimentConfig{}, SuiteOptions{1});
   ASSERT_TRUE(single.ok());
   ASSERT_EQ(single.value().size(), 1u);
-  ExpectIdenticalMetrics(single.value()[0], serial.value()[0]);
+  ExpectIdenticalMetrics(single.value()[0], serial.value());
 }
 
 TEST(SuiteTest, RunExperimentsRejectsInvalidThreadCount) {
@@ -204,10 +200,7 @@ TEST(SuiteTest, RunExperimentsPropagatesWorkloadFactoryError) {
 TEST(SuiteTest, ProposedSleepsTheColdEnclosure) {
   // Item 0 is continuously read (P3, enclosure 0 hot); item 1 sees a read
   // every 5 minutes (P1, enclosure 1 cold -> sleeps between touches).
-  auto workload = TwoEnclosureWorkload();
-  auto runs = RunSuite(workload.get(),
-                       PaperPolicySet(core::PowerManagementConfig{}),
-                       ExperimentConfig{});
+  auto runs = RunTwoEnclosurePaperSuite();
   ASSERT_TRUE(runs.ok());
   const ExperimentMetrics* base = FindRun(runs.value(), "no_power_saving");
   const ExperimentMetrics* proposed = FindRun(runs.value(), "proposed");

@@ -6,8 +6,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +218,105 @@ TEST(SummaryTest, CaptureRoundTripPreservesTheSummary) {
   Summary a = BuildSummary(run.meta, run.events);
   Summary b = BuildSummary(meta2, events2);
   EXPECT_TRUE(CompareSummaries(a, b, 0.0).empty());
+}
+
+/// Sets the field `member` of `record` to a value that differs from its
+/// default and, for distinct `i`, from every other field's.
+template <typename R, typename S>
+void SetDistinct(R& record, const FieldMember<S>& member, int i) {
+  VisitField(record, member, [&](auto& value) {
+    using T = std::remove_reference_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, double>) {
+      value = i + 2.25;
+    } else {
+      value = static_cast<T>(i + 2);
+    }
+  });
+}
+
+template <typename S, typename M>
+void ExpectMemberEqual(const S& a, const S& b, const M& member,
+                       const char* key) {
+  std::visit([&](auto m) { EXPECT_EQ(a.*m, b.*m) << key; }, member);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Walks the summary tables: every account field (the two CompareSummaries
+// skips, has_ledger and ledger_enclosure_j, included) and every latency
+// row field holds a distinct non-default value. Each must parse back
+// unchanged, and re-writing the parsed summary must give the same bytes.
+TEST(SummaryTest, EveryFieldSurvivesWriteParseWrite) {
+  Summary summary;
+  summary.workload = "unit";
+  summary.policy = "proposed";
+  summary.num_enclosures = 12;
+  summary.duration = 6 * kHour;
+  int i = 0;
+  for (const AccountField& f : kAccountFields) {
+    SetDistinct(summary, f.member, i++);
+  }
+  for (uint8_t pattern : {uint8_t{0}, kPatternUnclassified}) {
+    LatencyRow row;
+    row.pattern = pattern;
+    row.outcome = 1;
+    for (const RecordField<LatencyRow>& f : kLatencyRowFields) {
+      SetDistinct(row, f.member, i++);
+    }
+    summary.latency.push_back(row);
+  }
+
+  const std::string path = TempPath("every_field_summary.json");
+  ASSERT_TRUE(WriteSummaryJson(path, summary).ok());
+  Summary parsed;
+  ASSERT_TRUE(ParseSummaryFile(path, &parsed).ok());
+  EXPECT_EQ(parsed.workload, summary.workload);
+  EXPECT_EQ(parsed.policy, summary.policy);
+  EXPECT_EQ(parsed.num_enclosures, summary.num_enclosures);
+  EXPECT_EQ(parsed.duration, summary.duration);
+  for (const AccountField& f : kAccountFields) {
+    ExpectMemberEqual(parsed, summary, f.member, f.key);
+  }
+  ASSERT_EQ(parsed.latency.size(), summary.latency.size());
+  for (size_t r = 0; r < summary.latency.size(); ++r) {
+    EXPECT_EQ(parsed.latency[r].pattern, summary.latency[r].pattern);
+    EXPECT_EQ(parsed.latency[r].outcome, summary.latency[r].outcome);
+    for (const RecordField<LatencyRow>& f : kLatencyRowFields) {
+      ExpectMemberEqual(parsed.latency[r], summary.latency[r], f.member,
+                        f.key);
+    }
+  }
+
+  const std::string again = TempPath("every_field_summary_again.json");
+  ASSERT_TRUE(WriteSummaryJson(again, parsed).ok());
+  EXPECT_EQ(ReadFile(again), ReadFile(path));
+}
+
+// Moving any one gated account field alone is exactly one diff, named
+// "section.key"; an ungated field moves nothing.
+TEST(SummaryTest, EachGatedAccountFieldAloneGivesOneNamedDiff) {
+  const Summary base;
+  for (const AccountField& f : kAccountFields) {
+    Summary moved = base;
+    SetDistinct(moved, f.member, 0);
+    const std::vector<SummaryDiff> diffs = CompareAccounts(base, moved, 1e-6);
+    if (!f.gated) {
+      EXPECT_TRUE(diffs.empty()) << f.key;
+      continue;
+    }
+    ASSERT_EQ(diffs.size(), 1u) << f.key;
+    EXPECT_EQ(diffs[0].field, std::string(f.section) + "." + f.key);
+  }
+}
+
+TEST(SummaryTest, WriteSummaryReportsAFullDevice) {
+  EXPECT_EQ(WriteSummaryJson("/dev/full", Summary{}).code(),
+            StatusCode::kIoError);
 }
 
 // Each account field is a gate field on its own: a summary that moves

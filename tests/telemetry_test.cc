@@ -1,14 +1,18 @@
 // Tests for the telemetry subsystem: the recorder keeps every event and
 // drains them in sim-time order (also across threads), its class mask,
-// the JSONL and Chrome-trace exporters (round-trip + sim-time ordering,
-// and old captures' retired keys), the power-timeline builder, and the
-// guarantee that an attached recorder never changes the replay outcome.
+// the JSONL and Chrome-trace exporters (round-trip of every kind and
+// field, sim-time ordering, old captures' retired keys, failed writes),
+// the power-timeline builder, and the guarantee that an attached
+// recorder never changes the replay outcome.
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,47 +143,24 @@ std::vector<Event> SampleEvents() {
   return events;
 }
 
-TEST(ExportTest, JsonlRoundTripPreservesEveryKindAndOrder) {
-  ExportMeta meta;
-  meta.workload = "unit";
-  meta.policy = "proposed";
-  meta.num_enclosures = 6;
-  meta.duration = 20 * kSecond;
-  std::vector<Event> events = SampleEvents();
-
-  std::string path = TempPath("roundtrip.jsonl");
-  ASSERT_TRUE(WriteJsonl(path, meta, events).ok());
-
-  ExportMeta meta_back;
-  std::vector<Event> back;
-  ASSERT_TRUE(ParseJsonl(path, &meta_back, &back).ok());
-  EXPECT_EQ(meta_back.workload, meta.workload);
-  EXPECT_EQ(meta_back.policy, meta.policy);
-  EXPECT_EQ(meta_back.num_enclosures, meta.num_enclosures);
-  EXPECT_EQ(meta_back.duration, meta.duration);
-
-  ASSERT_EQ(back.size(), events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(back[i].kind, events[i].kind) << "event " << i;
-    EXPECT_EQ(back[i].time, events[i].time) << "event " << i;
-    if (i > 0) {
-      EXPECT_LE(back[i - 1].time, back[i].time);
+/// Sets the field `member` of `record` to a value that differs from its
+/// default and, for distinct `i`, from every other field's.
+template <typename R, typename S>
+void SetDistinct(R& record, const FieldMember<S>& member, int i) {
+  VisitField(record, member, [&](auto& value) {
+    using T = std::remove_reference_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, double>) {
+      value = i + 2.25;
+    } else {
+      value = static_cast<T>(i + 2);
     }
-  }
-  // Spot-check one payload of each family survives the round trip.
-  EXPECT_EQ(back[0].power.state, 2);
-  EXPECT_EQ(back[1].idle.gap, 3 * kSecond);
-  EXPECT_EQ(back[2].cache.item, 7);
-  EXPECT_EQ(back[2].cache.bytes, 65536);
-  EXPECT_EQ(back[4].migration.to, 5);
-  EXPECT_EQ(back[5].migration.bytes, -1);  // failed commit marker
-  EXPECT_EQ(back[6].decision.item, 42);
-  EXPECT_EQ(back[6].decision.actions, kActionPreload | kActionWriteDelay);
-  EXPECT_EQ(back[6].decision.read_permille, 714);
-  EXPECT_EQ(back[7].hot_cold.hot_mask, 0b0101u);
-  EXPECT_EQ(back[8].adapt.next_period, 600 * kSecond);
-  EXPECT_EQ(back[9].period.next_period, 600 * kSecond);
-  EXPECT_EQ(back[10].sim_stats.peak_heap_depth, 100);
+  });
+}
+
+template <typename S>
+void ExpectFieldEqual(const S& a, const S& b, const RecordField<S>& field) {
+  std::visit([&](auto m) { EXPECT_EQ(a.*m, b.*m) << field.key; },
+             field.member);
 }
 
 std::string ReadFile(const std::string& path) {
@@ -187,6 +168,82 @@ std::string ReadFile(const std::string& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+// Walks the format tables: one event of every kind with a distinct
+// non-default value in every payload field, behind a meta with a power
+// model. Each field must parse back unchanged, and re-writing the parsed
+// capture must give the same bytes.
+TEST(ExportTest, JsonlRoundTripPreservesEveryKindAndOrder) {
+  ExportMeta meta;
+  meta.workload = "unit";
+  meta.policy = "proposed";
+  meta.num_enclosures = 64;
+  meta.duration = 40 * kSecond;
+  meta.has_power_model = true;
+  int i = 0;
+  for (const RecordField<ExportMeta>& f : kPowerModelFields) {
+    SetDistinct(meta, f.member, i++);
+  }
+  std::vector<Event> events;
+  for (size_t k = 1; k < std::size(kEventKinds); ++k) {
+    Event e = MakeEvent(static_cast<SimTime>(k) * kSecond,
+                        static_cast<EventKind>(k));
+    VisitPayload(e.kind, [&](const auto& layout) {
+      auto payload = e.*layout.member;
+      for (size_t f = 0; f < layout.fields.size(); ++f) {
+        SetDistinct(payload, layout.fields[f].member,
+                    static_cast<int>(k + f));
+      }
+      e.*layout.member = payload;
+    });
+    events.push_back(e);
+  }
+
+  const std::string path = TempPath("roundtrip.jsonl");
+  ASSERT_TRUE(WriteJsonl(path, meta, events).ok());
+  ExportMeta meta_back;
+  std::vector<Event> back;
+  ASSERT_TRUE(ParseJsonl(path, &meta_back, &back).ok());
+  EXPECT_EQ(meta_back.workload, meta.workload);
+  EXPECT_EQ(meta_back.policy, meta.policy);
+  EXPECT_EQ(meta_back.num_enclosures, meta.num_enclosures);
+  EXPECT_EQ(meta_back.duration, meta.duration);
+  EXPECT_TRUE(meta_back.has_power_model);
+  for (const RecordField<ExportMeta>& f : kPowerModelFields) {
+    ExpectFieldEqual(meta_back, meta, f);
+  }
+
+  ASSERT_EQ(back.size(), events.size());
+  for (size_t k = 0; k < events.size(); ++k) {
+    SCOPED_TRACE(EventKindName(events[k].kind));
+    EXPECT_EQ(back[k].kind, events[k].kind);
+    EXPECT_EQ(back[k].time, events[k].time);
+    VisitPayload(events[k].kind, [&](const auto& layout) {
+      for (const auto& f : layout.fields) {
+        ExpectFieldEqual(back[k].*layout.member, events[k].*layout.member, f);
+      }
+    });
+  }
+
+  const std::string again = TempPath("roundtrip_again.jsonl");
+  ASSERT_TRUE(WriteJsonl(again, meta_back, back).ok());
+  EXPECT_EQ(ReadFile(again), ReadFile(path));
+}
+
+// Every writer ends with a checked close: a device that takes no bytes
+// fails the write instead of leaving a silently empty file.
+TEST(ExportTest, WritersReportAFullDevice) {
+  ExportMeta meta;
+  meta.num_enclosures = 6;
+  meta.duration = 20 * kSecond;
+  const std::vector<Event> events = SampleEvents();
+  EXPECT_EQ(WriteJsonl("/dev/full", meta, events).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(WritePowerTimelineCsv("/dev/full", meta, events).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(WriteChromeTrace("/dev/full", meta, events).code(),
+            StatusCode::kIoError);
 }
 
 TEST(ExportTest, RetiredShardKeyParsesToTheSameEvent) {

@@ -46,20 +46,6 @@
 namespace ecostore::telemetry {
 namespace {
 
-const char* PatternName(uint8_t pattern) {
-  switch (pattern) {
-    case 0:
-      return "P0";
-    case 1:
-      return "P1";
-    case 2:
-      return "P2";
-    case 3:
-      return "P3";
-  }
-  return "P?";
-}
-
 std::string FormatSimTime(SimTime t) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.1fs", ToSeconds(t));
@@ -145,7 +131,7 @@ int RunAudit(const std::string& path) {
       std::printf(
           "  item %d: %s, %d long intervals, %d%% reads, %d sequences, "
           "%" PRId64 " ios -> %s\n",
-          d.item, PatternName(d.pattern), d.long_intervals,
+          d.item, analysis::PatternSlotName(d.pattern), d.long_intervals,
           (d.read_permille + 5) / 10, d.io_sequences, d.total_ios,
           DescribeActions(d).c_str());
     }
@@ -336,8 +322,9 @@ int RunScore(const std::string& path, const std::string& summary_out) {
         std::printf("       culprit: plan %d classified item %d as %s "
                     "(%d long intervals, %d%% reads, %d sequences, "
                     "%" PRId64 " ios) -> %s\n",
-                    d.plan, d.item, PatternName(d.pattern), d.long_intervals,
-                    (d.read_permille + 5) / 10, d.io_sequences, d.total_ios,
+                    d.plan, d.item, analysis::PatternSlotName(d.pattern),
+                    d.long_intervals, (d.read_permille + 5) / 10,
+                    d.io_sequences, d.total_ios,
                     DescribeActions(d).c_str());
       }
     }
@@ -466,27 +453,13 @@ void PrintRollingWindow(const char* prefix, int64_t index, SimTime start,
 }
 
 /// The account of a rolling_final JSONL line. The line carries no
-/// latency, so only the fields CompareAccounts reads are filled.
+/// latency, so only the account fields are filled.
 analysis::Summary SummaryFromRollingFinal(const FlatJson& json) {
   analysis::Summary s;
-  s.enclosure_energy_j = json.Dbl("enclosure_energy_j");
-  s.controller_energy_j = json.Dbl("controller_energy_j");
-  s.total_energy_j = json.Dbl("total_energy_j");
-  s.has_ledger = json.Int("has_finals") != 0;
-  s.reconcile_rel_err = json.Dbl("reconcile_rel_err");
-  s.off_credit_j = json.Dbl("off_credit_j");
-  s.off_debit_j = json.Dbl("off_debit_j");
-  s.net_saving_j = json.Dbl("net_saving_j");
-  s.advisory_credit_j = json.Dbl("advisory_credit_j");
-  s.advisory_debit_j = json.Dbl("advisory_debit_j");
-  s.mispredict_loss_j = json.Dbl("mispredict_loss_j");
-  s.plans = json.Int("plans");
-  s.decisions = json.Int("decisions");
-  s.off_windows = json.Int("off_windows");
-  s.mispredicts = json.Int("mispredicts");
-  s.migrations = json.Int("migrations");
-  s.preloads = json.Int("preloads");
-  s.write_delays = json.Int("write_delays");
+  for (const analysis::AccountField& field : analysis::kAccountFields) {
+    json.Read(field.rolling_key != nullptr ? field.rolling_key : field.key,
+              field.member, &s);
+  }
   return s;
 }
 
