@@ -1,12 +1,11 @@
 // Google-benchmark microbenchmarks for the hot code paths: the event
-// loop, the cache, interval analysis, the classifier and the placement
-// planner. These bound the monitoring overhead the paper argues is small
-// (§III-A, §VII-D).
+// loop, the cache, the classifier and the placement planner. These bound
+// the monitoring overhead the paper argues is small (§III-A, §VII-D).
 //
 // In addition to the google-benchmark suite, main() times the per-period
 // classification hot path on a real file-server monitoring period — both
-// the current streaming implementation and the pre-optimisation
-// vector-of-vectors gather (replicated below) — and writes the results to
+// the current streaming implementation and the frozen full-trace oracle
+// (bench/legacy_classifier.h) — and writes the results to
 // BENCH_perf.json (override the path with --json=<path> or the
 // ECOSTORE_BENCH_JSON env var) so the perf trajectory is tracked across
 // PRs. `bench_micro --json` runs only that measurement pass.
@@ -41,10 +40,10 @@
 #include "sim/simulator.h"
 #include "storage/disk_enclosure.h"
 #include "storage/storage_cache.h"
+#include "telemetry/file_handle.h"
 #include "telemetry/profile/profile_export.h"
 #include "telemetry/profile/profiler.h"
 #include "telemetry/recorder.h"
-#include "trace/trace_stats.h"
 #include "workload/file_server_workload.h"
 #include "workload/oltp_workload.h"
 
@@ -106,7 +105,7 @@ BENCHMARK(BM_CacheWriteAbsorb);
 // Cache read/write mix: the identical operation stream through the slab
 // cache and through the pre-rewrite map/list implementation
 // (bench/legacy_cache.h), with every aggregate asserted equal before the
-// throughputs are compared — the PR-1 ClassifyLegacy pattern.
+// throughputs are compared — the bench/legacy_classifier.h pattern.
 // ---------------------------------------------------------------------
 
 struct CacheMixOp {
@@ -236,114 +235,9 @@ CacheMixTotals RunCacheMixLegacy(const CacheMix& mix) {
   return totals;
 }
 
-void BM_IntervalAnalysis(benchmark::State& state) {
-  Xoshiro256 rng(2);
-  std::vector<std::pair<SimTime, bool>> ios;
-  SimTime t = 0;
-  for (int i = 0; i < state.range(0); ++i) {
-    t += rng.UniformInt(1, 2 * kSecond);
-    ios.emplace_back(t, rng.Bernoulli(0.6));
-  }
-  core::IntervalProfile profile;
-  for (auto _ : state) {
-    core::AnalyzeIntervalsInto(ios, 0, t + kSecond, 52 * kSecond, &profile);
-    benchmark::DoNotOptimize(profile);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_IntervalAnalysis)->Arg(100)->Arg(10000);
-
 // ---------------------------------------------------------------------
 // Classification: synthetic uniform trace and a real file-server period.
 // ---------------------------------------------------------------------
-
-/// The pre-optimisation classifier hot path, kept verbatim as the
-/// regression reference: per period it materialised one vector of
-/// (time, is_read) pairs PER CATALOG ITEM and copied every profile.
-core::ClassificationResult ClassifyLegacy(
-    const core::PatternClassifier::Options& options,
-    const trace::LogicalTraceBuffer& buffer,
-    const storage::DataItemCatalog& catalog, SimTime period_start,
-    SimTime period_end) {
-  core::ClassificationResult result;
-  result.items.resize(catalog.item_count());
-
-  std::vector<std::vector<std::pair<SimTime, bool>>> per_item(
-      catalog.item_count());
-  std::vector<std::pair<int64_t, int64_t>> bytes(catalog.item_count(),
-                                                 {0, 0});
-  for (const trace::LogicalIoRecord& rec : buffer.records()) {
-    if (rec.item < 0 ||
-        static_cast<size_t>(rec.item) >= catalog.item_count()) {
-      continue;
-    }
-    auto idx = static_cast<size_t>(rec.item);
-    per_item[idx].emplace_back(rec.time, rec.is_read());
-    if (rec.is_read()) {
-      bytes[idx].first += rec.size;
-    } else {
-      bytes[idx].second += rec.size;
-    }
-  }
-
-  double period_seconds = ToSeconds(period_end - period_start);
-  double long_interval_sum = 0.0;
-  int64_t long_interval_count = 0;
-
-  for (size_t i = 0; i < catalog.item_count(); ++i) {
-    core::ItemClassification& cls = result.items[i];
-    cls.item = static_cast<DataItemId>(i);
-    cls.size_bytes = catalog.item(cls.item).size_bytes;
-    cls.read_bytes = bytes[i].first;
-    cls.write_bytes = bytes[i].second;
-
-    core::IntervalProfile profile = core::AnalyzeIntervals(
-        per_item[i], period_start, period_end, options.break_even);
-    cls.reads = profile.total_reads();
-    cls.writes = profile.total_writes();
-    cls.avg_iops = period_seconds > 0
-                       ? static_cast<double>(cls.total_ios()) / period_seconds
-                       : 0.0;
-    cls.long_interval_count =
-        static_cast<int64_t>(profile.long_intervals.size());
-
-    for (SimDuration li : profile.long_intervals) {
-      long_interval_sum += static_cast<double>(li);
-      long_interval_count++;
-    }
-
-    if (per_item[i].empty()) {
-      cls.pattern = core::IoPattern::kP0;
-    } else if (profile.long_intervals.empty()) {
-      cls.pattern = core::IoPattern::kP3;
-    } else if (cls.reads * 2 > cls.total_ios()) {
-      cls.pattern = core::IoPattern::kP1;
-    } else {
-      cls.pattern = core::IoPattern::kP2;
-    }
-    result.pattern_counts[static_cast<size_t>(cls.pattern)]++;
-  }
-
-  if (long_interval_count > 0) {
-    result.mean_long_interval = static_cast<SimDuration>(
-        long_interval_sum / static_cast<double>(long_interval_count));
-  }
-
-  trace::IopsSeries p3_series(
-      period_start, std::max(period_end, period_start + 1),
-      options.iops_bucket);
-  bool any_p3 = false;
-  for (size_t i = 0; i < result.items.size(); ++i) {
-    if (result.items[i].pattern != core::IoPattern::kP3) continue;
-    any_p3 = true;
-    for (const auto& [t, is_read] : per_item[i]) {
-      (void)is_read;
-      p3_series.Add(t);
-    }
-  }
-  result.p3_max_iops = any_p3 ? p3_series.MaxIops() : 0.0;
-  return result;
-}
 
 /// One monitoring period (the paper's initial 520 s) of the file-server
 /// workload, replayed into a trace buffer once and shared by the
@@ -444,10 +338,11 @@ BENCHMARK(BM_ClassifyFileServerPeriod);
 
 void BM_ClassifyFileServerPeriodLegacy(benchmark::State& state) {
   const FileServerPeriod& period = FileServerPeriod::Get();
-  core::PatternClassifier::Options options{52 * kSecond, 1 * kSecond};
+  bench::LegacyPatternClassifier legacy(
+      core::PatternClassifier::Options{52 * kSecond, 1 * kSecond});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ClassifyLegacy(
-        options, period.buffer, period.catalog, 0, period.period_end));
+    benchmark::DoNotOptimize(legacy.Classify(
+        period.buffer, period.catalog, 0, period.period_end));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(period.buffer.size()));
@@ -1275,19 +1170,16 @@ void PrintOverhead(const OverheadFigure& figure, const char* count_unit) {
 int WriteBenchPerfJson(const char* path_override) {
   const FileServerPeriod& period = FileServerPeriod::Get();
   const auto events = static_cast<int64_t>(period.buffer.size());
-  core::PatternClassifier classifier(
-      core::PatternClassifier::Options{52 * kSecond, 1 * kSecond});
-  core::PatternClassifier::Options options{52 * kSecond, 1 * kSecond};
+  const core::PatternClassifier::Options options{52 * kSecond, 1 * kSecond};
+  core::PatternClassifier classifier(options);
+  bench::LegacyPatternClassifier legacy(options);
 
   // Sanity: both implementations must agree before we compare speed.
-  core::ClassificationResult current =
-      classifier.Classify(period.buffer, period.catalog, 0,
-                          period.period_end);
-  core::ClassificationResult legacy = ClassifyLegacy(
-      options, period.buffer, period.catalog, 0, period.period_end);
-  if (current.pattern_counts != legacy.pattern_counts ||
-      current.p3_max_iops != legacy.p3_max_iops ||
-      current.mean_long_interval != legacy.mean_long_interval) {
+  if (!SameClassification(
+          classifier.Classify(period.buffer, period.catalog, 0,
+                              period.period_end),
+          legacy.Classify(period.buffer, period.catalog, 0,
+                          period.period_end))) {
     std::fprintf(stderr,
                  "BENCH_perf: streaming and legacy classification disagree!\n");
     std::exit(1);
@@ -1298,8 +1190,8 @@ int WriteBenchPerfJson(const char* path_override) {
         period.buffer, period.catalog, 0, period.period_end));
   });
   double legacy_rate = MeasureEventsPerSec(events, [&] {
-    benchmark::DoNotOptimize(ClassifyLegacy(
-        options, period.buffer, period.catalog, 0, period.period_end));
+    benchmark::DoNotOptimize(legacy.Classify(
+        period.buffer, period.catalog, 0, period.period_end));
   });
 
   // Sanity: the POD-heap engine and the frozen PR-2 replica must execute
@@ -1505,11 +1397,12 @@ int WriteBenchPerfJson(const char* path_override) {
   const char* path = path_override;
   if (path == nullptr) path = std::getenv("ECOSTORE_BENCH_JSON");
   if (path == nullptr) path = "BENCH_perf.json";
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
+  telemetry::FilePtr file(std::fopen(path, "w"));
+  if (file == nullptr) {
     std::fprintf(stderr, "BENCH_perf: cannot write %s\n", path);
     return 1;
   }
+  std::FILE* out = file.get();
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"bench_micro\",\n");
   std::fprintf(out, "  \"host_cpus\": %u,\n",
@@ -1653,7 +1546,11 @@ int WriteBenchPerfJson(const char* path_override) {
   std::fprintf(out, "  \"simulator_cancel_heavy_events_per_sec\": %.0f\n",
                sim_cancel_rate);
   std::fprintf(out, "}\n");
-  std::fclose(out);
+  Status written = telemetry::CloseWritten(std::move(file), path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "BENCH_perf: %s\n", written.ToString().c_str());
+    return 1;
+  }
   std::printf("\nclassification (file-server period, %lld events): "
               "streaming %.2fM ev/s vs legacy %.2fM ev/s (%.2fx)\n",
               static_cast<long long>(events), streaming / 1e6,

@@ -7,8 +7,8 @@
 // allocated demand vectors on every call. The cache-mix benchmark runs
 // the identical operation stream through this model and through the
 // current slab cache, asserts that every aggregate agrees, and reports
-// both throughputs to BENCH_perf.json — the same pattern as PR 1's
-// ClassifyLegacy reference.
+// both throughputs to BENCH_perf.json — the same pattern as the
+// classifier oracle in bench/legacy_classifier.h.
 
 #include <algorithm>
 #include <cassert>

@@ -14,21 +14,79 @@
 // episodic item — the cost profile the streaming pipeline removes. Only
 // the result container changed with the compaction of
 // core::ItemClassification: the interval values live in local scratch
-// here and the emitted count/mean are computed exactly as before.
+// here and the emitted count/mean are computed exactly as before. The
+// I_max bucket series (IopsSeries below) lives here too: the library's
+// streaming classifier folds the same arithmetic into its per-item
+// bucket runs, so this is the series' only copy.
 //
 // Do not optimise this file; it is a reference, not a hot path.
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <vector>
 
 #include "common/sim_time.h"
 #include "core/pattern_classifier.h"
 #include "storage/data_item.h"
 #include "trace/trace_buffer.h"
-#include "trace/trace_stats.h"
 
 namespace ecostore::bench {
+
+/// \brief Time-bucketed IOPS series of the P3 items, used to compute
+/// I_max (paper §IV-C Step 1). Buckets are fixed-width spans of
+/// `bucket_width`; the IOPS of a bucket is its I/O count divided by the
+/// bucket width in seconds. Samples past the end clamp to the last
+/// bucket; samples before the start are dropped.
+class IopsSeries {
+ public:
+  IopsSeries(SimTime start, SimTime end, SimDuration bucket_width)
+      : start_(start), bucket_width_(bucket_width) {
+    assert(end >= start);
+    assert(bucket_width > 0);
+    size_t buckets =
+        static_cast<size_t>((end - start + bucket_width - 1) / bucket_width);
+    counts_.assign(std::max<size_t>(buckets, 1), 0);
+    cursor_end_ = start_ + bucket_width_;
+  }
+
+  /// Optimised for times arriving in (mostly) non-decreasing order: an
+  /// internal bucket cursor advances instead of dividing, and only a
+  /// backward time jump falls back to a division. Bulk-loading a
+  /// time-ordered trace therefore costs no 64-bit division per event.
+  void AddOrdered(SimTime t, int64_t ios = 1) {
+    if (t < start_) return;
+    if (t < cursor_end_ - bucket_width_) {
+      // Backward jump before the cursor's bucket: recompute by division.
+      size_t bucket = static_cast<size_t>((t - start_) / bucket_width_);
+      if (bucket >= counts_.size()) bucket = counts_.size() - 1;
+      cursor_ = bucket;
+      cursor_end_ =
+          start_ + static_cast<SimDuration>(bucket + 1) * bucket_width_;
+    } else {
+      while (t >= cursor_end_ && cursor_ + 1 < counts_.size()) {
+        cursor_++;
+        cursor_end_ += bucket_width_;
+      }
+    }
+    counts_[cursor_] += ios;
+  }
+
+  /// Maximum bucket IOPS across the series (0 when empty).
+  double MaxIops() const {
+    int64_t best = 0;
+    for (int64_t c : counts_) best = std::max(best, c);
+    return static_cast<double>(best) / ToSeconds(bucket_width_);
+  }
+
+ private:
+  SimTime start_;
+  SimDuration bucket_width_;
+  std::vector<int64_t> counts_;
+  /// AddOrdered() cursor: current bucket and its exclusive end time.
+  size_t cursor_ = 0;
+  SimTime cursor_end_ = 0;
+};
 
 class LegacyPatternClassifier {
  public:
@@ -141,7 +199,7 @@ class LegacyPatternClassifier {
     // Aggregate IOPS series of the P3 items -> I_max (paper §IV-C Step 1).
     // Second pass over the trace.
     if (any_p3) {
-      trace::IopsSeries p3_series(
+      IopsSeries p3_series(
           period_start, std::max(period_end, period_start + 1),
           options_.iops_bucket);
       for (const trace::LogicalIoRecord& rec : buffer.records()) {

@@ -3,7 +3,7 @@
 
 // The pre-fleet-scale planners, kept verbatim (modulo inline/namespace)
 // as the in-run regression reference — the same pattern as
-// bench/legacy_cache.h and the PR-1 ClassifyLegacy reference. These are
+// bench/legacy_cache.h and bench/legacy_classifier.h. These are
 // the stable_sort-based Algorithm 2/3 implementations: find_cold_target
 // re-sorts the whole cold list per candidate move, the hot list is
 // re-sorted per P3 item, make_space rescans the full catalog, and the

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/sweep_config.h"
@@ -38,6 +39,7 @@
 #include "replay/suite.h"
 #include "telemetry/analysis/latency_histogram.h"
 #include "telemetry/analysis/rolling_summary.h"
+#include "telemetry/file_handle.h"
 #include "telemetry/profile/profiler.h"
 #include "telemetry/recorder.h"
 #include "telemetry/stream_consumer.h"
@@ -297,20 +299,19 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite() {
 
 inline bool SaveGoldenFingerprints(const std::string& path,
                                    const std::vector<ReplayCheckRun>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  telemetry::FilePtr f(std::fopen(path.c_str(), "w"));
   if (f == nullptr) return false;
-  std::fprintf(f,
+  std::fprintf(f.get(),
                "# Golden ExperimentMetrics fingerprints for "
                "`bench_micro --check` (see bench/replay_check.h).\n"
                "# Regenerate with `bench_micro --record` ONLY when a "
                "behaviour change is intended and reviewed.\n");
   for (const ReplayCheckRun& run : runs) {
-    std::fprintf(f, "%016llx %s\n",
+    std::fprintf(f.get(), "%016llx %s\n",
                  static_cast<unsigned long long>(run.fingerprint),
                  run.label.c_str());
   }
-  std::fclose(f);
-  return true;
+  return telemetry::CloseWritten(std::move(f), path).ok();
 }
 
 inline bool LoadGoldenFingerprints(const std::string& path,

@@ -165,7 +165,8 @@ const ClassificationResult& PatternClassifier::Finalize(
   const SimDuration full_period = period_end - period_start_;
   const double period_seconds = ToSeconds(full_period);
   const SimDuration width = options_.iops_bucket;
-  // Bucket count of the legacy IopsSeries(start, max(end, start+1), w).
+  // Bucket count of the oracle's IopsSeries(start, max(end, start+1), w)
+  // (bench/legacy_classifier.h).
   auto n_buckets = static_cast<size_t>(
       (std::max(period_end, period_start_ + 1) - period_start_ + width - 1) /
       width);

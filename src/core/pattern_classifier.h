@@ -7,7 +7,6 @@
 
 #include "common/sim_time.h"
 #include "common/types.h"
-#include "core/interval_analysis.h"
 #include "core/io_pattern.h"
 #include "monitor/io_sink.h"
 #include "storage/data_item.h"

@@ -130,7 +130,10 @@ void RollingSummary::CloseWindow(SimTime end, bool terminal) {
   prev_off_count_ = cur.off_windows.size();
 
   WriteWindowLine(w);
-  WriteProgressLine(w);
+  if (options_.progress != nullptr) {
+    PrintWindowRow(options_.progress, options_.progress_prefix, w);
+    std::fflush(options_.progress);
+  }
 
   windows_closed_++;
   windows_.push_back(std::move(w));
@@ -272,20 +275,19 @@ void RollingSummary::WriteFinalLine() {
   std::fflush(options_.jsonl);
 }
 
-void RollingSummary::WriteProgressLine(const RollingWindow& w) {
-  if (options_.progress == nullptr) return;
-  std::fprintf(options_.progress,
-               "%s w%lld [%.0fs,%.0fs)%s net %+.1f J (credit %.1f debit "
-               "%.1f) off %lld mispredict %lld | cum net %+.1f J "
-               "mispredict %lld\n",
-               options_.progress_prefix, static_cast<long long>(w.index),
-               ToSeconds(w.start), ToSeconds(w.end),
-               w.terminal ? " end" : "", w.credit_j - w.debit_j, w.credit_j,
-               w.debit_j, static_cast<long long>(w.off_windows),
+void PrintWindowRow(std::FILE* out, const char* prefix,
+                    const RollingWindow& w) {
+  std::fprintf(out,
+               "%s w%-4lld [%7.0fs,%7.0fs)%s net %+10.1f J  credit %10.1f  "
+               "debit %10.1f  off %3lld  mispredict %2lld | cum net "
+               "%+10.1f J mispredict %lld\n",
+               prefix, static_cast<long long>(w.index), ToSeconds(w.start),
+               ToSeconds(w.end), w.terminal ? " end" : "    ",
+               w.credit_j - w.debit_j, w.credit_j, w.debit_j,
+               static_cast<long long>(w.off_windows),
                static_cast<long long>(w.mispredicts),
                w.cum_credit_j - w.cum_debit_j,
                static_cast<long long>(w.cum_mispredicts));
-  std::fflush(options_.progress);
 }
 
 }  // namespace ecostore::telemetry::analysis

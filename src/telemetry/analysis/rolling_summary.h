@@ -91,6 +91,12 @@ struct RollingWindow {
   std::vector<LatCell> latency;
 };
 
+/// Prints one window as the aligned row shared by the live progress sink,
+/// `eco_report tail` (rolling or capture input) and `eco_report score
+/// --window`, so one window reads the same on every path.
+void PrintWindowRow(std::FILE* out, const char* prefix,
+                    const RollingWindow& w);
+
 /// \brief The rolling-window consumer (see file header).
 class RollingSummary : public StreamConsumer {
  public:
@@ -107,7 +113,8 @@ class RollingSummary : public StreamConsumer {
     /// head and a rolling_final trailer; flushed per line so the file is
     /// tailable mid-run. Not owned. May be null.
     std::FILE* jsonl = nullptr;
-    /// Human progress sink (e.g. stdout). Not owned. May be null.
+    /// Human progress sink (e.g. stdout), one PrintWindowRow per window.
+    /// Not owned. May be null.
     std::FILE* progress = nullptr;
     const char* progress_prefix = "[rolling]";
   };
@@ -132,7 +139,6 @@ class RollingSummary : public StreamConsumer {
   void WriteMetaLine();
   void WriteWindowLine(const RollingWindow& w);
   void WriteFinalLine();
-  void WriteProgressLine(const RollingWindow& w);
 
   Options options_;
   IncrementalEnergyLedger ledger_;

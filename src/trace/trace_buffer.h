@@ -1,7 +1,6 @@
 #ifndef ECOSTORE_TRACE_TRACE_BUFFER_H_
 #define ECOSTORE_TRACE_TRACE_BUFFER_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -14,7 +13,7 @@ namespace ecostore::trace {
 /// period (the Application Monitor's in-memory repository, paper §III-A).
 ///
 /// Records must be appended in non-decreasing time order; the classifier
-/// and statistics helpers rely on that ordering.
+/// relies on that ordering.
 class LogicalTraceBuffer {
  public:
   void Append(const LogicalIoRecord& rec) { records_.push_back(rec); }
@@ -32,10 +31,6 @@ class LogicalTraceBuffer {
   size_t size() const { return records_.size(); }
   size_t capacity() const { return records_.capacity(); }
   bool empty() const { return records_.empty(); }
-
-  /// Groups record indices by data item. Order within each group follows
-  /// trace (time) order.
-  std::unordered_map<DataItemId, std::vector<size_t>> GroupByItem() const;
 
  private:
   std::vector<LogicalIoRecord> records_;

@@ -1,12 +1,16 @@
 // Tests for the benchmark CLIs' shared flag parsing (bench/bench_util.h),
-// which eco_report uses for its number flags too.
+// which eco_report uses for its number flags too, and for the golden
+// fingerprint file of the replay gate (bench/replay_check.h).
 
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/replay_check.h"
 
 namespace ecostore::bench {
 namespace {
@@ -126,6 +130,28 @@ TEST(ParseCaptureFlagsTest, BadRollingWindowExitsWithStatus2) {
                 "--rolling-window: expected a positive number")
         << bad;
   }
+}
+
+TEST(GoldenFingerprintsTest, RoundTrip) {
+  const std::vector<ReplayCheckRun> runs = {{"a/eco", 0x0123456789abcdefull},
+                                            {"b/pdc", 42}};
+  const std::string path = ::testing::TempDir() + "golden_roundtrip.txt";
+  ASSERT_TRUE(SaveGoldenFingerprints(path, runs));
+  std::vector<ReplayCheckRun> loaded;
+  ASSERT_TRUE(LoadGoldenFingerprints(path, &loaded));
+  ASSERT_EQ(loaded.size(), runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(loaded[i].label, runs[i].label);
+    EXPECT_EQ(loaded[i].fingerprint, runs[i].fingerprint);
+  }
+  std::remove(path.c_str());
+}
+
+// A write that fails only at the final flush (a full device) is a
+// failure, not a recorded golden file.
+TEST(GoldenFingerprintsTest, FailedWriteIsReported) {
+  const std::vector<ReplayCheckRun> runs = {{"a/eco", 1}};
+  EXPECT_FALSE(SaveGoldenFingerprints("/dev/full", runs));
 }
 
 }  // namespace

@@ -242,6 +242,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PatternTableTest,
 // Edge cases exercised deterministically.
 // ---------------------------------------------------------------------
 
+// The oracle's I_max series: a sample past the end clamps to the last
+// bucket, and a backward jump re-buckets by division.
+TEST(ClassifierEdgeTest, OracleIopsSeriesClampsLateSamples) {
+  bench::IopsSeries series(0, 2 * kSecond, 1 * kSecond);
+  series.AddOrdered(100 * kSecond);  // way past the end: bucket 1
+  EXPECT_DOUBLE_EQ(series.MaxIops(), 1.0);
+  series.AddOrdered(1500 * kMillisecond);  // bucket 1 again
+  EXPECT_DOUBLE_EQ(series.MaxIops(), 2.0);
+  series.AddOrdered(500 * kMillisecond);  // backward jump: bucket 0
+  EXPECT_DOUBLE_EQ(series.MaxIops(), 2.0);
+}
+
 TEST(ClassifierEdgeTest, EmptyCatalogWithStrayRecords) {
   storage::DataItemCatalog catalog;  // zero items
   trace::LogicalTraceBuffer buffer;

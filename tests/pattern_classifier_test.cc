@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
 #include "core/pattern_classifier.h"
 

@@ -1,4 +1,4 @@
-// Unit tests for trace/: buffers, CSV round-trips, statistics.
+// Unit tests for trace/: buffers and CSV round-trips.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "trace/io_record.h"
 #include "trace/trace_buffer.h"
 #include "trace/trace_csv.h"
-#include "trace/trace_stats.h"
 
 namespace ecostore::trace {
 namespace {
@@ -20,17 +19,6 @@ LogicalIoRecord Rec(SimTime t, DataItemId item, IoType type,
   rec.size = size;
   rec.type = type;
   return rec;
-}
-
-TEST(TraceBufferTest, GroupByItemPreservesOrder) {
-  LogicalTraceBuffer buffer;
-  buffer.Append(Rec(10, 1, IoType::kRead));
-  buffer.Append(Rec(20, 2, IoType::kWrite));
-  buffer.Append(Rec(30, 1, IoType::kRead));
-  auto groups = buffer.GroupByItem();
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[1], (std::vector<size_t>{0, 2}));
-  EXPECT_EQ(groups[2], (std::vector<size_t>{1}));
 }
 
 TEST(TraceBufferTest, ClearEmpties) {
@@ -114,66 +102,6 @@ TEST(TraceCsvTest, EmptyInputIsEmptyTrace) {
   auto parsed = ReadLogicalCsv(in);
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().empty());
-}
-
-TEST(TraceStatsTest, ItemStatsAggregates) {
-  LogicalTraceBuffer buffer;
-  buffer.Append(Rec(10, 1, IoType::kRead, 100));
-  buffer.Append(Rec(20, 1, IoType::kWrite, 200));
-  buffer.Append(Rec(30, 1, IoType::kRead, 300));
-  auto stats = ComputeItemStats(buffer);
-  ASSERT_EQ(stats.size(), 1u);
-  const ItemPeriodStats& s = stats[1];
-  EXPECT_EQ(s.reads, 2);
-  EXPECT_EQ(s.writes, 1);
-  EXPECT_EQ(s.read_bytes, 400);
-  EXPECT_EQ(s.write_bytes, 200);
-  EXPECT_EQ(s.first_io, 10);
-  EXPECT_EQ(s.last_io, 30);
-  EXPECT_NEAR(s.read_ratio(), 2.0 / 3.0, 1e-9);
-}
-
-TEST(TraceStatsTest, ExtractGapsIncludesEdges) {
-  std::vector<SimTime> times = {10 * kSecond, 15 * kSecond};
-  auto gaps = ExtractGaps(times, 0, 100 * kSecond);
-  ASSERT_EQ(gaps.size(), 3u);
-  EXPECT_EQ(gaps[0], 10 * kSecond);
-  EXPECT_EQ(gaps[1], 5 * kSecond);
-  EXPECT_EQ(gaps[2], 85 * kSecond);
-}
-
-TEST(TraceStatsTest, ExtractGapsEmptyIsWholePeriod) {
-  auto gaps = ExtractGaps({}, 5, 105);
-  ASSERT_EQ(gaps.size(), 1u);
-  EXPECT_EQ(gaps[0], 100);
-}
-
-TEST(IopsSeriesTest, MaxAndAverage) {
-  IopsSeries series(0, 10 * kSecond, 1 * kSecond);
-  EXPECT_EQ(series.bucket_count(), 10u);
-  // 5 I/Os in bucket 0, 1 I/O in bucket 3.
-  for (int i = 0; i < 5; ++i) series.Add(100 * kMillisecond);
-  series.Add(3 * kSecond + 1);
-  EXPECT_DOUBLE_EQ(series.MaxIops(), 5.0);
-  EXPECT_DOUBLE_EQ(series.AverageIops(), 0.6);
-  EXPECT_DOUBLE_EQ(series.IopsAt(3), 1.0);
-}
-
-TEST(IopsSeriesTest, LateSamplesClampToLastBucket) {
-  IopsSeries series(0, 2 * kSecond, 1 * kSecond);
-  series.Add(100 * kSecond);  // way past the end
-  EXPECT_DOUBLE_EQ(series.IopsAt(1), 1.0);
-}
-
-TEST(IopsSeriesTest, MergeAdds) {
-  IopsSeries a(0, 2 * kSecond, 1 * kSecond);
-  IopsSeries b(0, 2 * kSecond, 1 * kSecond);
-  a.Add(0);
-  b.Add(1);
-  b.Add(1 * kSecond);
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.IopsAt(0), 2.0);
-  EXPECT_DOUBLE_EQ(a.IopsAt(1), 1.0);
 }
 
 }  // namespace

@@ -436,22 +436,6 @@ void PrintRollingHeader(SimDuration window_us) {
   std::printf("\nrolling windows (%.0fs)\n", ToSeconds(window_us));
 }
 
-void PrintRollingWindow(const char* prefix, int64_t index, SimTime start,
-                        SimTime end, bool terminal, double credit_j,
-                        double debit_j, int64_t off_windows,
-                        int64_t mispredicts, double cum_net_j,
-                        int64_t cum_mispredicts) {
-  std::printf("%s w%-4lld [%7.0fs,%7.0fs)%s net %+10.1f J  credit %10.1f  "
-              "debit %10.1f  off %3lld  mispredict %2lld | cum net "
-              "%+10.1f J mispredict %lld\n",
-              prefix, static_cast<long long>(index), ToSeconds(start),
-              ToSeconds(end), terminal ? " end" : "    ",
-              credit_j - debit_j, credit_j, debit_j,
-              static_cast<long long>(off_windows),
-              static_cast<long long>(mispredicts), cum_net_j,
-              static_cast<long long>(cum_mispredicts));
-}
-
 /// The account of a rolling_final JSONL line. The line carries no
 /// latency, so only the account fields are filled.
 analysis::Summary SummaryFromRollingFinal(const FlatJson& json) {
@@ -512,12 +496,10 @@ int ReconcileAccount(const analysis::Summary& live,
 /// meta line. Returns the consumer for rendering.
 std::unique_ptr<analysis::RollingSummary> RollCapture(
     const ExportMeta& meta, const std::vector<Event>& events,
-    SimDuration window_us, std::FILE* progress, const char* prefix) {
+    SimDuration window_us) {
   analysis::RollingSummary::Options opt;
   opt.window_us = window_us;
   opt.retention = static_cast<size_t>(-1);
-  opt.progress = progress;
-  opt.progress_prefix = prefix;
   auto rolling = std::make_unique<analysis::RollingSummary>(meta, opt);
   for (const Event& e : events) rolling->OnEvent(e);
   StreamFinal fin;
@@ -541,12 +523,10 @@ int RunScoreWindows(const std::string& path, SimDuration window_us,
     return 1;
   }
   std::unique_ptr<analysis::RollingSummary> rolling =
-      RollCapture(meta, events, window_us, nullptr, "");
+      RollCapture(meta, events, window_us);
   PrintRollingHeader(window_us);
   for (const analysis::RollingWindow& w : rolling->windows()) {
-    PrintRollingWindow("", w.index, w.start, w.end, w.terminal, w.credit_j,
-                       w.debit_j, w.off_windows, w.mispredicts,
-                       w.cum_credit_j - w.cum_debit_j, w.cum_mispredicts);
+    analysis::PrintWindowRow(stdout, "", w);
     for (const analysis::RollingWindow::Flag& f : w.flags) {
       std::printf("        MISPREDICT enc %d [%s,%s] plan %d loss %.1f J "
                   "wake %s%s\n",
@@ -623,12 +603,19 @@ int RunTail(const std::string& path, const TailOptions& opt) {
                       static_cast<long long>(json.Int("num_enclosures")),
                       ToSeconds(json.Int("window_us")));
         } else if (type == "window") {
-          PrintRollingWindow("[tail]", json.Int("index"),
-                             json.Int("start_us"), json.Int("end_us"),
-                             json.Int("terminal") != 0, json.Dbl("credit_j"),
-                             json.Dbl("debit_j"), json.Int("off_windows"),
-                             json.Int("mispredicts"), json.Dbl("cum_net_j"),
-                             json.Int("cum_mispredicts"));
+          analysis::RollingWindow w;
+          w.index = json.Int("index");
+          w.start = json.Int("start_us");
+          w.end = json.Int("end_us");
+          w.terminal = json.Int("terminal") != 0;
+          w.credit_j = json.Dbl("credit_j");
+          w.debit_j = json.Dbl("debit_j");
+          w.off_windows = json.Int("off_windows");
+          w.mispredicts = json.Int("mispredicts");
+          w.cum_credit_j = json.Dbl("cum_credit_j");
+          w.cum_debit_j = json.Dbl("cum_debit_j");
+          w.cum_mispredicts = json.Int("cum_mispredicts");
+          analysis::PrintWindowRow(stdout, "[tail]", w);
         } else if (type == "rolling_final") {
           account = SummaryFromRollingFinal(json);
           windows = json.Int("windows");
