@@ -1,16 +1,21 @@
-// Google-benchmark microbenchmarks for the hot code paths: the event
-// loop, the cache, the classifier and the placement planner. These bound
-// the monitoring overhead the paper argues is small (§III-A, §VII-D).
+// The hot-path figure pass: times the event loop, the cache, the workload
+// stream, the classifier, the placement planner and whole replays, each
+// next to its frozen reference in bench/legacy_*.h, and writes the
+// figures to BENCH_perf.json so the perf trajectory is tracked across
+// changes. The figures bound the management overhead the paper argues is
+// small (§III-A, §VII-D). Each pair must agree on its result before it is
+// timed; a disagreement exits 1.
 //
-// In addition to the google-benchmark suite, main() times the per-period
-// classification hot path on a real file-server monitoring period — both
-// the current streaming implementation and the frozen full-trace oracle
-// (bench/legacy_classifier.h) — and writes the results to
-// BENCH_perf.json (override the path with --json=<path> or the
-// ECOSTORE_BENCH_JSON env var) so the perf trajectory is tracked across
-// PRs. `bench_micro --json` runs only that measurement pass.
-
-#include <benchmark/benchmark.h>
+//   bench_micro [--json[=<path>]]   the figure pass; the default path is
+//                                   BENCH_perf.json
+//   bench_micro --check | --record [--golden=<path>]
+//                                   the bit-identical replay gate (see
+//                                   bench/replay_check.h)
+//   bench_micro --profile=<base>    profiles the eco replay figure and
+//                                   writes <base>.profile.jsonl and
+//                                   <base>.profile.trace.json
+//
+// Any other argument exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -38,7 +43,6 @@
 #include "replay/experiment.h"
 #include "replay/suite.h"
 #include "sim/simulator.h"
-#include "storage/disk_enclosure.h"
 #include "storage/storage_cache.h"
 #include "telemetry/file_handle.h"
 #include "telemetry/profile/profile_export.h"
@@ -50,56 +54,13 @@
 namespace ecostore {
 namespace {
 
-void BM_SimulatorScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(i, [] {});
-    }
-    benchmark::DoNotOptimize(sim.RunAll());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorScheduleRun);
-
-/// The PR-2 engine (bench/legacy_simulator.h): heap entries carry the
-/// std::function, so every sift moves it along with the key.
-void BM_SimulatorScheduleRunLegacy(benchmark::State& state) {
-  for (auto _ : state) {
-    legacy::LegacySimulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(i, [] {});
-    }
-    benchmark::DoNotOptimize(sim.RunAll());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorScheduleRunLegacy);
-
-void BM_CacheReadHit(benchmark::State& state) {
-  storage::CacheConfig config;
-  storage::StorageCache cache(config);
-  std::vector<storage::FlushDemand> scratch;
-  cache.Read(1, 0, 65536, &scratch);  // warm the blocks
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Read(1, 0, 65536, &scratch));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheReadHit);
-
-void BM_CacheWriteAbsorb(benchmark::State& state) {
-  storage::CacheConfig config;
-  storage::StorageCache cache(config);
-  std::vector<storage::FlushDemand> scratch;
-  Xoshiro256 rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache.Write(1, rng.UniformInt(0, 1 << 20) * 4096, 4096, &scratch));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheWriteAbsorb);
+// The bounds of bench::TimeCalls are the ones the figures were first
+// recorded with, so BENCH_perf.json stays comparable across changes: a
+// replay figure runs for 2 s, every other figure for 1 s, and a
+// cost-per-call figure stops after 10 calls if that comes first.
+constexpr double kReplaySeconds = 2.0;
+constexpr double kFigureSeconds = 1.0;
+constexpr int64_t kMaxCalls = 10;
 
 // ---------------------------------------------------------------------
 // Cache read/write mix: the identical operation stream through the slab
@@ -236,12 +197,12 @@ CacheMixTotals RunCacheMixLegacy(const CacheMix& mix) {
 }
 
 // ---------------------------------------------------------------------
-// Classification: synthetic uniform trace and a real file-server period.
+// Classification: a real file-server monitoring period.
 // ---------------------------------------------------------------------
 
 /// One monitoring period (the paper's initial 520 s) of the file-server
-/// workload, replayed into a trace buffer once and shared by the
-/// classification benchmarks.
+/// workload, replayed into a trace buffer once for the classification
+/// figure.
 struct FileServerPeriod {
   storage::DataItemCatalog catalog;
   trace::LogicalTraceBuffer buffer;
@@ -274,7 +235,7 @@ struct FileServerPeriod {
 // ---------------------------------------------------------------------
 
 /// The file-server generator for one monitoring period, shared by the
-/// stream benchmarks (Reset() rewinds it deterministically).
+/// stream figures (Reset() rewinds it deterministically).
 workload::FileServerWorkload* StreamBenchWorkload() {
   static workload::FileServerWorkload* w = [] {
     workload::FileServerConfig config;
@@ -290,164 +251,10 @@ workload::FileServerWorkload* StreamBenchWorkload() {
   return w;
 }
 
-void BM_FileServerStreamNext(benchmark::State& state) {
-  workload::FileServerWorkload* w = StreamBenchWorkload();
-  int64_t records = 0;
-  for (auto _ : state) {
-    w->Reset();
-    trace::LogicalIoRecord rec;
-    records = 0;
-    while (w->Next(&rec)) {
-      benchmark::DoNotOptimize(rec);
-      records++;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * records);
-}
-BENCHMARK(BM_FileServerStreamNext);
-
-void BM_FileServerStreamNextBatch(benchmark::State& state) {
-  workload::FileServerWorkload* w = StreamBenchWorkload();
-  std::vector<trace::LogicalIoRecord> batch;
-  batch.reserve(256);
-  int64_t records = 0;
-  for (auto _ : state) {
-    w->Reset();
-    records = 0;
-    while (w->NextBatch(&batch, 256) > 0) {
-      benchmark::DoNotOptimize(batch.data());
-      records += static_cast<int64_t>(batch.size());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * records);
-}
-BENCHMARK(BM_FileServerStreamNextBatch);
-
-void BM_ClassifyFileServerPeriod(benchmark::State& state) {
-  const FileServerPeriod& period = FileServerPeriod::Get();
-  core::PatternClassifier classifier(
-      core::PatternClassifier::Options{52 * kSecond, 1 * kSecond});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier.Classify(
-        period.buffer, period.catalog, 0, period.period_end));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(period.buffer.size()));
-}
-BENCHMARK(BM_ClassifyFileServerPeriod);
-
-void BM_ClassifyFileServerPeriodLegacy(benchmark::State& state) {
-  const FileServerPeriod& period = FileServerPeriod::Get();
-  bench::LegacyPatternClassifier legacy(
-      core::PatternClassifier::Options{52 * kSecond, 1 * kSecond});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(legacy.Classify(
-        period.buffer, period.catalog, 0, period.period_end));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(period.buffer.size()));
-}
-BENCHMARK(BM_ClassifyFileServerPeriodLegacy);
-
-void BM_PatternClassifier(benchmark::State& state) {
-  const int n_items = static_cast<int>(state.range(0));
-  storage::DataItemCatalog catalog;
-  VolumeId v = catalog.AddVolume(0);
-  for (int i = 0; i < n_items; ++i) {
-    catalog.AddItem(std::string("i").append(std::to_string(i)), v, 1 << 20,
-                    storage::DataItemKind::kFile);
-  }
-  trace::LogicalTraceBuffer buffer;
-  Xoshiro256 rng(3);
-  SimTime t = 0;
-  for (int k = 0; k < 100000; ++k) {
-    t += rng.UniformInt(1, 10 * kMillisecond);
-    trace::LogicalIoRecord rec;
-    rec.time = t;
-    rec.item = static_cast<DataItemId>(rng.UniformInt(0, n_items - 1));
-    rec.size = 8192;
-    rec.type = rng.Bernoulli(0.6) ? IoType::kRead : IoType::kWrite;
-    buffer.Append(rec);
-  }
-  core::PatternClassifier classifier(
-      core::PatternClassifier::Options{52 * kSecond, 1 * kSecond});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        classifier.Classify(buffer, catalog, 0, t + kSecond));
-  }
-  state.SetItemsProcessed(state.iterations() * 100000);
-}
-BENCHMARK(BM_PatternClassifier)->Arg(100)->Arg(2000);
-
-void BM_PlacementPlanner(benchmark::State& state) {
-  const int n_items = static_cast<int>(state.range(0));
-  const int n_enclosures = 12;
-  storage::DataItemCatalog catalog;
-  for (int e = 0; e < n_enclosures; ++e) catalog.AddVolume(e);
-  core::ClassificationResult result;
-  Xoshiro256 rng(4);
-  for (int i = 0; i < n_items; ++i) {
-    auto pattern = static_cast<core::IoPattern>(rng.UniformInt(0, 3));
-    DataItemId id =
-        catalog
-            .AddItem(std::string("i").append(std::to_string(i)),
-                     static_cast<VolumeId>(rng.UniformInt(
-                         0, n_enclosures - 1)),
-                     rng.UniformInt(1, 1000) * 1024 * 1024,
-                     storage::DataItemKind::kFile)
-            .value();
-    core::ItemClassification cls;
-    cls.item = id;
-    cls.pattern = pattern;
-    cls.size_bytes = catalog.item(id).size_bytes;
-    cls.avg_iops = pattern == core::IoPattern::kP3
-                       ? static_cast<double>(rng.UniformInt(1, 50))
-                       : 1.0;
-    result.items.push_back(cls);
-    if (pattern == core::IoPattern::kP3) result.p3_max_iops += cls.avg_iops;
-  }
-  storage::BlockVirtualization virt(&catalog, n_enclosures,
-                                    1700LL * 1024 * 1024 * 1024);
-  if (!virt.PlaceInitial().ok()) {
-    state.SkipWithError("placement failed");
-    return;
-  }
-  core::HotColdPlanner hot_cold(
-      core::HotColdPlanner::Options{900.0, virt.capacity_bytes()});
-  core::PlacementPlanner planner(
-      core::PlacementPlanner::Options{900.0, virt.capacity_bytes()},
-      &hot_cold);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.Plan(result, virt));
-  }
-  state.SetItemsProcessed(state.iterations() * n_items);
-}
-BENCHMARK(BM_PlacementPlanner)->Arg(100)->Arg(2000);
-
-void BM_EnclosureSubmit(benchmark::State& state) {
-  storage::EnclosureConfig config;
-  storage::DiskEnclosure enc(0, config);
-  SimTime t = 0;
-  for (auto _ : state) {
-    t += 1000;
-    benchmark::DoNotOptimize(
-        enc.SubmitIo(t, 1, 8192, IoType::kRead, false));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EnclosureSubmit);
-
-// ---------------------------------------------------------------------
-// BENCH_perf.json: manually timed classification throughput (events/s)
-// on the file-server period, current vs legacy, for cross-PR tracking.
-// ---------------------------------------------------------------------
-
-}  // namespace
-
 // ---------------------------------------------------------------------
 // End-to-end replay throughput: a whole Experiment (cache + simulator +
 // policy + migration engine) on a 20-minute file-server trace, measured
-// in logical I/Os per wall second. Non-anonymous so main() can reach it.
+// in logical I/Os per wall second.
 // ---------------------------------------------------------------------
 
 struct ReplayFigure {
@@ -463,23 +270,6 @@ struct ReplayFigure {
   /// kProfiler runs: the last run's spans.
   std::vector<telemetry::profile::Span> spans;
 };
-
-/// Runs `run_once` once untimed, then repeatedly for at least two wall
-/// seconds; returns the timed runs per second.
-template <typename RunOnce>
-double RunsPerSecond(RunOnce&& run_once) {
-  using Clock = std::chrono::steady_clock;
-  run_once();  // warm-up
-  int64_t calls = 0;
-  auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    run_once();
-    calls++;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < 2.0);
-  return static_cast<double>(calls) / elapsed;
-}
 
 /// How MeasureReplayThroughput instruments the replay. Every run
 /// constructs its instruments fresh, so each run's count covers that run
@@ -575,7 +365,9 @@ ReplayFigure MeasureReplayThroughput(
     }
   };
 
-  const double runs_per_sec = RunsPerSecond(run_once);
+  // run_once sets logical_ios, so the runs must be timed before it is read.
+  const double runs_per_sec =
+      bench::TimeCalls(kReplaySeconds, run_once).PerSecond();
   figure.lios_per_sec = static_cast<double>(figure.logical_ios) * runs_per_sec;
   return figure;
 }
@@ -617,12 +409,12 @@ ReplayFigure MeasureOltpBaselineReplay(size_t policy_index) {
     figure.sim_events_executed = metrics.value().sim_events_executed;
     figure.sim_peak_heap_depth = metrics.value().sim_peak_heap_depth;
   };
-  const double runs_per_sec = RunsPerSecond(run_once);
+  // run_once sets logical_ios, so the runs must be timed before it is read.
+  const double runs_per_sec =
+      bench::TimeCalls(kReplaySeconds, run_once).PerSecond();
   figure.lios_per_sec = static_cast<double>(figure.logical_ios) * runs_per_sec;
   return figure;
 }
-
-namespace {
 
 // ---------------------------------------------------------------------
 // planner_scale: the indexed placement planner vs the frozen stable_sort
@@ -708,21 +500,6 @@ bool SamePlacementPlan(const core::PlacementPlan& a,
   return true;
 }
 
-template <typename Fn>
-double MeasureSecondsPerCall(Fn&& fn) {
-  using Clock = std::chrono::steady_clock;
-  fn();  // warm-up (grows scratch to steady state)
-  int calls = 0;
-  auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    calls++;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < 1.0 && calls < 10);
-  return elapsed / calls;
-}
-
 struct PlannerScaleCase {
   int enclosures = 0;
   int items = 0;
@@ -762,12 +539,16 @@ PlannerScaleCase RunPlannerScaleCase(int n_enclosures,
   }
   out.migrations = static_cast<int64_t>(indexed_plan.migrations.size());
 
-  out.indexed_sec = MeasureSecondsPerCall([&] {
-    benchmark::DoNotOptimize(indexed.Plan(fx.result, *fx.virt));
-  });
-  out.legacy_sec = MeasureSecondsPerCall([&] {
-    benchmark::DoNotOptimize(legacy.Plan(fx.result, *fx.virt));
-  });
+  auto plan_indexed = [&] {
+    bench::DoNotOptimize(indexed.Plan(fx.result, *fx.virt));
+  };
+  auto plan_legacy = [&] {
+    bench::DoNotOptimize(legacy.Plan(fx.result, *fx.virt));
+  };
+  out.indexed_sec = bench::TimeCalls(kFigureSeconds, plan_indexed, kMaxCalls)
+                        .SecondsPerCall();
+  out.legacy_sec = bench::TimeCalls(kFigureSeconds, plan_legacy, kMaxCalls)
+                       .SecondsPerCall();
   return out;
 }
 
@@ -948,33 +729,18 @@ ClassifyScaleCase RunClassifyScaleCase(int n_enclosures,
 
   // Period-end cost: streaming = Finalize only (idempotent over the same
   // ingested state), legacy = the full trace replay + per-item gather.
-  out.finalize_sec = MeasureSecondsPerCall([&] {
-    const core::ClassificationResult& r =
-        streaming.Finalize(catalog, kPeriodEnd);
-    benchmark::DoNotOptimize(r.items.data());
-  });
-  out.legacy_sec = MeasureSecondsPerCall([&] {
-    benchmark::DoNotOptimize(
-        legacy.Classify(buffer, catalog, 0, kPeriodEnd));
-  });
+  auto finalize = [&] {
+    bench::DoNotOptimize(streaming.Finalize(catalog, kPeriodEnd).items.data());
+  };
+  auto classify_legacy = [&] {
+    bench::DoNotOptimize(legacy.Classify(buffer, catalog, 0, kPeriodEnd));
+  };
+  out.finalize_sec =
+      bench::TimeCalls(kFigureSeconds, finalize, kMaxCalls).SecondsPerCall();
+  out.legacy_sec = bench::TimeCalls(kFigureSeconds, classify_legacy, kMaxCalls)
+                       .SecondsPerCall();
   out.peak_state_bytes = streaming.peak_state_bytes();
   return out;
-}
-
-template <typename Fn>
-double MeasureEventsPerSec(int64_t events_per_call, Fn&& fn) {
-  using Clock = std::chrono::steady_clock;
-  // Warm-up (grows the reusable scratch to steady state).
-  fn();
-  int64_t calls = 0;
-  auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    calls++;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < 1.0);
-  return static_cast<double>(events_per_call * calls) / elapsed;
 }
 
 struct CacheMixRates {
@@ -1009,10 +775,14 @@ CacheMixRates MeasureCacheMix(const char* name, const CacheMix& mix) {
   rates.read_miss_ratio =
       static_cast<double>(slab_totals.misses) /
       static_cast<double>(slab_totals.hits + slab_totals.misses);
-  rates.slab_ops_per_sec = MeasureEventsPerSec(
-      rates.ops, [&] { benchmark::DoNotOptimize(RunCacheMixSlab(mix)); });
-  rates.legacy_ops_per_sec = MeasureEventsPerSec(
-      rates.ops, [&] { benchmark::DoNotOptimize(RunCacheMixLegacy(mix)); });
+  rates.slab_ops_per_sec =
+      bench::TimeCalls(kFigureSeconds, [&] {
+        bench::DoNotOptimize(RunCacheMixSlab(mix));
+      }).PerSecond(rates.ops);
+  rates.legacy_ops_per_sec =
+      bench::TimeCalls(kFigureSeconds, [&] {
+        bench::DoNotOptimize(RunCacheMixLegacy(mix));
+      }).PerSecond(rates.ops);
   return rates;
 }
 
@@ -1162,12 +932,11 @@ void PrintOverhead(const OverheadFigure& figure, const char* count_unit) {
               figure.noise_floor_pct, kOverheadGatePct);
 }
 
-/// Measures every tracked figure and writes the BENCH_perf.json schema.
-/// Path precedence: `path_override` (the --json= flag) beats the
-/// ECOSTORE_BENCH_JSON env var beats "BENCH_perf.json". Returns the
-/// process exit code: the file is always written first, then 1 if an
-/// overhead gate tripped (or the file could not be written).
-int WriteBenchPerfJson(const char* path_override) {
+/// Measures every tracked figure and writes the BENCH_perf.json schema to
+/// `path`. Returns the process exit code: the file is always written
+/// first, then 1 if an overhead gate tripped (or the file could not be
+/// written).
+int WriteBenchPerfJson(const std::string& path) {
   const FileServerPeriod& period = FileServerPeriod::Get();
   const auto events = static_cast<int64_t>(period.buffer.size());
   const core::PatternClassifier::Options options{52 * kSecond, 1 * kSecond};
@@ -1185,14 +954,16 @@ int WriteBenchPerfJson(const char* path_override) {
     std::exit(1);
   }
 
-  double streaming = MeasureEventsPerSec(events, [&] {
-    benchmark::DoNotOptimize(classifier.Classify(
-        period.buffer, period.catalog, 0, period.period_end));
-  });
-  double legacy_rate = MeasureEventsPerSec(events, [&] {
-    benchmark::DoNotOptimize(legacy.Classify(
-        period.buffer, period.catalog, 0, period.period_end));
-  });
+  const double streaming =
+      bench::TimeCalls(kFigureSeconds, [&] {
+        bench::DoNotOptimize(classifier.Classify(
+            period.buffer, period.catalog, 0, period.period_end));
+      }).PerSecond(events);
+  const double legacy_rate =
+      bench::TimeCalls(kFigureSeconds, [&] {
+        bench::DoNotOptimize(legacy.Classify(
+            period.buffer, period.catalog, 0, period.period_end));
+      }).PerSecond(events);
 
   // Sanity: the POD-heap engine and the frozen PR-2 replica must execute
   // the same schedule identically before their speeds are compared.
@@ -1219,30 +990,33 @@ int WriteBenchPerfJson(const char* path_override) {
     }
   }
 
-  double sim_rate = MeasureEventsPerSec(100000, [] {
-    sim::Simulator sim;
-    sim.Reserve(100000);
-    for (int i = 0; i < 100000; ++i) sim.ScheduleAt(i, [] {});
-    benchmark::DoNotOptimize(sim.RunAll());
-  });
-  double sim_legacy_rate = MeasureEventsPerSec(100000, [] {
-    legacy::LegacySimulator sim;
-    for (int i = 0; i < 100000; ++i) sim.ScheduleAt(i, [] {});
-    benchmark::DoNotOptimize(sim.RunAll());
-  });
+  const double sim_rate =
+      bench::TimeCalls(kFigureSeconds, [] {
+        sim::Simulator sim;
+        sim.Reserve(100000);
+        for (int i = 0; i < 100000; ++i) sim.ScheduleAt(i, [] {});
+        bench::DoNotOptimize(sim.RunAll());
+      }).PerSecond(100000);
+  const double sim_legacy_rate =
+      bench::TimeCalls(kFigureSeconds, [] {
+        legacy::LegacySimulator sim;
+        for (int i = 0; i < 100000; ++i) sim.ScheduleAt(i, [] {});
+        bench::DoNotOptimize(sim.RunAll());
+      }).PerSecond(100000);
   // Cancellation-heavy variant: every second event is cancelled before the
   // loop drains (the case the tombstone scheme targets).
-  double sim_cancel_rate = MeasureEventsPerSec(100000, [] {
-    sim::Simulator sim;
-    std::vector<sim::EventId> ids;
-    ids.reserve(50000);
-    for (int i = 0; i < 100000; ++i) {
-      sim::EventId id = sim.ScheduleAt(i, [] {});
-      if (i % 2 == 0) ids.push_back(id);
-    }
-    for (sim::EventId id : ids) sim.Cancel(id);
-    benchmark::DoNotOptimize(sim.RunAll());
-  });
+  const double sim_cancel_rate =
+      bench::TimeCalls(kFigureSeconds, [] {
+        sim::Simulator sim;
+        std::vector<sim::EventId> ids;
+        ids.reserve(50000);
+        for (int i = 0; i < 100000; ++i) {
+          sim::EventId id = sim.ScheduleAt(i, [] {});
+          if (i % 2 == 0) ids.push_back(id);
+        }
+        for (sim::EventId id : ids) sim.Cancel(id);
+        bench::DoNotOptimize(sim.RunAll());
+      }).PerSecond(100000);
 
   // Cache read/write mixes, slab vs legacy map/list, equal-aggregate
   // gated: the small eviction/destage/write-delay mix and the miss-heavy
@@ -1292,19 +1066,21 @@ int WriteBenchPerfJson(const char* path_override) {
       std::exit(1);
     }
   }
-  double stream_next_rate = MeasureEventsPerSec(stream_records, [&] {
-    stream_wl->Reset();
-    trace::LogicalIoRecord rec;
-    while (stream_wl->Next(&rec)) benchmark::DoNotOptimize(rec);
-  });
+  const double stream_next_rate =
+      bench::TimeCalls(kFigureSeconds, [&] {
+        stream_wl->Reset();
+        trace::LogicalIoRecord rec;
+        while (stream_wl->Next(&rec)) bench::DoNotOptimize(rec);
+      }).PerSecond(stream_records);
   std::vector<trace::LogicalIoRecord> stream_batch;
   stream_batch.reserve(256);
-  double stream_batch_rate = MeasureEventsPerSec(stream_records, [&] {
-    stream_wl->Reset();
-    while (stream_wl->NextBatch(&stream_batch, 256) > 0) {
-      benchmark::DoNotOptimize(stream_batch.data());
-    }
-  });
+  const double stream_batch_rate =
+      bench::TimeCalls(kFigureSeconds, [&] {
+        stream_wl->Reset();
+        while (stream_wl->NextBatch(&stream_batch, 256) > 0) {
+          bench::DoNotOptimize(stream_batch.data());
+        }
+      }).PerSecond(stream_records);
 
   // End-to-end replay throughput, new code vs the seed build's figures.
   // The seed numbers were measured on this machine from commit 2bf6bdc
@@ -1385,21 +1161,21 @@ int WriteBenchPerfJson(const char* path_override) {
         return on;
       });
 
-  // Fleet-scale planner figure: indexed vs legacy stable_sort placement
-  // on synthetic 1k/100k and 10k/1M fleets, gated on identical plans.
-  PlannerScaleCase planner_small = RunPlannerScaleCase(1000, 100);
-  PlannerScaleCase planner_large = RunPlannerScaleCase(10000, 100);
+  // Planner figure: indexed vs legacy stable_sort placement on synthetic
+  // 1k/100k and 10k/1M fleets and at the paper's 12 enclosures, gated on
+  // identical plans.
+  const PlannerScaleCase planner_cases[] = {RunPlannerScaleCase(1000, 100),
+                                            RunPlannerScaleCase(10000, 100),
+                                            RunPlannerScaleCase(12, 100)};
+  const size_t n_planner_cases = std::size(planner_cases);
 
   // Fleet-scale period-end classification figure, gated on identical
   // classifications and identical placement plans.
   ClassifyScaleCase classify_scale = RunClassifyScaleCase(10000, 100);
 
-  const char* path = path_override;
-  if (path == nullptr) path = std::getenv("ECOSTORE_BENCH_JSON");
-  if (path == nullptr) path = "BENCH_perf.json";
-  telemetry::FilePtr file(std::fopen(path, "w"));
+  telemetry::FilePtr file(std::fopen(path.c_str(), "w"));
   if (file == nullptr) {
-    std::fprintf(stderr, "BENCH_perf: cannot write %s\n", path);
+    std::fprintf(stderr, "BENCH_perf: cannot write %s\n", path.c_str());
     return 1;
   }
   std::FILE* out = file.get();
@@ -1496,18 +1272,17 @@ int WriteBenchPerfJson(const char* path_override) {
                     profile_overhead);
   std::fprintf(out, "  \"planner_scale\": {\n");
   std::fprintf(out, "    \"cases\": [\n");
-  const PlannerScaleCase* planner_cases[] = {&planner_small, &planner_large};
-  for (int i = 0; i < 2; ++i) {
-    const PlannerScaleCase& c = *planner_cases[i];
+  for (size_t i = 0; i < n_planner_cases; ++i) {
+    const PlannerScaleCase& c = planner_cases[i];
     std::fprintf(out,
                  "      {\"enclosures\": %d, \"items\": %d, "
                  "\"p3_movers\": %lld, \"migrations\": %lld, "
-                 "\"legacy_ms_per_plan\": %.2f, "
-                 "\"indexed_ms_per_plan\": %.2f, \"speedup\": %.1f}%s\n",
+                 "\"legacy_ms_per_plan\": %.4f, "
+                 "\"indexed_ms_per_plan\": %.4f, \"speedup\": %.1f}%s\n",
                  c.enclosures, c.items, static_cast<long long>(c.movers),
                  static_cast<long long>(c.migrations), c.legacy_sec * 1e3,
                  c.indexed_sec * 1e3, c.legacy_sec / c.indexed_sec,
-                 i == 0 ? "," : "");
+                 i + 1 < n_planner_cases ? "," : "");
   }
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
@@ -1587,10 +1362,9 @@ int WriteBenchPerfJson(const char* path_override) {
   PrintOverhead(telemetry_overhead, "events/run");
   PrintOverhead(live_overhead, "rolling windows");
   PrintOverhead(profile_overhead, "spans/run");
-  for (int i = 0; i < 2; ++i) {
-    const PlannerScaleCase& c = *planner_cases[i];
+  for (const PlannerScaleCase& c : planner_cases) {
     std::printf("planner scale (%d enclosures, %d items, %lld movers): "
-                "indexed %.2f ms vs legacy %.2f ms per plan (%.1fx), "
+                "indexed %.4f ms vs legacy %.4f ms per plan (%.1fx), "
                 "%lld migrations\n",
                 c.enclosures, c.items, static_cast<long long>(c.movers),
                 c.indexed_sec * 1e3, c.legacy_sec * 1e3,
@@ -1617,7 +1391,7 @@ int WriteBenchPerfJson(const char* path_override) {
               "%.2fM, %.2fx), cancel-heavy %.2fM ev/s -> %s\n",
               sim_rate / 1e6, kSeedSimulatorEventsPerSec / 1e6,
               sim_legacy_rate / 1e6, sim_rate / sim_legacy_rate,
-              sim_cancel_rate / 1e6, path);
+              sim_cancel_rate / 1e6, path.c_str());
 
   // Gate only after the figures are on disk, so a tripped budget still
   // leaves a complete record of the pass that tripped it.
@@ -1633,65 +1407,53 @@ int WriteBenchPerfJson(const char* path_override) {
 }  // namespace ecostore
 
 int main(int argc, char** argv) {
-  // --check / --record bypass google-benchmark entirely: they run the
-  // bit-identical replay regression gate (see bench/replay_check.h).
-  // --replay prints the end-to-end throughput figures only.
-  // --json[=path] also skips google-benchmark and machine-writes the
-  // BENCH_perf.json schema (the sanctioned way to regenerate the file).
-  std::string golden_path;
-  std::string json_path;
-  bool check = false, record = false, replay_only = false, json_only = false;
-  // --profile=<base> attaches the wall-clock phase profiler to the eco
-  // replay run and writes <base>.profile.jsonl + .profile.trace.json.
-  // Implies --replay (the profiled figure is the end-to-end one).
-  const std::string profile_base =
-      ecostore::bench::ParseFlagValue(argc, argv, "--profile=");
-  if (!profile_base.empty()) replay_only = true;
+  std::string json_path = "BENCH_perf.json";
+  std::string golden_path = "bench/golden_replay.txt";
+  std::string profile_base;
+  bool check = false, record = false, json = false;
   for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg == "--check") check = true;
-    else if (arg == "--record") record = true;
-    else if (arg == "--replay") replay_only = true;
-    else if (arg == "--json") json_only = true;
-    else if (arg.rfind("--json=", 0) == 0) {
-      json_only = true;
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--golden=", 0) == 0) {
-      golden_path = arg.substr(9);
+    const std::string arg(argv[i]);
+    auto value_of = [&arg](const std::string& prefix, std::string* out) {
+      if (arg.size() <= prefix.size() || arg.rfind(prefix, 0) != 0) {
+        return false;
+      }
+      *out = arg.substr(prefix.size());
+      return true;
+    };
+    if (arg == "--check") {
+      check = true;
+    } else if (arg == "--record") {
+      record = true;
+    } else if (arg == "--json" || value_of("--json=", &json_path)) {
+      json = true;
+    } else if (!value_of("--golden=", &golden_path) &&
+               !value_of("--profile=", &profile_base)) {
+      std::fprintf(stderr, "bench_micro: unknown argument '%s'\n",
+                   arg.c_str());
+      return 2;
     }
   }
-  if (golden_path.empty()) golden_path = "bench/golden_replay.txt";
+  if ((check || record) + json + !profile_base.empty() > 1) {
+    std::fprintf(stderr,
+                 "bench_micro: --check/--record, --json and --profile are "
+                 "separate runs\n");
+    return 2;
+  }
   if (check || record) {
     return ecostore::bench::ReplayCheckMain(golden_path, record);
   }
-  if (json_only) {
-    return ecostore::WriteBenchPerfJson(json_path.empty() ? nullptr
-                                                          : json_path.c_str());
-  }
-  if (replay_only) {
-    ecostore::ReplayFigure eco = ecostore::MeasureReplayThroughput(
-        true, profile_base.empty() ? ecostore::ReplayInstrument::kNone
-                                   : ecostore::ReplayInstrument::kProfiler);
-    ecostore::ReplayFigure base = ecostore::MeasureReplayThroughput(false);
-    std::printf("replay end-to-end (file-server 20 min, %lld logical IOs "
-                "per run):\n  eco_storage      %.0f lios/s (fp %016llx)\n"
-                "  no_power_saving  %.0f lios/s (fp %016llx)\n",
-                static_cast<long long>(eco.logical_ios), eco.lios_per_sec,
-                static_cast<unsigned long long>(eco.fingerprint),
-                base.lios_per_sec,
-                static_cast<unsigned long long>(base.fingerprint));
-    if (profile_base.empty()) return 0;
-    ecostore::telemetry::profile::ProfileMeta meta;
-    meta.workload = "file_server_20min";
-    meta.policy = "eco_storage";
-    meta.wall_ns = static_cast<int64_t>(
-        static_cast<double>(eco.logical_ios) / eco.lios_per_sec * 1e9);
-    return ecostore::bench::WriteProfileCapture(profile_base, meta,
-                                                eco.spans);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return ecostore::WriteBenchPerfJson(nullptr);
+  if (profile_base.empty()) return ecostore::WriteBenchPerfJson(json_path);
+
+  const ecostore::ReplayFigure eco = ecostore::MeasureReplayThroughput(
+      true, ecostore::ReplayInstrument::kProfiler);
+  std::printf("replay end-to-end, profiled (file-server 20 min, %lld "
+              "logical IOs per run): eco_storage %.0f lios/s (fp %016llx)\n",
+              static_cast<long long>(eco.logical_ios), eco.lios_per_sec,
+              static_cast<unsigned long long>(eco.fingerprint));
+  ecostore::telemetry::profile::ProfileMeta meta;
+  meta.workload = "file_server_20min";
+  meta.policy = "eco_storage";
+  meta.wall_ns = static_cast<int64_t>(
+      static_cast<double>(eco.logical_ios) / eco.lios_per_sec * 1e9);
+  return ecostore::bench::WriteProfileCapture(profile_base, meta, eco.spans);
 }

@@ -4,9 +4,12 @@
 // Shared helpers for the figure-reproduction benchmarks.
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -164,6 +167,48 @@ inline CaptureFlags ParseCaptureFlags(int argc, char** argv) {
   flags.capture_only = HasFlag(argc, argv, "--capture-only") &&
                        !flags.telemetry_base.empty();
   return flags;
+}
+
+/// Keeps the compiler from discarding `value`, or the work that made it:
+/// an empty asm statement that the compiler must assume reads `value`
+/// and clobbers memory.
+template <typename T>
+inline void DoNotOptimize(const T& value) {
+  asm volatile("" : : "g"(&value) : "memory");
+}
+
+/// What one timing loop measured: `calls` timed calls in `seconds` of
+/// wall time.
+struct Timing {
+  int64_t calls = 0;
+  double seconds = 0.0;
+
+  /// Work done per second, when each call does `units_per_call` units.
+  double PerSecond(int64_t units_per_call = 1) const {
+    return static_cast<double>(units_per_call * calls) / seconds;
+  }
+  double SecondsPerCall() const {
+    return seconds / static_cast<double>(calls);
+  }
+};
+
+/// Calls `fn` once untimed (the warm-up grows reusable scratch to steady
+/// state), then again and again until `min_seconds` of wall time have
+/// passed or `max_calls` timed calls have run, whichever comes first.
+template <typename Fn>
+Timing TimeCalls(double min_seconds, Fn&& fn,
+                 int64_t max_calls = std::numeric_limits<int64_t>::max()) {
+  using Clock = std::chrono::steady_clock;
+  fn();
+  Timing timing;
+  const Clock::time_point start = Clock::now();
+  do {
+    fn();
+    timing.calls++;
+    timing.seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+  } while (timing.seconds < min_seconds && timing.calls < max_calls);
+  return timing;
 }
 
 /// True when ECOSTORE_QUICK=1: benchmarks run shortened workloads (for CI

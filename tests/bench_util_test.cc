@@ -1,6 +1,7 @@
 // Tests for the benchmark CLIs' shared flag parsing (bench/bench_util.h),
-// which eco_report uses for its number flags too, and for the golden
-// fingerprint file of the replay gate (bench/replay_check.h).
+// which eco_report uses for its number flags too, for bench_micro's
+// timing loop, and for the golden fingerprint file of the replay gate
+// (bench/replay_check.h).
 
 #include <gtest/gtest.h>
 
@@ -130,6 +131,23 @@ TEST(ParseCaptureFlagsTest, BadRollingWindowExitsWithStatus2) {
                 "--rolling-window: expected a positive number")
         << bad;
   }
+}
+
+TEST(TimeCallsTest, WarmsUpOnceThenStopsAtTheCallBound) {
+  int calls = 0;
+  const Timing timing = TimeCalls(1e9, [&calls] { calls++; }, 10);
+  EXPECT_EQ(timing.calls, 10);
+  EXPECT_EQ(calls, 11);  // one untimed warm-up
+  EXPECT_GT(timing.seconds, 0.0);
+  EXPECT_DOUBLE_EQ(timing.PerSecond(5), 50.0 / timing.seconds);
+  EXPECT_DOUBLE_EQ(timing.SecondsPerCall(), timing.seconds / 10.0);
+}
+
+TEST(TimeCallsTest, TimesOneCallWhenTheTimeBoundIsZero) {
+  int calls = 0;
+  const Timing timing = TimeCalls(0.0, [&calls] { calls++; });
+  EXPECT_EQ(timing.calls, 1);
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(GoldenFingerprintsTest, RoundTrip) {

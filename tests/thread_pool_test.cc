@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -59,19 +58,23 @@ TEST(ThreadPoolTest, PropagatesTaskExceptionsThroughFuture) {
 TEST(ThreadPoolTest, DestructorDiscardsUnstartedTasks) {
   std::atomic<int> ran{0};
   std::atomic<bool> first_running{false};
+  std::atomic<bool> all_queued{false};
   {
     ThreadPool pool(1);
-    // The first task occupies the single worker until well after the
-    // pool's destructor has started; the rest stay queued and must be
-    // discarded, not executed.
+    // The first task occupies the single worker until the queue behind it
+    // is empty. With that worker busy, only the destructor can empty the
+    // queue, under the lock that marks the pool as shutting down, so the
+    // 10 queued tasks must be discarded, not executed.
     pool.Submit([&] {
       first_running = true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      while (!all_queued) std::this_thread::yield();
+      while (pool.QueuedTasks() != 0) std::this_thread::yield();
       ran++;
     });
     for (int i = 0; i < 10; ++i) {
       pool.Submit([&ran] { ran++; });
     }
+    all_queued = true;
     while (!first_running) std::this_thread::yield();
   }
   // Destructor joined the in-flight task and dropped the 10 queued ones.
